@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize
 
-from .occupancy import ConstraintSolverError
+from .occupancy import ConstraintSolverError, ThermoPoint
 from .spectrum import WellSide, energy_level
 
 __all__ = [
@@ -62,20 +62,13 @@ class QuadratureError(RuntimeError):
     """An adaptive quadrature did not converge."""
 
 
-def _check_n_t(n_particles: int, t: float) -> None:
-    if n_particles < 1:
-        raise ValueError(f"particle number must be >= 1, got {n_particles}")
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"temperature must be finite and positive, got {t}")
-
-
 def delta_f_low_t(n_particles: int, t: float) -> float:
     """Two-level low-temperature net force: 3N/4 + 3 exp(-3/t) - 2 exp(-2/t).
 
     Keeps only the first excited level of each well on top of the
     macroscopically occupied ground states; intended for t below about 1.
     """
-    _check_n_t(n_particles, t)
+    ThermoPoint(n_particles, t)  # validates N and t
     return 0.75 * n_particles + 3.0 * math.exp(-3.0 / t) - 2.0 * math.exp(-2.0 / t)
 
 
@@ -93,7 +86,7 @@ def delta_f_linear(n_particles: int, t: float) -> LinearForce:
     Counts the order-sqrt(t) levels whose occupation is neither classical
     nor exponentially suppressed. Flagged out of range above t = 2N/3.
     """
-    _check_n_t(n_particles, t)
+    ThermoPoint(n_particles, t)  # validates N and t
     value = 0.75 * n_particles - t / (math.e - 1.0) ** 2
     return LinearForce(value, t <= 2.0 * n_particles / 3.0)
 
@@ -197,7 +190,7 @@ def semi_analytic_alpha(side: WellSide, n_particles: int, t: float) -> float:
     admissible solution and raises MethodOutOfRangeError. Intended for
     t well above 1, where the trapezoid replacement is accurate.
     """
-    _check_n_t(n_particles, t)
+    ThermoPoint(n_particles, t)  # validates N and t
     b = 1.0 / t
     lo = -b * side.ground_energy
     lo_eval = lo + 1e-10 * max(1.0, -lo)
@@ -337,5 +330,5 @@ def delta_f_high_t(n_particles: int, t: float) -> float:
     about 0.4-0.45 N/sqrt(t) near t = 100 N^2, and falls below 5% only for
     t >~ 80 N^2 (N = 100: ratio 0.675 at t = N^2, 0.956 at t = 100 N^2).
     """
-    _check_n_t(n_particles, t)
+    ThermoPoint(n_particles, t)  # validates N and t
     return 0.5 * n_particles * math.sqrt(t / math.pi)

@@ -47,14 +47,14 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.n_particles < 1:
             raise ValueError(f"--n-particles must be >= 1, got {self.n_particles}")
-        if not (0.0 < self.t_min <= self.t_max):
-            raise ValueError(f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]")
+        if not (0.0 < self.t_min <= self.t_max < float("inf")):
+            raise ValueError(f"need finite 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]")
         if self.grid_points < 1:
             raise ValueError(f"--points must be >= 1, got {self.grid_points}")
         if not self.methods:
             raise ValueError("--methods must name at least one method")
-        if self.tolerance <= 0.0:
-            raise ValueError(f"--tol must be positive, got {self.tolerance}")
+        if not (0.0 < self.tolerance < 1.0):
+            raise ValueError(f"--tol must lie in (0, 1), got {self.tolerance}")
 
 
 def _parse_methods(text: str) -> frozenset[Method]:
@@ -63,8 +63,6 @@ def _parse_methods(text: str) -> frozenset[Method]:
     if unknown:
         known = ", ".join(sorted(_METHOD_NAMES))
         raise ValueError(f"unknown method(s) {', '.join(unknown)}; choose from: {known}")
-    if not names:
-        raise ValueError("--methods must name at least one method")
     return frozenset(_METHOD_NAMES[name] for name in names)
 
 
@@ -119,23 +117,11 @@ def _format_field(value: float | None) -> str:
 
 def write_csv(rows: list[SweepRow], destination: str) -> None:
     """Write sweep rows, ordered by temperature then method name."""
-    ordered = sorted(rows, key=lambda row: (row.t, row.method.value))
     lines = [CSV_HEADER]
-    for row in ordered:
-        lines.append(
-            ",".join(
-                (
-                    _format_field(row.t),
-                    row.method.value,
-                    _format_field(row.alpha_plus),
-                    _format_field(row.alpha_minus),
-                    _format_field(row.f_plus),
-                    _format_field(row.f_minus),
-                    _format_field(row.delta_f),
-                    row.status,
-                )
-            )
-        )
+    for row in sorted(rows, key=lambda row: (row.t, row.method.value)):
+        values = (row.alpha_plus, row.alpha_minus, row.f_plus, row.f_minus, row.delta_f)
+        fields = (_format_field(row.t), row.method.value, *map(_format_field, values), row.status)
+        lines.append(",".join(fields))
     text = "\n".join(lines) + "\n"
     if destination == "-":
         sys.stdout.write(text)

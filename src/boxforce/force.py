@@ -21,14 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import approx
-from .occupancy import (
-    DEFAULT_TOL,
-    AlphaSolution,
-    ConstraintSolverError,
-    ThermoPoint,
-    _bose_block_sum,
-    solve_alpha,
-)
+from .occupancy import DEFAULT_TOL, ConstraintSolverError, ThermoPoint, solve_alpha, solve_rows
 from .spectrum import WellSide
 
 if TYPE_CHECKING:
@@ -91,25 +84,16 @@ class SweepRow:
     status: str
 
 
-def _force_from_solution(side: WellSide, b: float, solution: AlphaSolution) -> float:
-    """Energy-weighted occupation sum reusing an already-solved multiplier.
-
-    Reuse keeps the constraint and the force evaluation at one truncation;
-    the same relative tail rule bounds the discarded terms.
-    """
-    return _bose_block_sum(side, solution.shifted_alpha, b, energy_weighted=True).value
-
-
 def half_force(side: WellSide, point: ThermoPoint, tol: float = DEFAULT_TOL) -> float:
-    """Exact force from one half well: solve the constraint, then sum e_n N_n."""
-    solution = solve_alpha(side, point, tol)
-    return _force_from_solution(side, point.b, solution)
+    """Exact force sum_n e_n N_n from one half well, at the solved multiplier."""
+    return solve_alpha(side, point, tol).force
 
 
 def net_force(point: ThermoPoint, tol: float = DEFAULT_TOL) -> ForcePair:
-    """Exact net force on the partition, both wells solved at the same tolerance."""
-    f_plus = half_force(WellSide.PLUS, point, tol)
-    f_minus = half_force(WellSide.MINUS, point, tol)
+    """Exact net force on the partition, both wells solved together at the same tolerance."""
+    solved = solve_rows((WellSide.PLUS, WellSide.MINUS), point.n_particles, point.b, tol)
+    f_plus = solved.solution(0).force
+    f_minus = solved.solution(1).force
     return ForcePair(f_plus, f_minus, f_minus - f_plus)
 
 
@@ -125,15 +109,9 @@ def net_force_zero_t(n_particles: int) -> float:
 
 
 def temperature_grid(config: "SweepConfig") -> list[float]:
-    """Materialize the sweep grid, validating the configuration."""
+    """Materialize the sweep grid of a configuration that SweepConfig has validated."""
     if config.grid_points < 1:
         raise ValueError(f"grid must be non-empty, got {config.grid_points} points")
-    if not (0.0 < config.t_min <= config.t_max):
-        raise ValueError(f"need 0 < t_min <= t_max, got [{config.t_min}, {config.t_max}]")
-    if not config.methods:
-        raise ValueError("at least one method is required")
-    if config.grid_points == 1:
-        return [config.t_min]
     if config.grid_scale is GridScale.LOG:
         return [float(t) for t in np.geomspace(config.t_min, config.t_max, config.grid_points)]
     return [float(t) for t in np.linspace(config.t_min, config.t_max, config.grid_points)]
@@ -148,17 +126,25 @@ _POINT_ERRORS = (
 )
 
 
-def _evaluate_point(n_particles: int, t: float, method: Method, tol: float) -> SweepRow:
+def _numeric_rows(n_particles: int, grid: list[float], tol: float) -> list[SweepRow]:
+    """Exact rows of the whole grid from one solve over both wells; a failed well makes an error row."""
+    b = 1.0 / np.array(grid)
+    wells = (WellSide.PLUS,) * len(grid) + (WellSide.MINUS,) * len(grid)
+    solved = solve_rows(wells, n_particles, np.concatenate((b, b)), tol)
+    # column 0 is the PLUS well, column 1 the MINUS well
+    alpha, force = solved.alpha.reshape(2, -1).T.tolist(), solved.force.reshape(2, -1).T.tolist()
+    ok = solved.converged.reshape(2, -1).all(axis=0).tolist()
+    return [
+        SweepRow(t, Method.NUMERIC, a[0], a[1], f[0], f[1], f[1] - f[0], "ok")
+        if good
+        else SweepRow(t, Method.NUMERIC, None, None, None, None, None, "error")
+        for t, a, f, good in zip(grid, alpha, force, ok)
+    ]
+
+
+def _evaluate_point(n_particles: int, t: float, method: Method) -> SweepRow:
+    """One row of a closed-form approximation."""
     try:
-        if method is Method.NUMERIC:
-            point = ThermoPoint(n_particles, t)
-            sol_plus = solve_alpha(WellSide.PLUS, point, tol)
-            sol_minus = solve_alpha(WellSide.MINUS, point, tol)
-            f_plus = _force_from_solution(WellSide.PLUS, point.b, sol_plus)
-            f_minus = _force_from_solution(WellSide.MINUS, point.b, sol_minus)
-            return SweepRow(
-                t, method, sol_plus.alpha, sol_minus.alpha, f_plus, f_minus, f_minus - f_plus, "ok"
-            )
         if method is Method.LOW_T:
             value = approx.delta_f_low_t(n_particles, t)
             return SweepRow(t, method, None, None, None, None, value, "ok")
@@ -186,12 +172,17 @@ def sweep(config: "SweepConfig") -> list[SweepRow]:
     """Evaluate every configured method over the temperature grid.
 
     Rows come back ordered by temperature and then by method name, one row
-    per (t, method) pair, independent of evaluation order.
+    per (t, method) pair, independent of evaluation order. The numeric rows
+    of the whole grid are solved in one batched pass.
     """
     grid = temperature_grid(config)
     methods = sorted(config.methods, key=lambda m: m.value)
+    numeric = _numeric_rows(config.n_particles, grid, config.tolerance) if Method.NUMERIC in methods else []
     rows: list[SweepRow] = []
-    for t in grid:
+    for i, t in enumerate(grid):
         for method in methods:
-            rows.append(_evaluate_point(config.n_particles, t, method, config.tolerance))
+            if method is Method.NUMERIC:
+                rows.append(numeric[i])
+            else:
+                rows.append(_evaluate_point(config.n_particles, t, method))
     return rows

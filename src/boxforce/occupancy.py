@@ -2,14 +2,14 @@
 
 Each half well holds a fixed number N of ideal bosons. The occupations are
 N_n = 1/(exp(alpha + b e_n) - 1) at inverse temperature b = 1/t, and the
-multiplier alpha is fixed by the constraint sum_n N_n = N.
+multiplier alpha is fixed by the constraint S = sum_n N_n = N.
 
 The constraint is solved in the shifted variable x = alpha + b e_1 > 0.
 At low temperature alpha approaches log1p(1/N) - b e_1, a difference of
 two numbers of order b, while x stays of order 1/N; solving for x keeps
-the ground-state occupation fully resolved at every temperature. The
-relative truncation rule for the level sums and the bracket-then-Newton
-iteration are choices of this implementation; only the occupation formula
+the ground-state occupation fully resolved at every temperature. The level
+cutoff (TAIL_EXPONENT) and the batched monotone Newton iteration of
+solve_rows are choices of this implementation; only the occupation formula
 and the constraint itself are physics.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,21 +26,32 @@ from .spectrum import WellSide, level_gap
 __all__ = [
     "ThermoPoint",
     "AlphaSolution",
+    "RowSolutions",
     "ConstraintSolverError",
     "occupation",
     "total_number",
+    "solve_rows",
     "solve_alpha",
     "OVERFLOW_EXPONENT",
-    "TERM_TOL",
+    "TAIL_EXPONENT",
     "DEFAULT_TOL",
 ]
 
 # exp saturates float64 near 709; past this the occupation is 0 to machine precision
 OVERFLOW_EXPONENT = 700.0
-# relative cutoff for level sums; tails decay at least geometrically in exp(-b * gap)
-TERM_TOL = 1e-16
+# Level sums keep every level with b * (e_n - e_1) <= TAIL_EXPONENT, which is
+# n <= floor(sqrt(TAIL_EXPONENT * t)) + 1 (at most one level more). Each
+# discarded term is below exp(-x - TAIL_EXPONENT) and the terms fall off at
+# least like a Gaussian in n, so the discarded tail of sum_n e_n N_n, the
+# heavier of the two sums, is below ~2 sqrt(TAIL_EXPONENT / pi)
+# exp(-TAIL_EXPONENT) ~ 3e-17 of the sum; the tail of sum_n N_n is smaller.
+TAIL_EXPONENT = 40.0
 DEFAULT_TOL = 1e-12
-_BLOCK = 512
+MAX_ITER = 200
+# rows whose cutoff passes this many levels (t > ~2.5e14) are not attempted
+MAX_LEVELS = 100_000_000
+# largest (rows x levels) temporary of a level-sum pass, in float64 elements
+_TILE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -67,8 +78,9 @@ class AlphaSolution:
     """Constraint-solved multiplier for one half well.
 
     shifted_alpha is x = alpha + b e_1; its positivity encodes a finite,
-    positive ground-state occupation. residual is |sum_n N_n - N| at the
-    returned multiplier.
+    positive ground-state occupation. residual is |sum_n N_n - N| and force
+    is sum_n e_n N_n, both from the level sums at the returned multiplier.
+    iterations counts the level-sum evaluations of the solve.
     """
 
     alpha: float
@@ -76,10 +88,11 @@ class AlphaSolution:
     residual: float
     levels_used: int
     iterations: int
+    force: float
 
 
 class ConstraintSolverError(RuntimeError):
-    """A constraint solve failed; carries the last bracket examined."""
+    """A constraint solve failed; carries the interval its iterates covered."""
 
     def __init__(self, message: str, bracket: tuple[float, float]):
         super().__init__(f"{message} (bracket: [{bracket[0]!r}, {bracket[1]!r}])")
@@ -101,147 +114,163 @@ def occupation(alpha: float, b: float, energy: float) -> float:
     return 1.0 / math.expm1(z)
 
 
-class _SumResult(NamedTuple):
-    value: float
-    slope: float  # d(value)/dx, only filled when requested
-    levels: int   # index of the last level included
+def _cutoff(b: np.ndarray) -> np.ndarray:
+    """Levels summed per row (see TAIL_EXPONENT), capped at MAX_LEVELS + 1."""
+    width = np.floor(np.sqrt(TAIL_EXPONENT / b)) + 1.0
+    return np.minimum(width, MAX_LEVELS + 1).astype(np.int64)
 
 
-def _bose_block_sum(
-    side: WellSide,
-    x: float,
-    b: float,
-    term_tol: float = TERM_TOL,
-    energy_weighted: bool = False,
-    with_slope: bool = False,
-) -> _SumResult:
-    """Truncated sum of N_n (or e_n N_n) over the levels of one half well.
+def _tiles(levels: np.ndarray):
+    """(row slice, first level, end level) tiles of at most _TILE elements.
 
-    Works in the shifted variable x > 0, so exponents are x + b*(e_n - e_1)
-    with the gap computed cancellation-free. Accumulates in blocks and stops
-    at the first term below term_tol times the running sum; the plain
-    occupations decrease monotonically and the energy-weighted terms do so
-    past their single peak, so the stop rule also bounds the discarded tail.
+    Rows come sorted by level count. Consecutive rows share a tile while
+    they fit padded to the widest of them; a row wider than _TILE is cut
+    along its levels.
     """
-    total = 0.0
-    slope = 0.0
-    n_next = 1
-    last_term = math.inf
-    while True:
-        n = np.arange(n_next, n_next + _BLOCK, dtype=np.float64)
-        gap = level_gap(side, n)
-        z = x + b * gap
-        occ = np.zeros(_BLOCK)
-        live = z <= OVERFLOW_EXPONENT
-        occ[live] = 1.0 / np.expm1(z[live])
-        terms = occ * (gap + side.ground_energy) if energy_weighted else occ
-        running = total + np.cumsum(terms)
-        stop = terms < term_tol * running
-        if energy_weighted:
-            prev = np.concatenate(([last_term], terms[:-1]))
-            stop &= terms <= prev
-        hit = np.flatnonzero(stop)
-        cut = int(hit[0]) if hit.size else _BLOCK - 1
-        if with_slope:
-            o = occ[: cut + 1]
-            slope -= float(np.sum(o * (o + 1.0)))
-        total = float(running[cut])
-        if hit.size:
-            return _SumResult(total, slope, n_next + cut)
-        if total == 0.0:
-            # every occupation underflowed; higher levels are smaller still
-            return _SumResult(0.0, slope, n_next + _BLOCK - 1)
-        last_term = float(terms[-1])
-        n_next += _BLOCK
-        if n_next > 100_000_000:
-            raise ConstraintSolverError("level sum failed to terminate", (x, x))
+    start = 0
+    while start < len(levels):
+        fits = np.count_nonzero(np.arange(1, len(levels) - start + 1) * levels[start:] <= _TILE)
+        end = start + max(int(fits), 1)
+        width = int(levels[end - 1])
+        for lo in range(0, width, _TILE):
+            yield slice(start, end), lo, min(lo + _TILE, width)
+        start = end
 
 
-def total_number(side: WellSide, alpha: float, b: float, term_tol: float = TERM_TOL) -> float:
-    """Total occupation sum over all levels of one half well.
+def _gaps(plus: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Gaps e_n - e_1 of a tile: one row shared by all rows when they are of one well."""
+    if plus.all():
+        return level_gap(WellSide.PLUS, n)
+    if not plus.any():
+        return level_gap(WellSide.MINUS, n)
+    return np.where(plus[:, None], level_gap(WellSide.PLUS, n), level_gap(WellSide.MINUS, n))
 
-    Truncated at the first term below term_tol times the running sum.
+
+def _level_sums(plus, x, b, levels):
+    """sum_n N_n, its x-derivative and sum_n e_n N_n per row, from one pass over the levels.
+
+    Row i is a well (plus[i]), a shifted multiplier x[i] and an inverse
+    temperature b[i], summed over levels 1 .. levels[i]; rows come sorted
+    by levels. Padding past a row's cutoff gets an infinite exponent, so an
+    occupation of 0, as do exponents past ~709 (call under np.errstate).
     """
-    if b <= 0.0:
-        raise ValueError(f"inverse temperature must be positive, got {b}")
-    if term_tol <= 0.0:
-        raise ValueError(f"term_tol must be positive, got {term_tol}")
+    number, squares, weighted = np.zeros(len(x)), np.zeros(len(x)), np.zeros(len(x))
+    for rows, lo, hi in _tiles(levels):
+        n = np.arange(lo + 1.0, hi + 1.0)
+        gap = _gaps(plus[rows], n)
+        exponent = b[rows, None] * gap
+        if levels[rows.start] < hi:  # the shortest row of the tile ends inside it
+            exponent[n > levels[rows, None]] = np.inf
+        exponent += x[rows, None]
+        occ = 1.0 / np.expm1(exponent)
+        number[rows] += occ.sum(axis=1)
+        weighted[rows] += (occ * gap).sum(axis=1)
+        occ *= occ
+        squares[rows] += occ.sum(axis=1)
+    ground = np.where(plus, WellSide.PLUS.ground_energy, WellSide.MINUS.ground_energy)
+    # d N_n / dx = -N_n (N_n + 1) and e_n = e_1 + gap_n
+    return number, -(squares + number), weighted + ground * number
+
+
+def total_number(side: WellSide, alpha: float, b: float) -> float:
+    """Total occupation sum over the levels of one half well, cut off at TAIL_EXPONENT."""
     x = alpha + b * side.ground_energy
-    if x <= 0.0:
-        raise ValueError(f"alpha + b*e_1 must be positive, got {x}")
-    return _bose_block_sum(side, x, b, term_tol).value
+    if not (b > 0.0 and x > 0.0):
+        raise ValueError(f"need b > 0 and alpha + b*e_1 > 0, got b = {b}, alpha + b*e_1 = {x}")
+    levels = _cutoff(np.array([b]))
+    if levels[0] > MAX_LEVELS:
+        raise ValueError(f"inverse temperature {b} needs more than {MAX_LEVELS} levels")
+    with np.errstate(over="ignore"):
+        number, _, _ = _level_sums(np.array([side is WellSide.PLUS]), np.array([x]), np.array([b]), levels)
+    return float(number[0])
+
+
+class RowSolutions(NamedTuple):
+    """Per-row arrays from solve_rows.
+
+    A row with converged False failed (see solve_rows), or its cutoff passed
+    MAX_LEVELS; its shifted_alpha is then the last iterate, start the first.
+    """
+
+    alpha: np.ndarray
+    shifted_alpha: np.ndarray
+    residual: np.ndarray
+    levels_used: np.ndarray
+    iterations: np.ndarray
+    force: np.ndarray
+    converged: np.ndarray
+    start: np.ndarray
+
+    def solution(self, row: int) -> AlphaSolution:
+        """One row as an AlphaSolution; raises ConstraintSolverError if it failed."""
+        x = float(self.shifted_alpha[row])
+        if not self.converged[row]:
+            raise ConstraintSolverError(
+                f"constraint solve failed after {self.iterations[row]} evaluations over "
+                f"{self.levels_used[row]} levels",
+                (float(self.start[row]), x),
+            )
+        return AlphaSolution(
+            float(self.alpha[row]), x, float(self.residual[row]), int(self.levels_used[row]),
+            int(self.iterations[row]), float(self.force[row]),
+        )
+
+
+def solve_rows(
+    sides: Sequence[WellSide], n_particles, b, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER
+) -> RowSolutions:
+    """Solve sum_n N_n = N on many rows at once, one row per (sides[i], n_particles[i], b[i]).
+
+    n_particles and b are arrays or scalars broadcast over the rows. Each
+    row starts at x0 = log1p(1/N), where level 1 alone holds N particles,
+    so S(x0) >= N. S is a sum of log-convex decreasing terms, so log S is
+    convex and decreasing, and Newton on log S - log N, x <- x - log(S/N)
+    S/S', climbs to the root from the left with no bracket; its steps are
+    longer than Newton's on S - N and exact where one exponential dominates
+    (high t). Rows drop out once |S - N| <= tol * N. A row that reaches
+    max_iter evaluations, or whose step goes non-finite, stops unconverged
+    and leaves the other rows untouched.
+    """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    rows = len(sides)
+    plus = np.fromiter((side is WellSide.PLUS for side in sides), dtype=bool, count=rows)
+    target = np.full(rows, n_particles, dtype=np.float64)
+    b = np.full(rows, b, dtype=np.float64)
+    start = np.log1p(1.0 / target)
+    levels = _cutoff(b)
+    x = start.copy()
+    number, force = np.full(rows, np.nan), np.full(rows, np.nan)
+    iterations = np.zeros(rows, dtype=np.int64)
+    converged = np.zeros(rows, dtype=bool)
+    live = np.argsort(levels, kind="stable")  # rows of similar width share tiles
+    live = live[levels[live] <= MAX_LEVELS]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for count in range(1, max_iter + 1):
+            if not live.size:
+                break
+            s, slope, f = _level_sums(plus[live], x[live], b[live], levels[live])
+            n_live = target[live]
+            excess = s - n_live
+            done = np.abs(excess) <= tol * n_live
+            step = np.log1p(excess / n_live) * s / slope
+            moving = ~done & np.isfinite(step) & (count < max_iter)
+            number[live], force[live], iterations[live] = s, f, count
+            converged[live[done]] = True
+            live = live[moving]
+            x[live] -= step[moving]
+    alpha = x - b * np.where(plus, WellSide.PLUS.ground_energy, WellSide.MINUS.ground_energy)
+    return RowSolutions(alpha, x, np.abs(number - target), levels, iterations, force, converged, start)
 
 
 def solve_alpha(
-    side: WellSide,
-    point: ThermoPoint,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = 200,
+    side: WellSide, point: ThermoPoint, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER
 ) -> AlphaSolution:
     """Solve sum_n N_n = N for the multiplier of one half well.
 
-    The root is bracketed in x = alpha + b e_1: the exact bound
-    x >= log1p(1/N) (level 1 alone cannot hold more than N particles)
-    starts the bracket and the upper end doubles until the constraint
-    changes sign; bisection steps shrink the interval whenever a Newton
-    proposal falls outside it, and Newton polishes the root to
-    |sum_n N_n - N| <= tol * N.
+    A one-row solve_rows call: Newton on log sum_n N_n in x = alpha + b e_1,
+    climbing monotonically from the exact lower bound x0 = log1p(1/N) until
+    |sum_n N_n - N| <= tol * N. Raises ConstraintSolverError, carrying the
+    interval [x0, last iterate], when the solve fails.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    n_target = float(point.n_particles)
-    b = point.b
-    allow = tol * n_target
-    evals = 0
-
-    def constraint(x: float) -> _SumResult:
-        nonlocal evals
-        evals += 1
-        return _bose_block_sum(side, x, b, with_slope=True)
-
-    def done(x: float, res: _SumResult) -> AlphaSolution:
-        return AlphaSolution(
-            alpha=x - b * side.ground_energy,
-            shifted_alpha=x,
-            residual=abs(res.value - n_target),
-            levels_used=res.levels,
-            iterations=evals,
-        )
-
-    x = math.log1p(1.0 / n_target)
-    res = constraint(x)
-    g = res.value - n_target
-    if abs(g) <= allow:
-        return done(x, res)
-    if g < 0.0:
-        raise ConstraintSolverError("constraint below target at the analytic lower bound", (x, x))
-
-    lo, hi = x, 2.0 * x
-    while True:
-        if evals >= max_iter:
-            raise ConstraintSolverError("no sign change while growing the bracket", (lo, hi))
-        res = constraint(hi)
-        g = res.value - n_target
-        if abs(g) <= allow:
-            return done(hi, res)
-        if g < 0.0:
-            break
-        lo, hi = hi, 2.0 * hi
-
-    x = 0.5 * (lo + hi)
-    while evals < max_iter:
-        res = constraint(x)
-        g = res.value - n_target
-        if abs(g) <= allow:
-            return done(x, res)
-        if g > 0.0:
-            lo = x
-        else:
-            hi = x
-        # the constraint is strictly decreasing in x, so slope < 0 away from underflow
-        take_newton = res.slope < 0.0
-        if take_newton:
-            x_next = x - g / res.slope
-            take_newton = lo < x_next < hi
-        x = x_next if take_newton else 0.5 * (lo + hi)
-    raise ConstraintSolverError("constraint solve did not converge", (lo, hi))
+    return solve_rows((side,), point.n_particles, point.b, tol, max_iter).solution(0)

@@ -47,6 +47,9 @@ class TestParseConfig:
             ["--n-particles", "0"],
             ["--unknown-flag"],
             ["--scale", "cubic"],
+            ["--tol", "nan"],
+            ["--tol", "inf"],
+            ["--t-max", "inf"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, capsys):

@@ -1,8 +1,12 @@
+import functools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxforce import (
     ForcePair,
@@ -14,6 +18,7 @@ from boxforce import (
     half_force,
     net_force,
     net_force_zero_t,
+    run,
     sweep,
     temperature_grid,
 )
@@ -184,3 +189,63 @@ def test_temperature_grid_scales():
     assert temperature_grid(log_cfg) == pytest.approx([0.1, 1.0, 10.0], rel=1e-12)
     lin_cfg = SweepConfig(t_min=1.0, t_max=3.0, grid_points=3, grid_scale=GridScale.LINEAR)
     assert temperature_grid(lin_cfg) == pytest.approx([1.0, 2.0, 3.0], rel=1e-15)
+
+
+class TestBatchedSolve:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=10_000),
+        log_t=st.floats(min_value=-3.0, max_value=4.0),
+        points=st.integers(min_value=1, max_value=6),
+    )
+    def test_sweep_rows_match_net_force(self, n, log_t, points):
+        t_min = 10.0**log_t
+        config = SweepConfig(n_particles=n, t_min=t_min, t_max=100.0 * t_min, grid_points=points)
+        for row in sweep(config):
+            pair = net_force(ThermoPoint(n, row.t))
+            scale = max(pair.f_plus, pair.f_minus)
+            assert row.status == "ok"
+            assert row.f_plus == pytest.approx(pair.f_plus, rel=1e-12)
+            assert row.f_minus == pytest.approx(pair.f_minus, rel=1e-12)
+            assert abs(row.delta_f - pair.delta_f) <= 1e-12 * scale
+
+    @settings(max_examples=6, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=100), t=st.floats(min_value=0.05, max_value=10.0))
+    def test_agrees_with_mp_oracle(self, n, t):
+        exact = float(mp_delta_f(n, t))
+        assert net_force(ThermoPoint(n, t)).delta_f == pytest.approx(exact, rel=1e-10)
+
+    def test_failed_rows_are_isolated(self, tmp_path, monkeypatch):
+        import boxforce.force as force_module
+        from boxforce import occupancy
+
+        cap = 4
+        config = SweepConfig(t_min=0.01, t_max=1e4, grid_points=12, output_path=str(tmp_path / "out.csv"))
+        grid = temperature_grid(config)
+        b = 1.0 / np.array(grid)
+        full = occupancy.solve_rows((P,) * len(grid) + (M,) * len(grid), 100, np.concatenate((b, b)))
+        assert full.converged.all()
+        needed = np.maximum(full.iterations[: len(grid)], full.iterations[len(grid) :])
+        failing = (needed > cap).tolist()
+        # the cap cuts off the high-t end of the grid and leaves the rest
+        assert failing == sorted(failing) and 0 < sum(failing) < len(grid)
+
+        monkeypatch.setattr(force_module, "solve_rows", functools.partial(occupancy.solve_rows, max_iter=cap))
+        rows = sweep(config)
+        assert [row.status == "error" for row in rows] == failing
+        assert all(row.status == "ok" and row.delta_f is not None for row, bad in zip(rows, failing) if not bad)
+        assert all(row.delta_f is None for row, bad in zip(rows, failing) if bad)
+        assert run(config) == 1
+
+    def test_wide_rows_stay_within_block_memory(self):
+        # ~6e5 levels a well at t = 1e10; a pass holding whole rows would
+        # allocate tens of MiB, the level-blocked kernel about one
+        point = ThermoPoint(1, 1e10)
+        tracemalloc.start()
+        try:
+            pair = net_force(point)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pair.delta_f > 0.0
+        assert peak < 4 * 2**20

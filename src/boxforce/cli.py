@@ -117,11 +117,23 @@ def _format_field(value: float | None) -> str:
 
 def write_csv(rows: list[SweepRow], destination: str) -> None:
     """Write sweep rows, ordered by temperature then method name."""
+    ordered = sorted(rows, key=lambda row: (row.t, row.method.value))
     lines = [CSV_HEADER]
-    for row in sorted(rows, key=lambda row: (row.t, row.method.value)):
-        values = (row.alpha_plus, row.alpha_minus, row.f_plus, row.f_minus, row.delta_f)
-        fields = (_format_field(row.t), row.method.value, *map(_format_field, values), row.status)
-        lines.append(",".join(fields))
+    for row in ordered:
+        lines.append(
+            ",".join(
+                (
+                    _format_field(row.t),
+                    row.method.value,
+                    _format_field(row.alpha_plus),
+                    _format_field(row.alpha_minus),
+                    _format_field(row.f_plus),
+                    _format_field(row.f_minus),
+                    _format_field(row.delta_f),
+                    row.status,
+                )
+            )
+        )
     text = "\n".join(lines) + "\n"
     if destination == "-":
         sys.stdout.write(text)

@@ -132,7 +132,8 @@ def _numeric_rows(n_particles: int, grid: list[float], tol: float) -> list[Sweep
     wells = (WellSide.PLUS,) * len(grid) + (WellSide.MINUS,) * len(grid)
     solved = solve_rows(wells, n_particles, np.concatenate((b, b)), tol)
     # column 0 is the PLUS well, column 1 the MINUS well
-    alpha, force = solved.alpha.reshape(2, -1).T.tolist(), solved.force.reshape(2, -1).T.tolist()
+    alpha = solved.alpha.reshape(2, -1).T.tolist()
+    force = solved.force.reshape(2, -1).T.tolist()
     ok = solved.converged.reshape(2, -1).all(axis=0).tolist()
     return [
         SweepRow(t, Method.NUMERIC, a[0], a[1], f[0], f[1], f[1] - f[0], "ok")

@@ -154,7 +154,9 @@ def _level_sums(plus, x, b, levels):
     by levels. Padding past a row's cutoff gets an infinite exponent, so an
     occupation of 0, as do exponents past ~709 (call under np.errstate).
     """
-    number, squares, weighted = np.zeros(len(x)), np.zeros(len(x)), np.zeros(len(x))
+    number = np.zeros(len(x))
+    squares = np.zeros(len(x))
+    weighted = np.zeros(len(x))
     for rows, lo, hi in _tiles(levels):
         n = np.arange(lo + 1.0, hi + 1.0)
         gap = _gaps(plus[rows], n)
@@ -186,10 +188,10 @@ def total_number(side: WellSide, alpha: float, b: float) -> float:
 
 
 class RowSolutions(NamedTuple):
-    """Per-row arrays from solve_rows.
+    """Per-row arrays from solve_rows, for rows that all hold n_particles.
 
     A row with converged False failed (see solve_rows), or its cutoff passed
-    MAX_LEVELS; its shifted_alpha is then the last iterate, start the first.
+    MAX_LEVELS; its shifted_alpha is then the last iterate.
     """
 
     alpha: np.ndarray
@@ -199,7 +201,7 @@ class RowSolutions(NamedTuple):
     iterations: np.ndarray
     force: np.ndarray
     converged: np.ndarray
-    start: np.ndarray
+    n_particles: int
 
     def solution(self, row: int) -> AlphaSolution:
         """One row as an AlphaSolution; raises ConstraintSolverError if it failed."""
@@ -208,7 +210,7 @@ class RowSolutions(NamedTuple):
             raise ConstraintSolverError(
                 f"constraint solve failed after {self.iterations[row]} evaluations over "
                 f"{self.levels_used[row]} levels",
-                (float(self.start[row]), x),
+                (math.log1p(1.0 / self.n_particles), x),
             )
         return AlphaSolution(
             float(self.alpha[row]), x, float(self.residual[row]), int(self.levels_used[row]),
@@ -217,30 +219,31 @@ class RowSolutions(NamedTuple):
 
 
 def solve_rows(
-    sides: Sequence[WellSide], n_particles, b, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER
+    sides: Sequence[WellSide], n_particles: int, b, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER
 ) -> RowSolutions:
-    """Solve sum_n N_n = N on many rows at once, one row per (sides[i], n_particles[i], b[i]).
+    """Solve sum_n N_n = N on many rows at once, one row per (sides[i], b[i]).
 
-    n_particles and b are arrays or scalars broadcast over the rows. Each
-    row starts at x0 = log1p(1/N), where level 1 alone holds N particles,
-    so S(x0) >= N. S is a sum of log-convex decreasing terms, so log S is
-    convex and decreasing, and Newton on log S - log N, x <- x - log(S/N)
-    S/S', climbs to the root from the left with no bracket; its steps are
-    longer than Newton's on S - N and exact where one exponential dominates
-    (high t). Rows drop out once |S - N| <= tol * N. A row that reaches
-    max_iter evaluations, or whose step goes non-finite, stops unconverged
-    and leaves the other rows untouched.
+    Every row holds the same N = n_particles; b is an array, or a scalar
+    broadcast over the rows. Each row starts at x0 = log1p(1/N), where
+    level 1 alone holds N particles, so S(x0) >= N. S is a sum of
+    log-convex decreasing terms, so log S is convex and decreasing, and
+    Newton on log S - log N, x <- x - log(S/N) S/S', climbs to the root
+    from the left with no bracket; its steps are longer than Newton's on
+    S - N and exact where one exponential dominates (high t). Rows drop out
+    once |S - N| <= tol * N. A row that reaches max_iter evaluations, or
+    whose step goes non-finite, stops unconverged and leaves the other
+    rows untouched.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     rows = len(sides)
     plus = np.fromiter((side is WellSide.PLUS for side in sides), dtype=bool, count=rows)
-    target = np.full(rows, n_particles, dtype=np.float64)
+    target = float(n_particles)
     b = np.full(rows, b, dtype=np.float64)
-    start = np.log1p(1.0 / target)
     levels = _cutoff(b)
-    x = start.copy()
-    number, force = np.full(rows, np.nan), np.full(rows, np.nan)
+    x = np.full(rows, math.log1p(1.0 / target))
+    number = np.full(rows, np.nan)
+    force = np.full(rows, np.nan)
     iterations = np.zeros(rows, dtype=np.int64)
     converged = np.zeros(rows, dtype=bool)
     live = np.argsort(levels, kind="stable")  # rows of similar width share tiles
@@ -250,17 +253,18 @@ def solve_rows(
             if not live.size:
                 break
             s, slope, f = _level_sums(plus[live], x[live], b[live], levels[live])
-            n_live = target[live]
-            excess = s - n_live
-            done = np.abs(excess) <= tol * n_live
-            step = np.log1p(excess / n_live) * s / slope
+            excess = s - target
+            done = np.abs(excess) <= tol * target
+            step = np.log1p(excess / target) * s / slope
             moving = ~done & np.isfinite(step) & (count < max_iter)
-            number[live], force[live], iterations[live] = s, f, count
+            number[live] = s
+            force[live] = f
+            iterations[live] = count
             converged[live[done]] = True
             live = live[moving]
             x[live] -= step[moving]
     alpha = x - b * np.where(plus, WellSide.PLUS.ground_energy, WellSide.MINUS.ground_energy)
-    return RowSolutions(alpha, x, np.abs(number - target), levels, iterations, force, converged, start)
+    return RowSolutions(alpha, x, np.abs(number - target), levels, iterations, force, converged, n_particles)
 
 
 def solve_alpha(

@@ -5,8 +5,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from boxforce import (
     ForcePair,
@@ -192,29 +190,6 @@ def test_temperature_grid_scales():
 
 
 class TestBatchedSolve:
-    @settings(max_examples=15, deadline=None)
-    @given(
-        n=st.integers(min_value=1, max_value=10_000),
-        log_t=st.floats(min_value=-3.0, max_value=4.0),
-        points=st.integers(min_value=1, max_value=6),
-    )
-    def test_sweep_rows_match_net_force(self, n, log_t, points):
-        t_min = 10.0**log_t
-        config = SweepConfig(n_particles=n, t_min=t_min, t_max=100.0 * t_min, grid_points=points)
-        for row in sweep(config):
-            pair = net_force(ThermoPoint(n, row.t))
-            scale = max(pair.f_plus, pair.f_minus)
-            assert row.status == "ok"
-            assert row.f_plus == pytest.approx(pair.f_plus, rel=1e-12)
-            assert row.f_minus == pytest.approx(pair.f_minus, rel=1e-12)
-            assert abs(row.delta_f - pair.delta_f) <= 1e-12 * scale
-
-    @settings(max_examples=6, deadline=None)
-    @given(n=st.integers(min_value=1, max_value=100), t=st.floats(min_value=0.05, max_value=10.0))
-    def test_agrees_with_mp_oracle(self, n, t):
-        exact = float(mp_delta_f(n, t))
-        assert net_force(ThermoPoint(n, t)).delta_f == pytest.approx(exact, rel=1e-10)
-
     def test_failed_rows_are_isolated(self, tmp_path, monkeypatch):
         import boxforce.force as force_module
         from boxforce import occupancy

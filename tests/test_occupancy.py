@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from boxforce import (
     ConstraintSolverError,
@@ -14,7 +12,6 @@ from boxforce import (
     solve_alpha,
     total_number,
 )
-from boxforce.occupancy import DEFAULT_TOL
 
 P = WellSide.PLUS
 M = WellSide.MINUS
@@ -140,38 +137,3 @@ class TestSolveAlpha:
                 scaled[b] = gap / b**1.5
             ratio = max(scaled.values()) / min(scaled.values())
             assert ratio < 4.0
-
-
-# Property tests over the solver's domain. Temperatures are drawn
-# log-uniform through their decimal exponent.
-_sides = st.sampled_from([P, M])
-_n = st.integers(min_value=1, max_value=10_000)
-_log_t = st.floats(min_value=-3.0, max_value=6.0)
-# slack for comparing two converged roots: each is off by at most tol * N / |S'|,
-# and |S'| >= max(N, N_1^2) with N_1 ~ 1/x bounds that by tol * sqrt(N) relative
-# to x, 1e-10 at N = 1e4
-_ROOT_SLACK = 1e-10
-
-
-class TestSolveAlphaProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(side=_sides, n=_n, log_t=_log_t)
-    def test_residual_within_tolerance(self, side, n, log_t):
-        solution = solve_alpha(side, ThermoPoint(n, 10.0**log_t))
-        assert solution.residual <= DEFAULT_TOL * n
-        assert solution.shifted_alpha > 0.0
-
-    @settings(max_examples=30, deadline=None)
-    @given(side=_sides, n=_n, log_t=_log_t, log_ratio=st.floats(min_value=0.0, max_value=2.0))
-    def test_shifted_alpha_increases_with_t(self, side, n, log_t, log_ratio):
-        cold = solve_alpha(side, ThermoPoint(n, 10.0**log_t)).shifted_alpha
-        hot = solve_alpha(side, ThermoPoint(n, 10.0 ** (log_t + log_ratio))).shifted_alpha
-        assert cold <= hot * (1.0 + _ROOT_SLACK)
-
-    @settings(max_examples=30, deadline=None)
-    @given(side=_sides, n=_n, extra=st.integers(min_value=0, max_value=10_000), log_t=_log_t)
-    def test_shifted_alpha_decreases_with_n(self, side, n, extra, log_t):
-        t = 10.0**log_t
-        few = solve_alpha(side, ThermoPoint(n, t)).shifted_alpha
-        many = solve_alpha(side, ThermoPoint(n + extra, t)).shifted_alpha
-        assert many <= few * (1.0 + _ROOT_SLACK)

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .occupancy import ConstraintSolverError, ThermoPoint
 from .spectrum import WellSide, energy_level
@@ -38,6 +37,7 @@ __all__ = [
     "bose_integral_closed",
     "bose_integral_quadrature",
     "semi_analytic_total_number",
+    "semi_analytic_rows",
     "semi_analytic_alpha",
     "semi_analytic_force",
     "semi_analytic_delta_f",
@@ -92,6 +92,7 @@ def delta_f_linear(n_particles: int, t: float) -> LinearForce:
 
 
 def _quad(fn, a: float, b: float, **kwargs) -> float:
+    from scipy import integrate  # only the quadrature helpers need scipy: import it on first use
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
@@ -142,76 +143,105 @@ def bose_integral_quadrature(alpha: float) -> float:
     return _quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=300)
 
 
-def _bracket_primitive(alpha: float, v: float) -> float:
+def _bracket_primitive(alpha, v):
     """A(sqrt|alpha| * v)/sqrt|alpha| with A = arctan (alpha > 0) or arctanh (alpha < 0).
 
-    This is the antiderivative of 1/(alpha + s^2) evaluated at s = 1/v. Both
-    branches share the series v - alpha v^3/3 + alpha^2 v^5/5 near alpha = 0,
-    which replaces them below the cutoff where the direct forms lose digits.
+    This is the antiderivative of 1/(alpha + s^2) evaluated at s = 1/v, on
+    arrays too (call under np.errstate: the branch not taken may be nan).
+    Both branches share the series v - alpha v^3/3 + alpha^2 v^5/5 near
+    alpha = 0, which replaces them below the cutoff where they lose digits.
     """
-    if abs(alpha) < _ALPHA_SERIES_CUTOFF:
-        return v - alpha * v**3 / 3.0 + alpha * alpha * v**5 / 5.0
-    r = math.sqrt(abs(alpha))
-    if alpha > 0.0:
-        return math.atan(r * v) / r
-    return math.atanh(r * v) / r
+    r = np.sqrt(np.abs(alpha))
+    branch = np.where(alpha > 0.0, np.arctan(r * v), np.arctanh(r * v)) / r
+    series = v - alpha * v**3 / 3.0 + alpha * alpha * v**5 / 5.0
+    return np.where(np.abs(alpha) < _ALPHA_SERIES_CUTOFF, series, branch)
 
 
-def semi_analytic_total_number(side: WellSide, alpha: float, b: float) -> float:
-    """Trapezoid-rule estimate of the total occupation at multiplier alpha.
-
-    Keeps levels 1 and 2 explicitly, converts the rest of the sum into an
-    integral cut off where the exponent reaches 2, and linearizes the
-    Bose kernel on that range. Defined for -b e_1 < alpha < 2.
-    """
-    if b <= 0.0:
-        raise ValueError(f"inverse temperature must be positive, got {b}")
-    e1 = side.ground_energy
-    e2 = energy_level(side, 2)
-    if alpha + b * e1 <= 0.0:
-        raise ValueError(f"alpha + b*e_1 must be positive, got {alpha + b * e1}")
-    if alpha >= 2.0:
-        raise ValueError(f"alpha must be below 2, got {alpha}")
-    sqrt_b = math.sqrt(b)
-    s2 = math.sqrt(b * e2)
-    root = math.sqrt(2.0 - alpha)
+def _trapezoid_number(e1, e2, alpha, b):
+    sqrt_b = np.sqrt(b)
+    s2 = np.sqrt(b * e2)
+    root = np.sqrt(2.0 - alpha)
     head = 1.0 / (alpha + b * e1) + 0.5 / (alpha + b * e2) - 0.75
     edge = -(root - s2) / (2.0 * sqrt_b)
     tail = (_bracket_primitive(alpha, 1.0 / s2) - _bracket_primitive(alpha, 1.0 / root)) / sqrt_b
     return head + edge + tail
 
 
-def semi_analytic_alpha(side: WellSide, n_particles: int, t: float) -> float:
-    """Solve the trapezoid-rule constraint for alpha by bracketed root finding.
+def semi_analytic_total_number(side: WellSide, alpha, b):
+    """Trapezoid-rule estimate of the total occupation at multiplier alpha.
 
-    The estimate diverges as alpha approaches -b e_1 from above and is
-    strictly decreasing, so the root is bracketed against the upper domain
-    edge alpha = 2. A constraint that is still above N there has no
-    admissible solution and raises MethodOutOfRangeError. Intended for
-    t well above 1, where the trapezoid replacement is accurate.
+    Keeps levels 1 and 2 explicitly, converts the rest of the sum into an
+    integral cut off where the exponent reaches 2, and linearizes the
+    Bose kernel on that range. Defined for -b e_1 < alpha < 2, on arrays too.
     """
+    e1 = side.ground_energy
+    if np.any(b <= 0.0) or np.any(alpha + b * e1 <= 0.0) or np.any(alpha >= 2.0):
+        raise ValueError(f"need b > 0 and -b*e_1 < alpha < 2, got b = {b}, alpha = {alpha}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _trapezoid_number(e1, energy_level(side, 2), alpha, b)
+
+
+def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exception | None]]:
+    """Solve the trapezoid-rule constraint S = N for alpha on the rows (sides[i], t[i]) at once.
+
+    S falls from +inf at the pole alpha = -b e_1, so the pole and alpha = 2
+    bracket each root. Illinois false-position steps on (S - N)(alpha + b e_1),
+    finite and nearly linear at the pole, land at least tol/2 inside each
+    bracket until hi - lo <= tol = 1e-15 + 4 eps |alpha|, in at most 200 steps.
+    Returns alpha (nan where a row failed) and each row's error or None:
+    MethodOutOfRangeError if S > N at alpha = 2, else ConstraintSolverError.
+    """
+    levels = {side: (side.ground_energy, energy_level(side, 2)) for side in WellSide}
+    e1, e2 = np.array([levels[side] for side in sides]).T
+    b = 1.0 / np.broadcast_to(t, e1.shape)
+    pole = b * e1
+    ends = np.stack((-pole + 1e-10 * np.maximum(1.0, pole), np.full(len(e1), 2.0 - 1e-12)))
+    with np.errstate(all="ignore"):
+        lo, hi = ends
+        f_lo, f_hi = (_trapezoid_number(e1, e2, ends, b) - n_particles) * (ends + pole)
+        out_of_range = f_hi > 0.0
+        live = (f_lo >= 0.0) & (f_hi <= 0.0)  # false on nan
+        moved_lo = moved_hi = np.zeros(len(e1), dtype=bool)
+        for step in range(201):  # at most 200 steps
+            tol = 1e-15 + 2.0 * np.finfo(float).eps * np.abs(lo + hi)
+            live &= hi - lo > tol
+            if step == 200 or not live.any():
+                break
+            x = np.clip(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + 0.5 * tol, hi - 0.5 * tol)
+            f = (_trapezoid_number(e1, e2, x, b) - n_particles) * (x + pole)
+            up = live & (f > 0.0)  # the root lies above x
+            down = live & (f <= 0.0)  # a nan drops the row
+            # Illinois: an end kept twice in a row has its value halved
+            f_lo = np.where(up, f, np.where(down & moved_hi, 0.5 * f_lo, f_lo))
+            f_hi = np.where(down, f, np.where(up & moved_lo, 0.5 * f_hi, f_hi))
+            lo = np.where(up, x, lo)
+            hi = np.where(down, x, hi)
+            moved_lo, moved_hi = up, down
+    converged = hi - lo <= tol
+    errors = [
+        None if good
+        else MethodOutOfRangeError(f"constraint still above N = {n_particles} at alpha = 2") if high
+        else ConstraintSolverError("no sign change, a non-finite value or no convergence", (left, right))
+        for good, high, left, right in zip(converged, out_of_range.tolist(), lo.tolist(), hi.tolist())
+    ]
+    return np.where(converged, 0.5 * (lo + hi), np.nan), errors
+
+
+def _solved(alpha: np.ndarray, errors: list[Exception | None]) -> list[float]:
+    """The alphas of semi_analytic_rows; raises the first row error."""
+    for error in filter(None, errors):
+        raise error
+    return alpha.tolist()
+
+
+def semi_analytic_alpha(side: WellSide, n_particles: int, t: float) -> float:
+    """Solve the trapezoid-rule constraint for alpha, meant for t >> 1: one row of semi_analytic_rows."""
     ThermoPoint(n_particles, t)  # validates N and t
-    b = 1.0 / t
-    lo = -b * side.ground_energy
-    lo_eval = lo + 1e-10 * max(1.0, -lo)
-    hi_eval = 2.0 - 1e-12
-
-    def gap(alpha: float) -> float:
-        return semi_analytic_total_number(side, alpha, b) - n_particles
-
-    if gap(hi_eval) > 0.0:
-        raise MethodOutOfRangeError(
-            f"constraint still above N = {n_particles} at alpha = 2; no admissible solution"
-        )
-    if gap(lo_eval) < 0.0:
-        raise ConstraintSolverError("no sign change in the constraint", (lo_eval, hi_eval))
-    return float(
-        optimize.brentq(gap, lo_eval, hi_eval, xtol=1e-15, rtol=4 * np.finfo(float).eps, maxiter=200)
-    )
+    return _solved(*semi_analytic_rows((side,), n_particles, t))[0]
 
 
-def semi_analytic_force(side: WellSide, alpha: float, t: float, n_particles: int) -> float:
-    """Trapezoid-rule force on one half well at multiplier alpha.
+def semi_analytic_force(side: WellSide, alpha, t, n_particles: int):
+    """Trapezoid-rule force on one half well at multiplier alpha (scalars or arrays).
 
     (-N alpha + 1/2 - sqrt(e_1)) t plus the closed Bose integral times t^(3/2).
     """
@@ -220,16 +250,15 @@ def semi_analytic_force(side: WellSide, alpha: float, t: float, n_particles: int
 
 
 def semi_analytic_delta_f(n_particles: int, t: float) -> float:
-    """Net force from the semi-analytic constraint, solved for both wells.
+    """Net force f_minus - f_plus from the semi-analytic constraint, both wells in one two-row call.
 
-    (N t + (35/96) sqrt(pi) t^(3/2)) (alpha_plus - alpha_minus) plus
+    Equals (N t + (35/96) sqrt(pi) t^(3/2)) (alpha_plus - alpha_minus) plus
     (sqrt(e_1_plus) - sqrt(e_1_minus)) t.
     """
-    alpha_plus = semi_analytic_alpha(WellSide.PLUS, n_particles, t)
-    alpha_minus = semi_analytic_alpha(WellSide.MINUS, n_particles, t)
-    weight = n_particles * t + (35.0 / 96.0) * _SQRT_PI * t**1.5
-    edge = (math.sqrt(WellSide.PLUS.ground_energy) - math.sqrt(WellSide.MINUS.ground_energy)) * t
-    return weight * (alpha_plus - alpha_minus) + edge
+    ThermoPoint(n_particles, t)  # validates N and t
+    alpha_plus, alpha_minus = _solved(*semi_analytic_rows((WellSide.PLUS, WellSide.MINUS), n_particles, t))
+    f_plus = semi_analytic_force(WellSide.PLUS, alpha_plus, t, n_particles)
+    return semi_analytic_force(WellSide.MINUS, alpha_minus, t, n_particles) - f_plus
 
 
 def theta_partition_sum(side: WellSide, k: int, b: float, method: str = "direct") -> float:

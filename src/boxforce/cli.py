@@ -47,8 +47,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.n_particles < 1:
             raise ValueError(f"--n-particles must be >= 1, got {self.n_particles}")
-        if not (0.0 < self.t_min <= self.t_max < float("inf")):
-            raise ValueError(f"need finite 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]")
+        if not (0.0 < self.t_min <= self.t_max < float("inf") and 1.0 / self.t_min < float("inf")):
+            raise ValueError(f"need finite 0 < t_min <= t_max and 1/t_min, got [{self.t_min}, {self.t_max}]")
         if self.grid_points < 1:
             raise ValueError(f"--points must be >= 1, got {self.grid_points}")
         if not self.methods:
@@ -107,8 +107,7 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
             output_path=args.output,
         )
     except ValueError as exc:
-        parser.error(str(exc))
-        raise AssertionError("unreachable")  # parser.error always exits
+        parser.error(str(exc))  # exits with status 2
 
 
 def _format_field(value: float | None) -> str:

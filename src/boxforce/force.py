@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import approx
-from .occupancy import DEFAULT_TOL, ConstraintSolverError, ThermoPoint, solve_alpha, solve_rows
+from .occupancy import DEFAULT_TOL, ThermoPoint, solve_alpha, solve_rows
 from .spectrum import WellSide
 
 if TYPE_CHECKING:
@@ -112,60 +112,44 @@ def temperature_grid(config: "SweepConfig") -> list[float]:
     """Materialize the sweep grid of a configuration that SweepConfig has validated."""
     if config.grid_points < 1:
         raise ValueError(f"grid must be non-empty, got {config.grid_points} points")
-    if config.grid_scale is GridScale.LOG:
-        return [float(t) for t in np.geomspace(config.t_min, config.t_max, config.grid_points)]
-    return [float(t) for t in np.linspace(config.t_min, config.t_max, config.grid_points)]
+    space = np.geomspace if config.grid_scale is GridScale.LOG else np.linspace
+    return space(config.t_min, config.t_max, config.grid_points).tolist()
 
 
-_POINT_ERRORS = (
-    ValueError,
-    ArithmeticError,
-    ConstraintSolverError,
-    approx.MethodOutOfRangeError,
-    approx.QuadratureError,
-)
-
-
-def _numeric_rows(n_particles: int, grid: list[float], tol: float) -> list[SweepRow]:
-    """Exact rows of the whole grid from one solve over both wells; a failed well makes an error row."""
-    b = 1.0 / np.array(grid)
+def _batched_rows(method: Method, n_particles: int, grid: list[float], tol: float) -> list[SweepRow]:
+    """Numeric or semi-analytic rows from one solve over grid and wells; a failed well makes an error row."""
+    t_rows = np.concatenate((grid, grid))
     wells = (WellSide.PLUS,) * len(grid) + (WellSide.MINUS,) * len(grid)
-    solved = solve_rows(wells, n_particles, np.concatenate((b, b)), tol)
+    if method is Method.NUMERIC:
+        solved = solve_rows(wells, n_particles, 1.0 / t_rows, tol)
+        alpha, force, ok = solved.alpha, solved.force, solved.converged
+    else:
+        alpha, errors = approx.semi_analytic_rows(wells, n_particles, t_rows)
+        halves = zip((WellSide.PLUS, WellSide.MINUS), np.split(alpha, 2), np.split(t_rows, 2))
+        force = np.concatenate([approx.semi_analytic_force(s, a, ts, n_particles) for s, a, ts in halves])
+        ok = np.array([error is None for error in errors])
     # column 0 is the PLUS well, column 1 the MINUS well
-    alpha = solved.alpha.reshape(2, -1).T.tolist()
-    force = solved.force.reshape(2, -1).T.tolist()
-    ok = solved.converged.reshape(2, -1).all(axis=0).tolist()
+    alpha = alpha.reshape(2, -1).T.tolist()
+    force = force.reshape(2, -1).T.tolist()
+    ok = ok.reshape(2, -1).all(axis=0).tolist()
     return [
-        SweepRow(t, Method.NUMERIC, a[0], a[1], f[0], f[1], f[1] - f[0], "ok")
+        SweepRow(t, method, a[0], a[1], f[0], f[1], f[1] - f[0], "ok")
         if good
-        else SweepRow(t, Method.NUMERIC, None, None, None, None, None, "error")
+        else SweepRow(t, method, None, None, None, None, None, "error")
         for t, a, f, good in zip(grid, alpha, force, ok)
     ]
 
 
 def _evaluate_point(n_particles: int, t: float, method: Method) -> SweepRow:
-    """One row of a closed-form approximation."""
+    """One row of a closed-form approximation: low-t, linear or high-t."""
     try:
-        if method is Method.LOW_T:
-            value = approx.delta_f_low_t(n_particles, t)
-            return SweepRow(t, method, None, None, None, None, value, "ok")
         if method is Method.LINEAR:
             result = approx.delta_f_linear(n_particles, t)
             status = "ok" if result.in_range else "out-of-range"
             return SweepRow(t, method, None, None, None, None, result.value, status)
-        if method is Method.SEMI_ANALYTIC:
-            alpha_plus = approx.semi_analytic_alpha(WellSide.PLUS, n_particles, t)
-            alpha_minus = approx.semi_analytic_alpha(WellSide.MINUS, n_particles, t)
-            f_plus = approx.semi_analytic_force(WellSide.PLUS, alpha_plus, t, n_particles)
-            f_minus = approx.semi_analytic_force(WellSide.MINUS, alpha_minus, t, n_particles)
-            return SweepRow(
-                t, method, alpha_plus, alpha_minus, f_plus, f_minus, f_minus - f_plus, "ok"
-            )
-        if method is Method.HIGH_T:
-            value = approx.delta_f_high_t(n_particles, t)
-            return SweepRow(t, method, None, None, None, None, value, "ok")
-        raise ValueError(f"unknown method {method!r}")
-    except _POINT_ERRORS:
+        closed_form = approx.delta_f_low_t if method is Method.LOW_T else approx.delta_f_high_t
+        return SweepRow(t, method, None, None, None, None, closed_form(n_particles, t), "ok")
+    except (ValueError, ArithmeticError):
         return SweepRow(t, method, None, None, None, None, None, "error")
 
 
@@ -174,16 +158,14 @@ def sweep(config: "SweepConfig") -> list[SweepRow]:
 
     Rows come back ordered by temperature and then by method name, one row
     per (t, method) pair, independent of evaluation order. The numeric rows
-    of the whole grid are solved in one batched pass.
+    of the whole grid are solved in one batched pass, and so are the
+    semi-analytic rows.
     """
     grid = temperature_grid(config)
-    methods = sorted(config.methods, key=lambda m: m.value)
-    numeric = _numeric_rows(config.n_particles, grid, config.tolerance) if Method.NUMERIC in methods else []
-    rows: list[SweepRow] = []
-    for i, t in enumerate(grid):
-        for method in methods:
-            if method is Method.NUMERIC:
-                rows.append(numeric[i])
-            else:
-                rows.append(_evaluate_point(config.n_particles, t, method))
-    return rows
+    columns = [
+        _batched_rows(method, config.n_particles, grid, config.tolerance)
+        if method in (Method.NUMERIC, Method.SEMI_ANALYTIC)
+        else [_evaluate_point(config.n_particles, t, method) for t in grid]
+        for method in sorted(config.methods, key=lambda m: m.value)
+    ]
+    return [row for rows_at_t in zip(*columns) for row in rows_at_t]

@@ -64,8 +64,8 @@ class ThermoPoint:
     def __post_init__(self) -> None:
         if self.n_particles < 1:
             raise ValueError(f"particle number must be >= 1, got {self.n_particles}")
-        if not (math.isfinite(self.t) and self.t > 0.0):
-            raise ValueError(f"temperature must be finite and positive, got {self.t}")
+        if not (0.0 < self.t < math.inf and 1.0 / self.t < math.inf):
+            raise ValueError(f"temperature must be positive with finite t and 1/t, got {self.t}")
 
     @property
     def b(self) -> float:

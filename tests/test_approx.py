@@ -24,6 +24,7 @@ from boxforce import (
     theta_partition_sum,
     trapezoid_sum,
 )
+from boxforce.approx import semi_analytic_rows
 
 from _oracles import direct_force_theta
 
@@ -161,6 +162,14 @@ class TestSemiAnalyticConstraint:
                 branch = _bracket_primitive(alpha, v)
                 series = v - alpha * v**3 / 3.0 + alpha * alpha * v**5 / 5.0
                 assert abs(branch - series) < 1e-12 * v
+
+    def test_batched_rows_match_scalar_loop(self):
+        t = np.tile(np.geomspace(0.01, 160.0, 400), 2)
+        sides = (P,) * 400 + (M,) * 400
+        alpha, errors = semi_analytic_rows(sides, 100, t)
+        assert errors == [None] * len(sides)
+        scalar = np.array([semi_analytic_alpha(side, 100, float(tt)) for side, tt in zip(sides, t)])
+        assert np.all(np.abs(alpha - scalar) <= 1e-13 * np.maximum(1.0, np.abs(scalar)))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,14 @@ from boxforce import (
 )
 
 
+# the three sweeps of the README, at the default N = 100
+README_SWEEPS = [
+    "--t-min 0.01 --t-max 1 --points 200 --methods numeric,low-t",
+    "--t-min 0.01 --t-max 160 --points 400 --methods numeric,linear,semi-analytic",
+    "--t-min 1 --t-max 10000 --points 300 --methods numeric,high-t",
+]
+
+
 class TestParseConfig:
     def test_defaults(self):
         config = parse_config([])
@@ -50,6 +58,7 @@ class TestParseConfig:
             ["--tol", "nan"],
             ["--tol", "inf"],
             ["--t-max", "inf"],
+            ["--t-min", "1e-310"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, capsys):
@@ -189,6 +198,20 @@ class TestCommandLine:
         result = self._run("--t-min", "-3")
         assert result.returncode == 2
         assert b"usage" in result.stderr.lower() or b"error" in result.stderr.lower()
+
+    def test_import_and_readme_sweeps_load_no_scipy(self, tmp_path):
+        # scipy is imported only by the quadrature helpers, on first use
+        script = f"""
+import math, sys
+import boxforce
+for i, argv in enumerate({README_SWEEPS!r}):
+    assert boxforce.cli.main([*argv.split(), "--output", {str(tmp_path)!r} + f"/{{i}}.csv"]) == 0
+assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
+assert abs(boxforce.trapezoid_sum(lambda s: math.exp(-s), 0.0, 1.0) - 1.5) < 1e-12
+assert "scipy.integrate" in sys.modules
+"""
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=300)
+        assert result.returncode == 0, result.stderr.decode()
 
     def test_high_t_only_runs_without_solver(self):
         result = self._run("--points", "2", "--t-min", "1", "--t-max", "10", "--methods", "high-t")

@@ -212,6 +212,30 @@ class TestBatchedSolve:
         assert all(row.delta_f is None for row, bad in zip(rows, failing) if bad)
         assert run(config) == 1
 
+    def test_failed_semi_analytic_rows_are_isolated(self, tmp_path, monkeypatch):
+        from boxforce import approx
+
+        methods = frozenset({Method.NUMERIC, Method.SEMI_ANALYTIC})
+        out = str(tmp_path / "out.csv")
+        config = SweepConfig(t_min=10.0, t_max=160.0, grid_points=6, methods=methods, output_path=out)
+        bad_t = temperature_grid(config)[2]
+        original = approx._trapezoid_number
+
+        def lifted(e1, e2, alpha, b):
+            # the constraint of bad_t stays above N up to alpha = 2: no admissible root
+            return original(e1, e2, alpha, b) + np.where(b == 1.0 / bad_t, 1e9, 0.0)
+
+        monkeypatch.setattr(approx, "_trapezoid_number", lifted)
+        with pytest.raises(approx.MethodOutOfRangeError):
+            approx.semi_analytic_alpha(P, 100, bad_t)
+        rows = sweep(config)
+        assert len(rows) == 12
+        for row in rows:
+            failed = row.t == bad_t and row.method is Method.SEMI_ANALYTIC
+            assert row.status == ("error" if failed else "ok")
+            assert (row.delta_f is None) == failed
+        assert run(config) == 1
+
     def test_wide_rows_stay_within_block_memory(self):
         # ~6e5 levels a well at t = 1e10; a pass holding whole rows would
         # allocate tens of MiB, the level-blocked kernel about one

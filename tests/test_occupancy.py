@@ -28,7 +28,7 @@ class TestThermoPoint:
         assert point.b == 4.0
         assert point.b * point.t == pytest.approx(1.0, rel=1e-15)
 
-    @pytest.mark.parametrize("n, t", [(0, 1.0), (-5, 1.0), (1, 0.0), (1, -2.0), (1, math.inf)])
+    @pytest.mark.parametrize("n, t", [(0, 1.0), (-5, 1.0), (1, 0.0), (1, -2.0), (1, math.inf), (1, 1e-310)])
     def test_rejects_bad_points(self, n, t):
         with pytest.raises(ValueError):
             ThermoPoint(n, t)

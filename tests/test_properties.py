@@ -6,6 +6,8 @@ log-uniform through their decimal exponent. The module is skipped where
 hypothesis is not installed.
 """
 
+import math
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -77,3 +79,12 @@ def test_sweep_rows_match_net_force(n, log_t, points):
 def test_agrees_with_mp_oracle(n, t):
     exact = float(mp_delta_f(n, t))
     assert net_force(ThermoPoint(n, t)).delta_f == pytest.approx(exact, rel=1e-10)
+
+
+@_examples(30)
+@hypothesis.given(n=_n, log_t=st.floats(min_value=-3.0, max_value=math.log10(0.3)))
+def test_delta_f_tends_to_three_quarters_n(n, log_t):
+    # delta_f(t -> 0) = 3N/4; the first excited levels move it by 3 exp(-3/t) - 2 exp(-2/t)
+    t = 10.0**log_t
+    deviation = abs(net_force(ThermoPoint(n, t)).delta_f - 0.75 * n)
+    assert deviation <= 3.0 * math.exp(-2.0 / t) + 1e-12 * n

@@ -8,96 +8,21 @@ its closed-form approximations in four temperature regimes, and CSV
 temperature sweeps via the ``boxforce`` command line tool.
 """
 
-from .approx import (
-    FugacityExpansion,
-    LinearForce,
-    MethodOutOfRangeError,
-    QuadratureError,
-    bose_integral_closed,
-    bose_integral_quadrature,
-    delta_f_high_t,
-    delta_f_linear,
-    delta_f_low_t,
-    fugacity_expansion,
-    poisson_force_sum,
-    semi_analytic_alpha,
-    semi_analytic_delta_f,
-    semi_analytic_force,
-    semi_analytic_total_number,
-    theta_partition_sum,
-    trapezoid_sum,
-)
-from .cli import CSV_HEADER, SweepConfig, main, parse_config, run, write_csv
-from .force import (
-    ForcePair,
-    GridScale,
-    Method,
-    SweepRow,
-    half_force,
-    net_force,
-    net_force_zero_t,
-    sweep,
-    temperature_grid,
-)
-from .occupancy import (
-    AlphaSolution,
-    ConstraintSolverError,
-    ThermoPoint,
-    occupation,
-    solve_alpha,
-    total_number,
-)
-from .spectrum import WellSide, energy_level, energy_level_extended, level_gap
+from . import approx, cli, force, occupancy, spectrum
+from .approx import *  # noqa: F403
+from .cli import *  # noqa: F403
+from .force import *  # noqa: F403
+from .occupancy import *  # noqa: F403
+from .spectrum import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one declaration of its public names
 __all__ = [
     "__version__",
-    # spectrum
-    "WellSide",
-    "energy_level",
-    "energy_level_extended",
-    "level_gap",
-    # occupancy
-    "ThermoPoint",
-    "AlphaSolution",
-    "ConstraintSolverError",
-    "occupation",
-    "total_number",
-    "solve_alpha",
-    # force
-    "ForcePair",
-    "Method",
-    "GridScale",
-    "SweepRow",
-    "half_force",
-    "net_force",
-    "net_force_zero_t",
-    "temperature_grid",
-    "sweep",
-    # approximations
-    "LinearForce",
-    "FugacityExpansion",
-    "MethodOutOfRangeError",
-    "QuadratureError",
-    "delta_f_low_t",
-    "delta_f_linear",
-    "trapezoid_sum",
-    "bose_integral_closed",
-    "bose_integral_quadrature",
-    "semi_analytic_total_number",
-    "semi_analytic_alpha",
-    "semi_analytic_force",
-    "semi_analytic_delta_f",
-    "theta_partition_sum",
-    "poisson_force_sum",
-    "fugacity_expansion",
-    "delta_f_high_t",
-    # cli
-    "SweepConfig",
-    "CSV_HEADER",
-    "parse_config",
-    "write_csv",
-    "run",
-    "main",
+    *spectrum.__all__,
+    *occupancy.__all__,
+    *force.__all__,
+    *approx.__all__,
+    *cli.__all__,
 ]

@@ -37,7 +37,6 @@ __all__ = [
     "bose_integral_closed",
     "bose_integral_quadrature",
     "semi_analytic_total_number",
-    "semi_analytic_rows",
     "semi_analytic_alpha",
     "semi_analytic_force",
     "semi_analytic_delta_f",

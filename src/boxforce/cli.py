@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .force import GridScale, Method, SweepRow, sweep
+from .occupancy import DEFAULT_TOL
 
 __all__ = ["SweepConfig", "CSV_HEADER", "parse_config", "write_csv", "run", "main"]
 
@@ -41,7 +42,7 @@ class SweepConfig:
     grid_points: int = 400
     grid_scale: GridScale = GridScale.LOG
     methods: frozenset[Method] = field(default_factory=lambda: frozenset({Method.NUMERIC}))
-    tolerance: float = 1e-12
+    tolerance: float = DEFAULT_TOL
     output_path: str = "-"
 
     def __post_init__(self) -> None:
@@ -71,19 +72,22 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="boxforce",
         description="Net quantum statistical force on the partition of a divided 1-D box, "
         "swept over temperature and written as CSV.",
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    parser.add_argument("--n-particles", type=int, default=100, help="bosons per half well (default 100)")
-    parser.add_argument("--t-min", type=float, default=0.01, help="lowest temperature (default 0.01)")
-    parser.add_argument("--t-max", type=float, default=160.0, help="highest temperature (default 160)")
-    parser.add_argument("--points", type=int, default=400, help="grid points (default 400)")
-    parser.add_argument("--scale", choices=["linear", "log"], default="log", help="grid spacing (default log)")
+    defaults = SweepConfig()
+    parser.add_argument("--n-particles", type=int, default=defaults.n_particles, help="bosons per half well")
+    parser.add_argument("--t-min", type=float, default=defaults.t_min, help="lowest temperature")
+    parser.add_argument("--t-max", type=float, default=defaults.t_max, help="highest temperature")
+    parser.add_argument("--points", type=int, default=defaults.grid_points, help="grid points")
+    scales = [scale.value for scale in GridScale]
+    parser.add_argument("--scale", choices=scales, default=defaults.grid_scale.value, help="grid spacing")
     parser.add_argument(
         "--methods",
-        default="numeric",
-        help="comma-separated subset of numeric, low-t, linear, semi-analytic, high-t (default numeric)",
+        default=",".join(sorted(method.value for method in defaults.methods)),
+        help=f"comma-separated subset of {', '.join(_METHOD_NAMES)}",
     )
-    parser.add_argument("--tol", type=float, default=1e-12, help="constraint-solver tolerance (default 1e-12)")
-    parser.add_argument("--output", default="-", help="output file, or - for standard output (default -)")
+    parser.add_argument("--tol", type=float, default=defaults.tolerance, help="constraint-solver tolerance")
+    parser.add_argument("--output", default=defaults.output_path, help="output file, or - for standard output")
     return parser
 
 
@@ -153,7 +157,3 @@ def run(config: SweepConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     return run(parse_config(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

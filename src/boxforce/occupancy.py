@@ -26,15 +26,10 @@ from .spectrum import WellSide, level_gap
 __all__ = [
     "ThermoPoint",
     "AlphaSolution",
-    "RowSolutions",
     "ConstraintSolverError",
     "occupation",
     "total_number",
-    "solve_rows",
     "solve_alpha",
-    "OVERFLOW_EXPONENT",
-    "TAIL_EXPONENT",
-    "DEFAULT_TOL",
 ]
 
 # exp saturates float64 near 709; past this the occupation is 0 to machine precision

@@ -303,6 +303,11 @@ class TestFugacityExpansion:
         assert not fugacity_expansion(P, 100, 1e-3).is_valid
         assert fugacity_expansion(P, 100, 1e-9).is_valid
 
+    @pytest.mark.parametrize("n, b", [(0, 1e-3), (-1, 1e-3), (1, 0.0), (1, -1e-3)])
+    def test_rejects_bad_inputs(self, n, b):
+        with pytest.raises(ValueError):
+            fugacity_expansion(P, n, b)
+
     def test_scaling_against_exact_solver(self):
         # the discrepancy to the exact fugacity shrinks like b^(3/2)
         gaps = {}

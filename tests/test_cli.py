@@ -67,6 +67,19 @@ class TestParseConfig:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
+    def test_help_lists_methods_and_defaults(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "500")  # one line per option, so no name is hyphen-wrapped
+        with pytest.raises(SystemExit) as excinfo:
+            parse_config(["--help"])
+        assert excinfo.value.code == 0
+        text = capsys.readouterr().out
+        for method in Method:
+            assert method.value in text
+        defaults = SweepConfig()
+        shown = (defaults.n_particles, defaults.t_min, defaults.t_max, defaults.grid_points, defaults.tolerance)
+        for value in (*shown, defaults.grid_scale.value, "numeric", defaults.output_path):
+            assert f"(default: {value})" in text
+
 
 class TestWriteCsv:
     def _row(self, **overrides):

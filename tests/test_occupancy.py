@@ -66,6 +66,8 @@ class TestTotalNumber:
     def test_domain_error_propagates(self):
         with pytest.raises(ValueError):
             total_number(P, -1.0, 1.0)
+        with pytest.raises(ValueError, match="levels"):
+            total_number(P, 1.0, 1e-17)  # t = 1e17 needs ~2e9 levels, past MAX_LEVELS
 
     def test_monotone_decreasing_in_alpha(self):
         rng = np.random.default_rng(11)

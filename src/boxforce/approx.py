@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,13 +157,26 @@ def _bracket_primitive(alpha, v):
     return np.where(np.abs(alpha) < _ALPHA_SERIES_CUTOFF, series, branch)
 
 
-def _trapezoid_number(e1, e2, alpha, b):
-    sqrt_b = np.sqrt(b)
-    s2 = np.sqrt(b * e2)
+class _TrapezoidRows(NamedTuple):
+    """Constants of the rows of a trapezoid-rule constraint, computed once per solve."""
+
+    b_e1: np.ndarray
+    b_e2: np.ndarray
+    s2: np.ndarray  # sqrt(b e_2), where the integral starts
+    inv_s2: np.ndarray
+    sqrt_b: np.ndarray
+
+    @classmethod
+    def of(cls, e1, e2, b) -> "_TrapezoidRows":
+        s2 = np.sqrt(b * e2)
+        return cls(b * e1, b * e2, s2, 1.0 / s2, np.sqrt(b))
+
+
+def _trapezoid_number(alpha, rows: _TrapezoidRows):
     root = np.sqrt(2.0 - alpha)
-    head = 1.0 / (alpha + b * e1) + 0.5 / (alpha + b * e2) - 0.75
-    edge = -(root - s2) / (2.0 * sqrt_b)
-    tail = (_bracket_primitive(alpha, 1.0 / s2) - _bracket_primitive(alpha, 1.0 / root)) / sqrt_b
+    head = 1.0 / (alpha + rows.b_e1) + 0.5 / (alpha + rows.b_e2) - 0.75
+    edge = -(root - rows.s2) / (2.0 * rows.sqrt_b)
+    tail = (_bracket_primitive(alpha, rows.inv_s2) - _bracket_primitive(alpha, 1.0 / root)) / rows.sqrt_b
     return head + edge + tail
 
 
@@ -177,7 +191,7 @@ def semi_analytic_total_number(side: WellSide, alpha, b):
     if np.any(b <= 0.0) or np.any(alpha + b * e1 <= 0.0) or np.any(alpha >= 2.0):
         raise ValueError(f"need b > 0 and -b*e_1 < alpha < 2, got b = {b}, alpha = {alpha}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _trapezoid_number(e1, energy_level(side, 2), alpha, b)
+        return _trapezoid_number(alpha, _TrapezoidRows.of(e1, energy_level(side, 2), b))
 
 
 def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exception | None]]:
@@ -192,12 +206,12 @@ def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exc
     """
     levels = {side: (side.ground_energy, energy_level(side, 2)) for side in WellSide}
     e1, e2 = np.array([levels[side] for side in sides]).T
-    b = 1.0 / np.broadcast_to(t, e1.shape)
-    pole = b * e1
+    rows = _TrapezoidRows.of(e1, e2, 1.0 / np.broadcast_to(t, e1.shape))
+    pole = rows.b_e1
     ends = np.stack((-pole + 1e-10 * np.maximum(1.0, pole), np.full(len(e1), 2.0 - 1e-12)))
     with np.errstate(all="ignore"):
         lo, hi = ends
-        f_lo, f_hi = (_trapezoid_number(e1, e2, ends, b) - n_particles) * (ends + pole)
+        f_lo, f_hi = (_trapezoid_number(ends, rows) - n_particles) * (ends + pole)
         out_of_range = f_hi > 0.0
         live = (f_lo >= 0.0) & (f_hi <= 0.0)  # false on nan
         moved_lo = moved_hi = np.zeros(len(e1), dtype=bool)
@@ -207,7 +221,7 @@ def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exc
             if step == 200 or not live.any():
                 break
             x = np.clip(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + 0.5 * tol, hi - 0.5 * tol)
-            f = (_trapezoid_number(e1, e2, x, b) - n_particles) * (x + pole)
+            f = (_trapezoid_number(x, rows) - n_particles) * (x + pole)
             up = live & (f > 0.0)  # the root lies above x
             down = live & (f <= 0.0)  # a nan drops the row
             # Illinois: an end kept twice in a row has its value halved

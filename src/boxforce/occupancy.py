@@ -7,10 +7,12 @@ multiplier alpha is fixed by the constraint S = sum_n N_n = N.
 The constraint is solved in the shifted variable x = alpha + b e_1 > 0.
 At low temperature alpha approaches log1p(1/N) - b e_1, a difference of
 two numbers of order b, while x stays of order 1/N; solving for x keeps
-the ground-state occupation fully resolved at every temperature. The level
-cutoff (TAIL_EXPONENT) and the batched monotone Newton iteration of
-solve_rows are choices of this implementation; only the occupation formula
-and the constraint itself are physics.
+the ground-state occupation fully resolved at every temperature. A row's
+levels stay fixed during a solve, so solve_rows builds the level plan of
+each group of rows once and runs Newton on it to the end. The level cutoff
+(TAIL_EXPONENT) and the batched monotone Newton iteration are choices of
+this implementation; only the occupation formula and the constraint itself
+are physics.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ DEFAULT_TOL = 1e-12
 MAX_ITER = 200
 # rows whose cutoff passes this many levels (t > ~2.5e14) are not attempted
 MAX_LEVELS = 100_000_000
-# largest (rows x levels) temporary of a level-sum pass, in float64 elements
+# largest (rows x levels) plan chunk or level-sum temporary, in float64 elements
 _TILE = 1 << 14
 
 
@@ -110,63 +112,51 @@ def occupation(alpha: float, b: float, energy: float) -> float:
 
 
 def _cutoff(b: np.ndarray) -> np.ndarray:
-    """Levels summed per row (see TAIL_EXPONENT), capped at MAX_LEVELS + 1."""
-    width = np.floor(np.sqrt(TAIL_EXPONENT / b)) + 1.0
-    return np.minimum(width, MAX_LEVELS + 1).astype(np.int64)
+    """Levels summed per row, floor(sqrt(TAIL_EXPONENT / b)) + 1, capped at MAX_LEVELS + 1."""
+    return np.minimum(np.sqrt(TAIL_EXPONENT / b), MAX_LEVELS).astype(np.int64) + 1
 
 
-def _tiles(levels: np.ndarray):
-    """(row slice, first level, end level) tiles of at most _TILE elements.
-
-    Rows come sorted by level count. Consecutive rows share a tile while
-    they fit padded to the widest of them; a row wider than _TILE is cut
-    along its levels.
-    """
+def _groups(levels: np.ndarray):
+    """Slices of rows sorted by levels that share a plan, at most _TILE elements padded to its widest row."""
     start = 0
     while start < len(levels):
         fits = np.count_nonzero(np.arange(1, len(levels) - start + 1) * levels[start:] <= _TILE)
-        end = start + max(int(fits), 1)
-        width = int(levels[end - 1])
-        for lo in range(0, width, _TILE):
-            yield slice(start, end), lo, min(lo + _TILE, width)
+        end = start + max(int(fits), 1)  # a row wider than _TILE is a group alone
+        yield slice(start, end)
         start = end
 
 
 def _gaps(plus: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Gaps e_n - e_1 of a tile: one row shared by all rows when they are of one well."""
-    if plus.all():
-        return level_gap(WellSide.PLUS, n)
-    if not plus.any():
-        return level_gap(WellSide.MINUS, n)
+    """Gaps e_n - e_1 of a plan: one row shared by all rows when they are of one well."""
+    if np.count_nonzero(plus) in (0, len(plus)):
+        return level_gap(WellSide.PLUS if plus[0] else WellSide.MINUS, n)
     return np.where(plus[:, None], level_gap(WellSide.PLUS, n), level_gap(WellSide.MINUS, n))
 
 
-def _level_sums(plus, x, b, levels):
-    """sum_n N_n, its x-derivative and sum_n e_n N_n per row, from one pass over the levels.
-
-    Row i is a well (plus[i]), a shifted multiplier x[i] and an inverse
-    temperature b[i], summed over levels 1 .. levels[i]; rows come sorted
-    by levels. Padding past a row's cutoff gets an infinite exponent, so an
-    occupation of 0, as do exponents past ~709 (call under np.errstate).
-    """
-    number = np.zeros(len(x))
-    squares = np.zeros(len(x))
-    weighted = np.zeros(len(x))
-    for rows, lo, hi in _tiles(levels):
+def _plans(plus, b, levels):
+    """Chunks of _TILE levels of a plan: exponent bases b (e_n - e_1), inf past each row's cutoff, and gaps."""
+    for lo in range(0, int(levels[-1]), _TILE):
+        hi = min(lo + _TILE, int(levels[-1]))
         n = np.arange(lo + 1.0, hi + 1.0)
-        gap = _gaps(plus[rows], n)
-        exponent = b[rows, None] * gap
-        if levels[rows.start] < hi:  # the shortest row of the tile ends inside it
-            exponent[n > levels[rows, None]] = np.inf
-        exponent += x[rows, None]
-        occ = 1.0 / np.expm1(exponent)
-        number[rows] += occ.sum(axis=1)
-        weighted[rows] += (occ * gap).sum(axis=1)
+        gap = _gaps(plus, n)
+        base = b[:, None] * gap
+        if levels[0] < hi:  # the shortest row ends inside the chunk
+            base[n > levels[:, None]] = np.inf
+        yield base, gap
+
+
+def _level_sums(x, plans):
+    """sum_n N_n, sum_n N_n^2 and sum_n (e_n - e_1) N_n per row at x over _plans (call under np.errstate)."""
+    number = squares = weighted = 0.0
+    for base, gap in plans:
+        occ = base + x[:, None]
+        np.expm1(occ, out=occ)
+        np.divide(1.0, occ, out=occ)
+        number = number + occ.sum(axis=1)
+        weighted = weighted + (occ * gap).sum(axis=1)
         occ *= occ
-        squares[rows] += occ.sum(axis=1)
-    ground = np.where(plus, WellSide.PLUS.ground_energy, WellSide.MINUS.ground_energy)
-    # d N_n / dx = -N_n (N_n + 1) and e_n = e_1 + gap_n
-    return number, -(squares + number), weighted + ground * number
+        squares = squares + occ.sum(axis=1)
+    return number, squares, weighted
 
 
 def total_number(side: WellSide, alpha: float, b: float) -> float:
@@ -178,7 +168,7 @@ def total_number(side: WellSide, alpha: float, b: float) -> float:
     if levels[0] > MAX_LEVELS:
         raise ValueError(f"inverse temperature {b} needs more than {MAX_LEVELS} levels")
     with np.errstate(over="ignore"):
-        number, _, _ = _level_sums(np.array([side is WellSide.PLUS]), np.array([x]), np.array([b]), levels)
+        number, _, _ = _level_sums(np.array([x]), _plans(np.array([side is WellSide.PLUS]), np.array([b]), levels))
     return float(number[0])
 
 
@@ -224,10 +214,12 @@ def solve_rows(
     log-convex decreasing terms, so log S is convex and decreasing, and
     Newton on log S - log N, x <- x - log(S/N) S/S', climbs to the root
     from the left with no bracket; its steps are longer than Newton's on
-    S - N and exact where one exponential dominates (high t). Rows drop out
-    once |S - N| <= tol * N. A row that reaches max_iter evaluations, or
-    whose step goes non-finite, stops unconverged and leaves the other
-    rows untouched.
+    S - N and exact where one exponential dominates (high t). A row stops
+    once |S - N| <= tol * N, or unconverged at max_iter evaluations or a
+    non-finite step. Groups of rows (_groups) are solved one by one: the
+    level plan is built once and a row that stops leaves it and has its
+    results written. A row wider than _TILE levels rebuilds its plan chunk
+    by chunk on each evaluation instead, which keeps memory bounded.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -237,29 +229,37 @@ def solve_rows(
     b = np.full(rows, b, dtype=np.float64)
     levels = _cutoff(b)
     x = np.full(rows, math.log1p(1.0 / target))
-    number = np.full(rows, np.nan)
-    force = np.full(rows, np.nan)
+    number, weighted = np.full((2, rows), np.nan)  # weighted is sum_n (e_n - e_1) N_n
     iterations = np.zeros(rows, dtype=np.int64)
-    converged = np.zeros(rows, dtype=bool)
-    live = np.argsort(levels, kind="stable")  # rows of similar width share tiles
-    live = live[levels[live] <= MAX_LEVELS]
+    order = np.argsort(levels, kind="stable")
+    order = order[levels[order] <= MAX_LEVELS]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for count in range(1, max_iter + 1):
-            if not live.size:
-                break
-            s, slope, f = _level_sums(plus[live], x[live], b[live], levels[live])
-            excess = s - target
-            done = np.abs(excess) <= tol * target
-            step = np.log1p(excess / target) * s / slope
-            moving = ~done & np.isfinite(step) & (count < max_iter)
-            number[live] = s
-            force[live] = f
-            iterations[live] = count
-            converged[live[done]] = True
-            live = live[moving]
-            x[live] -= step[moving]
-    alpha = x - b * np.where(plus, WellSide.PLUS.ground_energy, WellSide.MINUS.ground_energy)
-    return RowSolutions(alpha, x, np.abs(number - target), levels, iterations, force, converged, n_particles)
+        for group in _groups(levels[order]):
+            live = order[group]  # the group's rows still iterating
+            # the plan of a row wider than _TILE is rebuilt chunk by chunk on each evaluation
+            plans = None if levels[live[-1]] > _TILE else list(_plans(plus[live], b[live], levels[live]))
+            for count in range(1, max_iter + 1):
+                s, squares, w = _level_sums(x[live], plans or _plans(plus[live], b[live], levels[live]))
+                excess = s - target
+                done = np.abs(excess) <= tol * target
+                step = np.log1p(excess / target) * s / (squares + s)  # S' = -sum_n N_n (N_n + 1)
+                stop = done | ~np.isfinite(step) | (count == max_iter)
+                if np.count_nonzero(stop):
+                    number[live[stop]] = s[stop]
+                    weighted[live[stop]] = w[stop]
+                    iterations[live[stop]] = count
+                    live = live[~stop]
+                    step = step[~stop]
+                    if plans and live.size:
+                        plans = [(base[~stop], gap[~stop] if gap.ndim > 1 else gap) for base, gap in plans]
+                if not live.size:
+                    break
+                x[live] += step
+    ground = np.where(plus, WellSide.PLUS.ground_energy, WellSide.MINUS.ground_energy)
+    residual = np.abs(number - target)
+    converged = residual <= tol * target  # false where a row stopped early or was not attempted
+    force = weighted + ground * number
+    return RowSolutions(x - b * ground, x, residual, levels, iterations, force, converged, n_particles)
 
 
 def solve_alpha(

@@ -221,9 +221,9 @@ class TestBatchedSolve:
         bad_t = temperature_grid(config)[2]
         original = approx._trapezoid_number
 
-        def lifted(e1, e2, alpha, b):
+        def lifted(alpha, rows):
             # the constraint of bad_t stays above N up to alpha = 2: no admissible root
-            return original(e1, e2, alpha, b) + np.where(b == 1.0 / bad_t, 1e9, 0.0)
+            return original(alpha, rows) + np.where(rows.sqrt_b == np.sqrt(1.0 / bad_t), 1e9, 0.0)
 
         monkeypatch.setattr(approx, "_trapezoid_number", lifted)
         with pytest.raises(approx.MethodOutOfRangeError):

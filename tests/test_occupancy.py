@@ -1,17 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from boxforce import (
     ConstraintSolverError,
+    SweepConfig,
     ThermoPoint,
     WellSide,
     fugacity_expansion,
+    net_force,
+    occupancy,
     occupation,
     solve_alpha,
+    sweep,
     total_number,
 )
+from boxforce.occupancy import _TILE, MAX_LEVELS, solve_rows
 
 P = WellSide.PLUS
 M = WellSide.MINUS
@@ -139,3 +145,57 @@ class TestSolveAlpha:
                 scaled[b] = gap / b**1.5
             ratio = max(scaled.values()) / min(scaled.values())
             assert ratio < 4.0
+
+
+class TestSolveRowGroups:
+    def test_batch_rows_match_one_row_solves(self):
+        # both wells, from 1 level (t = 1e-3) past _TILE levels (t = 1e7) and
+        # one row past MAX_LEVELS (t = 1e15), in an order that mixes them
+        t = np.repeat([1e-3, 0.3, 10.0, 1e3, 1e5, 1e7, 1e15], 2)
+        sides = [P, M] * (len(t) // 2)
+        order = np.random.default_rng(3).permutation(len(t))
+        t = t[order]
+        sides = [sides[i] for i in order]
+        batch = solve_rows(sides, 100, 1.0 / t)
+        assert batch.levels_used.min() == 1
+        assert np.any((batch.levels_used > _TILE) & (batch.levels_used <= MAX_LEVELS))
+        assert batch.levels_used.max() > MAX_LEVELS
+        for i, (side, ti) in enumerate(zip(sides, t)):
+            one = solve_rows((side,), 100, 1.0 / ti)
+            np.testing.assert_allclose(batch.alpha[i], one.alpha[0], rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(batch.force[i], one.force[0], rtol=1e-13, atol=0.0)  # nan past MAX_LEVELS
+            assert batch.iterations[i] == one.iterations[0]
+            assert batch.converged[i] == one.converged[0]
+
+    def test_plan_built_once_per_group(self, monkeypatch):
+        # both wells at N = 100, t = 1e4 share one group of 2 x 633 levels
+        calls = []
+        gap = occupancy.level_gap
+
+        def counted(side, n):
+            calls.append(side)
+            return gap(side, n)
+
+        monkeypatch.setattr(occupancy, "level_gap", counted)
+        assert solve_rows((P, M), 100, 1e-4).iterations.tolist() == [8, 8]
+        calls.clear()
+        net_force(ThermoPoint(100, 1e4))
+        full = len(calls)
+        calls.clear()
+        short = solve_rows((P, M), 100, 1e-4, max_iter=2)
+        assert short.iterations.tolist() == [2, 2]
+        assert not short.converged.any()
+        assert len(calls) == full > 0
+
+    def test_plan_memory_stays_bounded(self):
+        # groups are solved one at a time, so only one group's plan, a few
+        # _TILE-sized arrays, is alive at once (peak ~0.9 MiB with numpy 2.4)
+        config = SweepConfig(n_particles=10_000, t_min=1.0, t_max=1e8, grid_points=100)
+        tracemalloc.start()
+        try:
+            rows = sweep(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(row.status == "ok" for row in rows)
+        assert peak < 4 * 2**20

@@ -17,7 +17,9 @@ from boxforce import (
     sweep,
     total_number,
 )
-from boxforce.occupancy import _TILE, MAX_LEVELS, solve_rows
+from boxforce.occupancy import _TILE, DEFAULT_TOL, MAX_LEVELS, NODE_LEVELS, POLE_DISTANCE, solve_rows
+
+from _oracles import mp_delta_f
 
 P = WellSide.PLUS
 M = WellSide.MINUS
@@ -26,6 +28,25 @@ M = WellSide.MINUS
 OCCUPATION_AT_UNIT_EXPONENT = 0.5819767068693264
 # 1 + 1/(2 e^20 - 1) + 1/(2 e^60 - 1), the two-level hand sum at b = 10
 TWO_TERM_TOTAL = 1.0000000010305768
+
+
+def direct_sums(plus, x, b, levels, chunk=1 << 16):
+    """Plain numpy sum_n N_n and sum_n (e_n - e_1) N_n over levels 1..levels, per x; chunk totals added exactly."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))[:, None]
+    numbers, weighted = [], []
+    with np.errstate(over="ignore"):
+        for lo in range(1, levels + 1, chunk):
+            n = np.arange(lo, min(lo + chunk, levels + 1), dtype=np.float64)
+            gap = n * (n - 1.0) if plus else (n - 1.0) * (n + 1.0)
+            occ = 1.0 / np.expm1(x + b * gap)
+            numbers.append(occ.sum(axis=1))
+            weighted.append((occ * gap).sum(axis=1))
+    return np.array([[math.fsum(col) for col in zip(*parts)] for parts in (numbers, weighted)])
+
+
+def routed(n_particles, t, levels):
+    """The rows solve_rows sums on nodes: wide, and x0 t >= POLE_DISTANCE**2 at the start."""
+    return (levels > NODE_LEVELS) & (levels <= MAX_LEVELS) & (math.log1p(1.0 / n_particles) * t >= POLE_DISTANCE**2)
 
 
 class TestThermoPoint:
@@ -187,9 +208,32 @@ class TestSolveRowGroups:
         assert not short.converged.any()
         assert len(calls) == full > 0
 
+    def test_wide_rows_off_nodes_rebuild_their_chunks(self, monkeypatch):
+        # N = 1e6 at t = 1e7: ~2e4 levels, more than _TILE, but x0 t = 10 is
+        # short of POLE_DISTANCE**2, so the rows sum their levels, rebuilding
+        # their plan chunk by chunk on each evaluation
+        built = []
+        plans = occupancy._plans
+
+        def counted(plus, b, levels):
+            built.append(len(b))
+            return plans(plus, b, levels)
+
+        monkeypatch.setattr(occupancy, "_plans", counted)
+        monkeypatch.setattr(occupancy, "_node_plan", None)  # a node plan would fail
+        t = 1e7
+        solved = solve_rows((P, M), 1_000_000, 1.0 / t)
+        assert (solved.levels_used > _TILE).all()
+        assert not routed(1_000_000, t, solved.levels_used).any()
+        assert solved.converged.all()
+        assert len(built) == solved.iterations.sum()  # one row per group, one build per evaluation
+        for side, x in zip((P, M), solved.shifted_alpha):
+            number, _ = direct_sums(side is P, x, 1.0 / t, int(solved.levels_used[0]))
+            assert abs(number[0] - 1e6) <= DEFAULT_TOL * 1e6
+
     def test_plan_memory_stays_bounded(self):
         # groups are solved one at a time, so only one group's plan, a few
-        # _TILE-sized arrays, is alive at once (peak ~0.9 MiB with numpy 2.4)
+        # _TILE-sized arrays, is alive at once (peak ~0.6 MiB with numpy 2.4)
         config = SweepConfig(n_particles=10_000, t_min=1.0, t_max=1e8, grid_points=100)
         tracemalloc.start()
         try:
@@ -199,3 +243,71 @@ class TestSolveRowGroups:
             tracemalloc.stop()
         assert all(row.status == "ok" for row in rows)
         assert peak < 4 * 2**20
+
+
+class TestNodePlan:
+    @pytest.mark.parametrize("n_particles", [1, 100, 10_000, 1_000_000])
+    def test_node_sums_match_direct_sums(self, n_particles):
+        # the node rule's error budget (NODE_STEP): Poisson remainder, trapezoid
+        # error and discarded tail all lie below rounding, from the routing
+        # threshold to t = 1e12 (6.3e6 levels), at the start, the root and x = 5
+        x0 = math.log1p(1.0 / n_particles)
+        threshold = max(POLE_DISTANCE**2 / x0, NODE_LEVELS**2 / occupancy.TAIL_EXPONENT)
+        nodes = occupancy._node_count(x0)
+        assert nodes <= 100
+        for t in np.geomspace(threshold * 1.001, 1e12, 3):
+            b = 1.0 / t
+            levels = occupancy._cutoff(np.array([b]))
+            assert routed(n_particles, t, levels).all()
+            roots = solve_rows((P, M), n_particles, b).shifted_alpha
+            for side, root in zip((P, M), roots):
+                x = np.array([x0, root, 5.0])
+                plus = side is P
+                ground = np.full(3, side.ground_energy)
+                with np.errstate(over="ignore"):
+                    number, _, weighted = occupancy._level_sums(
+                        x, occupancy._node_plan(ground, np.full(3, b), x0, nodes)
+                    )
+                expected = direct_sums(plus, x, b, int(levels[0]))
+                np.testing.assert_allclose(number, expected[0], rtol=1e-14, atol=0.0)
+                np.testing.assert_allclose(weighted, expected[1], rtol=1e-14, atol=0.0)
+
+    def test_routed_rows_satisfy_the_exact_constraint(self, monkeypatch):
+        # the large_n grid: N = 1e4, 100 log-spaced t in [1, 1e8], both wells
+        n_particles = 10_000
+        t = np.repeat(np.geomspace(1.0, 1e8, 100), 2)
+        sides = [P, M] * 100
+        nodes = solve_rows(sides, n_particles, 1.0 / t)
+        wide = routed(n_particles, t, nodes.levels_used)
+        assert 0 < np.count_nonzero(wide) < len(t)
+        assert nodes.converged.all()
+        for i in np.flatnonzero(wide):
+            number, _ = direct_sums(sides[i] is P, nodes.shifted_alpha[i], 1.0 / t[i], int(nodes.levels_used[i]))
+            assert abs(number[0] - n_particles) <= DEFAULT_TOL * n_particles
+        monkeypatch.setattr(occupancy, "NODE_LEVELS", MAX_LEVELS)  # every row on its levels
+        levels = solve_rows(sides, n_particles, 1.0 / t)
+        np.testing.assert_array_equal(nodes.iterations, levels.iterations)
+        np.testing.assert_array_equal(nodes.converged, levels.converged)
+        np.testing.assert_array_equal(nodes.levels_used, levels.levels_used)
+        np.testing.assert_allclose(nodes.alpha, levels.alpha, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(nodes.force, levels.force, rtol=1e-13, atol=0.0)
+
+    def test_routed_point_matches_mp_oracle(self, monkeypatch):
+        # every point routed at NODE_LEVELS has t > 26,214 and costs the oracle
+        # ~2,300 levels a bisection step (~25 s); with the level threshold
+        # lowered, N = 1 at t = 145 is routed at the smallest pole distance the
+        # routing admits, d = sqrt(alpha t) ~ 10, where the rule is least exact
+        calls = []
+        node_plan = occupancy._node_plan
+
+        def counted(*args):
+            calls.append(args)
+            return node_plan(*args)
+
+        monkeypatch.setattr(occupancy, "_node_plan", counted)
+        monkeypatch.setattr(occupancy, "NODE_LEVELS", 0)
+        t = 145.0
+        assert POLE_DISTANCE**2 <= math.log1p(1.0) * t < 1.01 * POLE_DISTANCE**2
+        pair = net_force(ThermoPoint(1, t))
+        assert calls
+        assert pair.delta_f == pytest.approx(float(mp_delta_f(1, t)), rel=1e-9)

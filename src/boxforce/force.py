@@ -92,8 +92,10 @@ def half_force(side: WellSide, point: ThermoPoint, tol: float = DEFAULT_TOL) -> 
 def net_force(point: ThermoPoint, tol: float = DEFAULT_TOL) -> ForcePair:
     """Exact net force on the partition, both wells solved together at the same tolerance."""
     solved = solve_rows((WellSide.PLUS, WellSide.MINUS), point.n_particles, point.b, tol)
-    f_plus = solved.solution(0).force
-    f_minus = solved.solution(1).force
+    converged = solved.converged.tolist()
+    if not all(converged):
+        solved.solution(converged.index(False))  # raises the failed well's ConstraintSolverError
+    f_plus, f_minus = solved.force.tolist()
     return ForcePair(f_plus, f_minus, f_minus - f_plus)
 
 

@@ -195,17 +195,17 @@ def _level_sums(x, plans):
     A plan chunk is (base, gap, weight): levels carry no weight, nodes the
     weights of _node_plan.
     """
-    number = squares = weighted = 0.0
+    sums = None  # most plans are one chunk, whose sums are the totals
     for base, gap, weight in plans:
         occ = base + x[:, None]
         np.expm1(occ, out=occ)
         np.divide(1.0, occ, out=occ)
         mass = occ if weight is None else occ * weight
-        number = number + mass.sum(axis=1)
-        weighted = weighted + (mass * gap).sum(axis=1)
+        number, weighted = mass.sum(axis=1), (mass * gap).sum(axis=1)
         mass *= occ
-        squares = squares + mass.sum(axis=1)
-    return number, squares, weighted
+        chunk = (number, mass.sum(axis=1), weighted)
+        sums = chunk if sums is None else tuple(total + part for total, part in zip(sums, chunk))
+    return sums
 
 
 def total_number(side: WellSide, alpha: float, b: float) -> float:
@@ -267,8 +267,9 @@ def solve_rows(
     S - N and exact where one exponential dominates (high t). A row stops
     once |S - N| <= tol * N, or unconverged at max_iter evaluations or a
     non-finite step. Groups of rows (_groups) are solved one by one: the
-    level plan is built once and a row that stops leaves it and has its
-    results written. A row of more than NODE_LEVELS levels whose start
+    level plan is built once, the rows still iterating hold their x in a
+    compact array, and a row that stops leaves both and has its results
+    written, once. A row of more than NODE_LEVELS levels whose start
     satisfies x0 t >= POLE_DISTANCE**2 gets a plan of ~100 trapezoid nodes
     in place of its levels, whose sums match the direct ones to rounding
     (see NODE_STEP); the test costs O(1) in a call without such wide rows.
@@ -297,31 +298,31 @@ def solve_rows(
         groups = [(routed[group], nodes) for group in _groups(np.full(routed.size, nodes))]
     groups += [(order[group], 0) for group in _groups(levels[order])]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for live, nodes in groups:  # live: the group's rows still iterating
+        for live, nodes in groups:  # live: the group's rows still iterating, xs their iterates
             if nodes:
                 plans = _node_plan(ground[live], b[live], x0, nodes)
             else:  # the plan of a row wider than _TILE is rebuilt chunk by chunk on each evaluation
                 plans = None if levels[live[-1]] > _TILE else list(_plans(plus[live], b[live], levels[live]))
+            xs = x[live]
             for count in range(1, max_iter + 1):
-                s, squares, w = _level_sums(x[live], plans or _plans(plus[live], b[live], levels[live]))
+                s, squares, w = _level_sums(xs, plans or _plans(plus[live], b[live], levels[live]))
                 excess = s - target
-                done = np.abs(excess) <= tol * target
                 step = np.log1p(excess / target) * s / (squares + s)  # S' = -sum_n N_n (N_n + 1)
-                stop = done | ~np.isfinite(step) | (count == max_iter)
-                if np.count_nonzero(stop):
-                    number[live[stop]] = s[stop]
-                    weighted[live[stop]] = w[stop]
-                    iterations[live[stop]] = count
-                    live = live[~stop]
-                    step = step[~stop]
-                    if plans and live.size:  # a gap row shared by the group stays
+                stop = (np.abs(excess) <= tol * target) | ~np.isfinite(step)
+                stopped = live.size if count == max_iter else np.count_nonzero(stop)
+                if stopped == live.size:  # the usual end of a group: every row stops at once
+                    x[live], number[live], weighted[live], iterations[live] = xs, s, w, count
+                    break
+                if stopped:
+                    out, keep = live[stop], ~stop
+                    x[out], number[out], weighted[out], iterations[out] = xs[stop], s[stop], w[stop], count
+                    live, xs, step = live[keep], xs[keep], step[keep]
+                    if plans:  # a gap row shared by the group stays
                         plans = [
-                            (base[~stop], gap if gap.ndim == 1 else gap[~stop], weight if weight is None else weight[~stop])
+                            (base[keep], gap if gap.ndim == 1 else gap[keep], weight if weight is None else weight[keep])
                             for base, gap, weight in plans
                         ]
-                if not live.size:
-                    break
-                x[live] += step
+                xs += step
     residual = np.abs(number - target)
     converged = residual <= tol * target  # false where a row stopped early or was not attempted
     force = weighted + ground * number

@@ -26,24 +26,23 @@ def _gaps(plus: bool, n_max: int):
     return [mpf(n * (n - 1)) if plus else mpf((n - 1) * (n + 1)) for n in range(1, n_max + 1)]
 
 
-def _total(x, b, gaps):
-    s = mpf(0)
-    for g in gaps:
-        z = x + b * g
-        if z > _TAIL_EXPONENT:
-            break
-        s += 1 / mp.expm1(z)
-    return s
+def _factors(b, gaps):
+    """exp(b g) of each level up to the truncation, computed once per solve."""
+    return [mp.exp(b * g) for g in gaps if b * g <= _TAIL_EXPONENT]
 
 
-def _force(x, b, gaps, e1):
-    s = mpf(0)
-    for g in gaps:
-        z = x + b * g
-        if z > _TAIL_EXPONENT:
-            break
-        s += (g + e1) / mp.expm1(z)
-    return s
+def _terms(x, factors):
+    """Occupations 1/(e^x exp(b g) - 1); level 1 (g = 0) keeps expm1, which resolves x ~ 1/N."""
+    ex = mp.exp(x)
+    return [1 / mp.expm1(x)] + [1 / (ex * f - 1) for f in factors[1:]]
+
+
+def _total(x, factors):
+    return mp.fsum(_terms(x, factors))
+
+
+def _force(x, factors, gaps, e1):
+    return mp.fsum((g + e1) * occ for g, occ in zip(gaps, _terms(x, factors)))
 
 
 def _levels_needed(b) -> int:
@@ -54,24 +53,25 @@ def _levels_needed(b) -> int:
 def mp_solve_x(plus: bool, n_particles: int, b, bisections: int = 130):
     """Shifted multiplier x = alpha + b e_1 by bisection on the exact bound."""
     gaps = _gaps(plus, _levels_needed(b))
+    factors = _factors(b, gaps)
     lo = mp.log(1 + mpf(1) / n_particles)
     hi = 2 * lo
-    while _total(hi, b, gaps) > n_particles:
+    while _total(hi, factors) > n_particles:
         lo, hi = hi, 2 * hi
     for _ in range(bisections):
         mid = (lo + hi) / 2
-        if _total(mid, b, gaps) > n_particles:
+        if _total(mid, factors) > n_particles:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2, gaps
+    return (lo + hi) / 2, gaps, factors
 
 
 def mp_half_force(plus: bool, n_particles: int, t):
     b = mpf(1) / t
-    x, gaps = mp_solve_x(plus, n_particles, b)
+    x, gaps, factors = mp_solve_x(plus, n_particles, b)
     e1 = mpf(1) / 4 if plus else mpf(1)
-    return _force(x, b, gaps, e1)
+    return _force(x, factors, gaps, e1)
 
 
 def mp_delta_f(n_particles: int, t):

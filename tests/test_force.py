@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from boxforce import (
+    ConstraintSolverError,
     ForcePair,
     GridScale,
     Method,
     SweepConfig,
     ThermoPoint,
     WellSide,
+    force,
     half_force,
     net_force,
     net_force_zero_t,
@@ -20,6 +22,7 @@ from boxforce import (
     sweep,
     temperature_grid,
 )
+from boxforce.occupancy import solve_rows
 
 from _oracles import mp_delta_f, mp_half_force
 
@@ -68,6 +71,17 @@ class TestNetForce:
                 coarse = net_force(point, tol=tol).delta_f
                 fine = net_force(point, tol=tol / 2).delta_f
                 assert abs(coarse - fine) < 10.0 * tol * abs(coarse)
+
+    @pytest.mark.parametrize("t, max_iter", [(1e4, 1), (10.0, 4)])
+    def test_failed_well_raises_with_bracket(self, monkeypatch, t, max_iter):
+        # N = 100 needs 8 evaluations a well at t = 1e4, and 5 (PLUS) and 4
+        # (MINUS) at t = 10: the cap fails both wells, then PLUS alone
+        monkeypatch.setattr(force, "solve_rows", functools.partial(solve_rows, max_iter=max_iter))
+        with pytest.raises(ConstraintSolverError, match=f"after {max_iter} evaluations") as excinfo:
+            net_force(ThermoPoint(100, t))
+        start, last = excinfo.value.bracket
+        assert start == math.log1p(1.0 / 100)
+        assert last >= start
 
     def test_zero_t_continuity(self):
         delta = net_force(ThermoPoint(100, 1e-3)).delta_f

@@ -17,7 +17,7 @@ from boxforce import (
     sweep,
     total_number,
 )
-from boxforce.occupancy import _TILE, DEFAULT_TOL, MAX_LEVELS, NODE_LEVELS, POLE_DISTANCE, solve_rows
+from boxforce.occupancy import _TILE, DEFAULT_TOL, MAX_LEVELS, NODE_LEVELS, POLE_DISTANCE, RowSolutions, solve_rows
 
 from _oracles import mp_delta_f
 
@@ -188,6 +188,34 @@ class TestSolveRowGroups:
             assert batch.iterations[i] == one.iterations[0]
             assert batch.converged[i] == one.converged[0]
 
+    def test_iteration_cap_counts_as_a_stop(self):
+        # both wells at N = 100, b = 1e-4 converge on evaluation 8: a cap of 8
+        # lets them, a cap of 7 stops them one evaluation short
+        full = solve_rows((P, M), 100, 1e-4, max_iter=8)
+        assert full.iterations.tolist() == [8, 8]
+        assert full.converged.all()
+        capped = solve_rows((P, M), 100, 1e-4, max_iter=7)
+        assert capped.iterations.tolist() == [7, 7]
+        assert not capped.converged.any()
+
+    def test_rows_stopping_apart_match_one_row_solves(self):
+        # one group of 21-level rows, no padding, so a row's sums round as in
+        # its one-row solve; its rows stop on evaluations 4 and 5, and a cap
+        # of 4 stops the slower ones unconverged
+        sides = (M, P, P, M, P)
+        t = np.array([10.0, 10.0, 10.3, 10.25, 10.1])
+        batch = solve_rows(sides, 100, 1.0 / t)
+        assert (batch.levels_used == 21).all()
+        assert batch.converged.all()
+        assert batch.iterations.tolist() == [4, 5, 5, 4, 5]
+        for i, (side, ti) in enumerate(zip(sides, t)):
+            one = solve_rows((side,), 100, 1.0 / ti)
+            for field in RowSolutions._fields[:-1]:  # the per-row arrays
+                np.testing.assert_array_equal(getattr(batch, field)[i], getattr(one, field)[0])
+        capped = solve_rows(sides, 100, 1.0 / t, max_iter=4)
+        assert capped.iterations.tolist() == [4] * 5
+        np.testing.assert_array_equal(capped.converged, batch.iterations == 4)
+
     def test_plan_built_once_per_group(self, monkeypatch):
         # both wells at N = 100, t = 1e4 share one group of 2 x 633 levels
         calls = []
@@ -293,10 +321,9 @@ class TestNodePlan:
         np.testing.assert_allclose(nodes.force, levels.force, rtol=1e-13, atol=0.0)
 
     def test_routed_point_matches_mp_oracle(self, monkeypatch):
-        # every point routed at NODE_LEVELS has t > 26,214 and costs the oracle
-        # ~2,300 levels a bisection step (~25 s); with the level threshold
-        # lowered, N = 1 at t = 145 is routed at the smallest pole distance the
-        # routing admits, d = sqrt(alpha t) ~ 10, where the rule is least exact
+        # with the level threshold lowered, N = 1 at t = 145 is routed at the
+        # smallest pole distance the routing admits, d = sqrt(alpha t) ~ 10,
+        # where the rule is least exact
         calls = []
         node_plan = occupancy._node_plan
 
@@ -310,4 +337,13 @@ class TestNodePlan:
         assert POLE_DISTANCE**2 <= math.log1p(1.0) * t < 1.01 * POLE_DISTANCE**2
         pair = net_force(ThermoPoint(1, t))
         assert calls
+        assert pair.delta_f == pytest.approx(float(mp_delta_f(1, t)), rel=1e-9)
+
+    def test_routed_point_at_node_levels_matches_mp_oracle(self):
+        # the smallest routed point at N = 1 with the real threshold: 1,026
+        # levels, x0 t ~ 18,230, so both wells run on nodes
+        t = 26_300.0
+        levels = occupancy._cutoff(np.array([1.0 / t]))
+        assert routed(1, t, levels).all()
+        pair = net_force(ThermoPoint(1, t))
         assert pair.delta_f == pytest.approx(float(mp_delta_f(1, t)), rel=1e-9)

@@ -18,7 +18,6 @@ an approximation outside its window and mark it as such.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,12 +30,9 @@ __all__ = [
     "LinearForce",
     "FugacityExpansion",
     "MethodOutOfRangeError",
-    "QuadratureError",
     "delta_f_low_t",
     "delta_f_linear",
-    "trapezoid_sum",
     "bose_integral_closed",
-    "bose_integral_quadrature",
     "semi_analytic_total_number",
     "semi_analytic_alpha",
     "semi_analytic_force",
@@ -58,60 +54,40 @@ class MethodOutOfRangeError(RuntimeError):
     """The semi-analytic constraint admits no solution inside its domain."""
 
 
-class QuadratureError(RuntimeError):
-    """An adaptive quadrature did not converge."""
+def _check_domain(n_particles: int, t) -> None:
+    """ThermoPoint's rule on each t: the domain is an interval, so the ends decide (a nan reaches both)."""
+    for end in (np.min(t), np.max(t)):
+        ThermoPoint(n_particles, float(end))
 
 
-def delta_f_low_t(n_particles: int, t: float) -> float:
-    """Two-level low-temperature net force: 3N/4 + 3 exp(-3/t) - 2 exp(-2/t).
+def delta_f_low_t(n_particles: int, t):
+    """Two-level low-temperature net force at t (scalar or array): 3N/4 + 3 exp(-3/t) - 2 exp(-2/t).
 
     Keeps only the first excited level of each well on top of the
     macroscopically occupied ground states; intended for t below about 1.
     """
-    ThermoPoint(n_particles, t)  # validates N and t
-    return 0.75 * n_particles + 3.0 * math.exp(-3.0 / t) - 2.0 * math.exp(-2.0 / t)
+    _check_domain(n_particles, t)
+    with np.errstate(over="ignore"):  # -3/t may overflow to -inf, whose exp is the right 0
+        return 0.75 * n_particles + 3.0 * np.exp(-3.0 / t) - 2.0 * np.exp(-2.0 / t)
 
 
 @dataclass(frozen=True)
 class LinearForce:
-    """Linear-decrease estimate with its validity marker."""
+    """Linear-decrease estimate with its validity marker (arrays for an array t)."""
 
     value: float
     in_range: bool  # False above t ~ 2N/3 where the linear picture breaks down
 
 
-def delta_f_linear(n_particles: int, t: float) -> LinearForce:
-    """Heuristic linear decrease of the net force: 3N/4 - t/(e - 1)^2.
+def delta_f_linear(n_particles: int, t) -> LinearForce:
+    """Heuristic linear decrease of the net force at t (scalar or array): 3N/4 - t/(e - 1)^2.
 
     Counts the order-sqrt(t) levels whose occupation is neither classical
-    nor exponentially suppressed. Flagged out of range above t = 2N/3.
+    nor exponentially suppressed. Flagged out of range above t = 2N/3, by a mask on an array t.
     """
-    ThermoPoint(n_particles, t)  # validates N and t
+    _check_domain(n_particles, t)
     value = 0.75 * n_particles - t / (math.e - 1.0) ** 2
     return LinearForce(value, t <= 2.0 * n_particles / 3.0)
-
-
-def _quad(fn, a: float, b: float, **kwargs) -> float:
-    from scipy import integrate  # only the quadrature helpers need scipy: import it on first use
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, _ = integrate.quad(fn, a, b, **kwargs)
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureError(str(exc)) from None
-    return value
-
-
-def trapezoid_sum(term_function, s1: float, ds: float) -> float:
-    """Sum-to-integral replacement: y(s1)/2 + (1/ds) * integral of y over [s1, inf).
-
-    Approximates sum_k y(s1 + k*ds) for a function vanishing at infinity;
-    the smaller the spacing ds, the better the replacement.
-    """
-    if ds <= 0.0:
-        raise ValueError(f"spacing must be positive, got {ds}")
-    tail = _quad(term_function, s1, np.inf, limit=200)
-    return 0.5 * term_function(s1) + tail / ds
 
 
 def bose_integral_closed(alpha: float) -> float:
@@ -121,26 +97,6 @@ def bose_integral_closed(alpha: float) -> float:
     alpha^2 on top of a half-percent bias from the three-term kernel fit.
     """
     return _SQRT_PI / 96.0 * (63.0 - 35.0 * alpha)
-
-
-def bose_integral_quadrature(alpha: float) -> float:
-    """Adaptive quadrature of integral_0^inf (a + s^2)/(exp(a + s^2) - 1) ds.
-
-    Serves as the oracle for the closed form above. The integrand value 1
-    at a + s^2 = 0 is supplied by a series patch. Restricted to alpha > -1.
-    """
-    if alpha <= -1.0:
-        raise ValueError(f"alpha must be > -1, got {alpha}")
-
-    def integrand(s: float) -> float:
-        z = alpha + s * s
-        if abs(z) < 1e-8:
-            return 1.0 - 0.5 * z + z * z / 12.0
-        if z > 700.0:
-            return 0.0
-        return z / math.expm1(z)
-
-    return _quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=300)
 
 
 def _bracket_primitive(alpha, v):
@@ -363,8 +319,8 @@ def fugacity_expansion(side: WellSide, n_particles: int, b: float) -> FugacityEx
     return FugacityExpansion(q1, q2, b)
 
 
-def delta_f_high_t(n_particles: int, t: float) -> float:
-    """Leading high-temperature net force: (N/2) sqrt(t/pi).
+def delta_f_high_t(n_particles: int, t):
+    """Leading high-temperature net force at t (scalar or array): (N/2) sqrt(t/pi).
 
     The remainder delta_f - (N/2) sqrt(t/pi) is of order N^2 t^0: it tends
     to about -0.13 N^2 (-0.116 N^2 at N = 10, -0.130 N^2 at N = 100, both at
@@ -372,5 +328,5 @@ def delta_f_high_t(n_particles: int, t: float) -> float:
     about 0.4-0.45 N/sqrt(t) near t = 100 N^2, and falls below 5% only for
     t >~ 80 N^2 (N = 100: ratio 0.675 at t = N^2, 0.956 at t = 100 N^2).
     """
-    ThermoPoint(n_particles, t)  # validates N and t
-    return 0.5 * n_particles * math.sqrt(t / math.pi)
+    _check_domain(n_particles, t)
+    return 0.5 * n_particles * np.sqrt(t / math.pi)

@@ -7,9 +7,9 @@ stays nearly flat below t = 1, decreases roughly linearly, turns around
 near t ~ N and grows like sqrt(t) from there.
 
 A sweep evaluates a set of methods (the exact sums and/or the closed-form
-approximations) over a temperature grid and reports one row per
-(temperature, method) pair. Failures at single points become error rows
-instead of aborting the sweep.
+approximations) over a temperature grid, each as one array evaluation, and
+reports one row per (temperature, method) pair. Failures become error rows
+instead of aborting the sweep; a closed form that raises fails its column.
 """
 
 from __future__ import annotations
@@ -118,56 +118,49 @@ def temperature_grid(config: "SweepConfig") -> list[float]:
     return space(config.t_min, config.t_max, config.grid_points).tolist()
 
 
-def _batched_rows(method: Method, n_particles: int, grid: list[float], tol: float) -> list[SweepRow]:
-    """Numeric or semi-analytic rows from one solve over grid and wells; a failed well makes an error row."""
-    t_rows = np.concatenate((grid, grid))
-    wells = (WellSide.PLUS,) * len(grid) + (WellSide.MINUS,) * len(grid)
+def _column(method: Method, n_particles: int, grid: np.ndarray, tol: float):
+    """One method over the grid: alpha and force ((2, G), PLUS well first; None for a closed form), delta_f, status."""
+    try:  # a closed form that raises fails its whole column
+        if method is Method.LINEAR:
+            linear = approx.delta_f_linear(n_particles, grid)
+            return None, None, linear.value, np.where(linear.in_range, "ok", "out-of-range")
+        if method in (Method.LOW_T, Method.HIGH_T):
+            closed_form = approx.delta_f_low_t if method is Method.LOW_T else approx.delta_f_high_t
+            return None, None, closed_form(n_particles, grid), np.full(len(grid), "ok")
+    except (ValueError, ArithmeticError):
+        return None, None, np.full(len(grid), None), np.full(len(grid), "error")
+    wells, t_rows = (WellSide.PLUS,) * len(grid) + (WellSide.MINUS,) * len(grid), np.concatenate((grid, grid))
     if method is Method.NUMERIC:
         solved = solve_rows(wells, n_particles, 1.0 / t_rows, tol)
-        alpha, force, ok = solved.alpha, solved.force, solved.converged
+        alpha, force, ok = solved.alpha.reshape(2, -1), solved.force.reshape(2, -1), solved.converged
     else:
         alpha, errors = approx.semi_analytic_rows(wells, n_particles, t_rows)
-        halves = zip((WellSide.PLUS, WellSide.MINUS), np.split(alpha, 2), np.split(t_rows, 2))
-        force = np.concatenate([approx.semi_analytic_force(s, a, ts, n_particles) for s, a, ts in halves])
-        ok = np.array([error is None for error in errors])
-    # column 0 is the PLUS well, column 1 the MINUS well
-    alpha = alpha.reshape(2, -1).T.tolist()
-    force = force.reshape(2, -1).T.tolist()
-    ok = ok.reshape(2, -1).all(axis=0).tolist()
-    return [
-        SweepRow(t, method, a[0], a[1], f[0], f[1], f[1] - f[0], "ok")
-        if good
-        else SweepRow(t, method, None, None, None, None, None, "error")
-        for t, a, f, good in zip(grid, alpha, force, ok)
-    ]
+        alpha, ok = alpha.reshape(2, -1), np.array([error is None for error in errors])
+        force = np.array([approx.semi_analytic_force(side, a, grid, n_particles) for side, a in zip(WellSide, alpha)])
+    return alpha, force, force[1] - force[0], np.where(ok.reshape(2, -1).all(axis=0), "ok", "error")
 
 
-def _evaluate_point(n_particles: int, t: float, method: Method) -> SweepRow:
-    """One row of a closed-form approximation: low-t, linear or high-t."""
-    try:
-        if method is Method.LINEAR:
-            result = approx.delta_f_linear(n_particles, t)
-            status = "ok" if result.in_range else "out-of-range"
-            return SweepRow(t, method, None, None, None, None, result.value, status)
-        closed_form = approx.delta_f_low_t if method is Method.LOW_T else approx.delta_f_high_t
-        return SweepRow(t, method, None, None, None, None, closed_form(n_particles, t), "ok")
-    except (ValueError, ArithmeticError):
-        return SweepRow(t, method, None, None, None, None, None, "error")
+def _rows(method: Method, grid: list[float], alpha, force, delta_f, status) -> list[SweepRow]:
+    """The SweepRows of one column; an error row keeps only t, method and status."""
+    fields = np.full((5, len(grid)), None)  # alpha_plus, alpha_minus, f_plus, f_minus, delta_f
+    fields[:4] = None if alpha is None else np.concatenate((alpha, force))
+    fields[4] = delta_f
+    fields[:, status == "error"] = None
+    return [SweepRow(t, method, *values, s) for t, values, s in zip(grid, fields.T.tolist(), status.tolist())]
 
 
 def sweep(config: "SweepConfig") -> list[SweepRow]:
     """Evaluate every configured method over the temperature grid.
 
     Rows come back ordered by temperature and then by method name, one row
-    per (t, method) pair, independent of evaluation order. The numeric rows
-    of the whole grid are solved in one batched pass, and so are the
-    semi-analytic rows.
+    per (t, method) pair, independent of evaluation order. Each method's
+    column is one array evaluation over the grid (one batched solve of every
+    point and both wells for numeric and semi-analytic); a closed form that
+    raises turns its whole column into error rows.
     """
     grid = temperature_grid(config)
     columns = [
-        _batched_rows(method, config.n_particles, grid, config.tolerance)
-        if method in (Method.NUMERIC, Method.SEMI_ANALYTIC)
-        else [_evaluate_point(config.n_particles, t, method) for t in grid]
+        _rows(method, grid, *_column(method, config.n_particles, np.array(grid), config.tolerance))
         for method in sorted(config.methods, key=lambda m: m.value)
     ]
     return [row for rows_at_t in zip(*columns) for row in rows_at_t]

@@ -89,3 +89,17 @@ def direct_force_theta(plus: bool, k: int, b: float) -> float:
         if n > 3 and term < 1e-18 * total:
             return total
         n += 1
+
+
+def bose_integral_quadrature(alpha: float) -> float:
+    """integral_0^inf (a + s^2)/(exp(a + s^2) - 1) ds by mpmath quadrature, for alpha > -1.
+
+    The oracle for approx.bose_integral_closed. For alpha < 0 the range is
+    split at s = sqrt(-alpha), where a + s^2 = 0 and the integrand has its
+    removable point (value 1).
+    """
+    if alpha <= -1.0:
+        raise ValueError(f"alpha must be > -1, got {alpha}")
+    a = mpf(alpha)
+    points = [0, mp.sqrt(-a), mp.inf] if alpha < 0.0 else [0, mp.inf]
+    return float(mp.quad(lambda s: (a + s * s) / mp.expm1(a + s * s), points))

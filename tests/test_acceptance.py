@@ -24,7 +24,6 @@ from boxforce import (
     ThermoPoint,
     WellSide,
     bose_integral_closed,
-    bose_integral_quadrature,
     delta_f_high_t,
     delta_f_linear,
     delta_f_low_t,
@@ -38,7 +37,7 @@ from boxforce import (
     total_number,
 )
 
-from _oracles import direct_force_theta, mp_delta_f
+from _oracles import bose_integral_quadrature, direct_force_theta, mp_delta_f
 
 P = WellSide.PLUS
 M = WellSide.MINUS

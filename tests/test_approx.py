@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from boxforce import (
-    QuadratureError,
     ThermoPoint,
     WellSide,
     bose_integral_closed,
-    bose_integral_quadrature,
     delta_f_high_t,
     delta_f_linear,
     delta_f_low_t,
@@ -22,11 +20,10 @@ from boxforce import (
     semi_analytic_total_number,
     solve_alpha,
     theta_partition_sum,
-    trapezoid_sum,
 )
 from boxforce.approx import semi_analytic_rows
 
-from _oracles import direct_force_theta
+from _oracles import bose_integral_quadrature, direct_force_theta
 
 P = WellSide.PLUS
 M = WellSide.MINUS
@@ -37,7 +34,6 @@ THETA_PLUS_K1_B1 = 0.88613524849218998      # sum exp(-e_n) over the PLUS levels
 THETA_MINUS_K1_B001 = 8.3622692545275801    # sum exp(-0.01 e_n) over the MINUS levels
 FORCE_THETA_PLUS_K1_B1 = 0.44397243957959541  # sum e_n exp(-e_n) over the PLUS levels
 BOSE_INTEGRAL_AT_0 = 1.1575786866970585     # (sqrt(pi)/4) zeta(3/2)
-GEOMETRIC_SUM = 1.5819767068693264          # sum exp(-n), n >= 0
 
 
 class TestLowT:
@@ -82,29 +78,32 @@ class TestLinear:
             assert abs(delta_f_linear(100, t).value - exact) <= 6.5
 
 
-class TestTrapezoidSum:
-    def test_exponential_spacing_one(self):
-        value = trapezoid_sum(lambda s: math.exp(-s), 0.0, 1.0)
-        assert value == pytest.approx(1.5, rel=1e-12)
-        # the exact lattice sum is the geometric series; at ds = 1 the
-        # replacement is off by ~0.08, which is the expected quality
-        assert abs(value - GEOMETRIC_SUM) < 0.1
+class TestArrayT:
+    """The closed forms on an array of temperatures, as a sweep column calls them."""
 
-    def test_gaussian_diverges_like_inverse_spacing(self):
-        ds = 1e-3
-        value = trapezoid_sum(lambda s: math.exp(-s * s), 0.0, ds)
-        assert value == pytest.approx(0.5 + SQRT_PI / (2.0 * ds), rel=1e-10)
+    GRID = np.concatenate((np.geomspace(1e-3, 1e6, 400), np.linspace(0.5, 500.0, 333)))
 
-    def test_zero_function(self):
-        assert trapezoid_sum(lambda s: 0.0, 0.0, 0.5) == 0.0
+    def test_low_t_matches_scalar_calls_within_two_ulp(self):
+        scalar = np.array([delta_f_low_t(7, float(t)) for t in self.GRID])
+        assert np.all(np.abs(delta_f_low_t(7, self.GRID) - scalar) <= 2.0 * np.spacing(scalar))
 
-    def test_rejects_bad_spacing(self):
+    def test_linear_and_high_t_match_scalar_calls_exactly(self):
+        linear = delta_f_linear(7, self.GRID)
+        assert linear.value.tolist() == [delta_f_linear(7, float(t)).value for t in self.GRID]
+        assert linear.in_range.tolist() == [delta_f_linear(7, float(t)).in_range for t in self.GRID]
+        assert delta_f_high_t(7, self.GRID).tolist() == [delta_f_high_t(7, float(t)) for t in self.GRID]
+
+    def test_low_t_overflowing_exponent_is_the_plateau(self):
+        # 1/t is finite at t = 1e-308 but 3/t is not; exp(-inf) = 0 without a warning
+        assert delta_f_low_t(100, np.array([1e-308, 1e-300])).tolist() == [75.0, 75.0]
+
+    @pytest.mark.parametrize("closed_form", [delta_f_low_t, delta_f_linear, delta_f_high_t])
+    @pytest.mark.parametrize("n, bad", [(100, 0.0), (100, -1.0), (100, math.inf), (100, math.nan), (100, 1e-320), (0, 1.0)])
+    def test_bad_element_raises_like_a_scalar(self, closed_form, n, bad):
         with pytest.raises(ValueError):
-            trapezoid_sum(math.exp, 0.0, 0.0)
-
-    def test_nonconvergent_integrand_raises(self):
-        with pytest.raises(QuadratureError):
-            trapezoid_sum(math.sin, 0.0, 1.0)
+            closed_form(n, bad)
+        with pytest.raises(ValueError):
+            closed_form(n, np.array([0.5, bad, 2.0]))
 
 
 class TestBoseIntegral:

@@ -196,6 +196,20 @@ class TestSweep:
         assert all(row.status == "ok" for row in rows if row.method is Method.HIGH_T)
 
 
+    def test_each_closed_form_called_once_with_the_grid(self, monkeypatch):
+        calls = []
+        for name in ("delta_f_low_t", "delta_f_linear", "delta_f_high_t"):
+            def counted(n, t, original=getattr(force.approx, name), name=name):
+                calls.append((name, np.shape(t)))
+                return original(n, t)
+
+            monkeypatch.setattr(force.approx, name, counted)
+        methods = frozenset({Method.LOW_T, Method.LINEAR, Method.HIGH_T})
+        rows = sweep(SweepConfig(t_min=0.01, t_max=1e4, grid_points=50, methods=methods))
+        assert sorted(calls) == [("delta_f_high_t", (50,)), ("delta_f_linear", (50,)), ("delta_f_low_t", (50,))]
+        assert len(rows) == 150
+        assert all(row.status != "error" and isinstance(row.delta_f, float) for row in rows)
+
 def test_temperature_grid_scales():
     log_cfg = SweepConfig(t_min=0.1, t_max=10.0, grid_points=3)
     assert temperature_grid(log_cfg) == pytest.approx([0.1, 1.0, 10.0], rel=1e-12)

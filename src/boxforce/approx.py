@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .occupancy import ConstraintSolverError, ThermoPoint
+from .occupancy import ConstraintSolverError, check_domain
 from .spectrum import WellSide, energy_level
 
 __all__ = [
@@ -54,19 +53,13 @@ class MethodOutOfRangeError(RuntimeError):
     """The semi-analytic constraint admits no solution inside its domain."""
 
 
-def _check_domain(n_particles: int, t) -> None:
-    """ThermoPoint's rule on each t: the domain is an interval, so the ends decide (a nan reaches both)."""
-    for end in (np.min(t), np.max(t)):
-        ThermoPoint(n_particles, float(end))
-
-
 def delta_f_low_t(n_particles: int, t):
     """Two-level low-temperature net force at t (scalar or array): 3N/4 + 3 exp(-3/t) - 2 exp(-2/t).
 
     Keeps only the first excited level of each well on top of the
     macroscopically occupied ground states; intended for t below about 1.
     """
-    _check_domain(n_particles, t)
+    check_domain(n_particles, t)
     with np.errstate(over="ignore"):  # -3/t may overflow to -inf, whose exp is the right 0
         return 0.75 * n_particles + 3.0 * np.exp(-3.0 / t) - 2.0 * np.exp(-2.0 / t)
 
@@ -85,7 +78,7 @@ def delta_f_linear(n_particles: int, t) -> LinearForce:
     Counts the order-sqrt(t) levels whose occupation is neither classical
     nor exponentially suppressed. Flagged out of range above t = 2N/3, by a mask on an array t.
     """
-    _check_domain(n_particles, t)
+    check_domain(n_particles, t)
     value = 0.75 * n_particles - t / (math.e - 1.0) ** 2
     return LinearForce(value, t <= 2.0 * n_particles / 3.0)
 
@@ -113,26 +106,11 @@ def _bracket_primitive(alpha, v):
     return np.where(np.abs(alpha) < _ALPHA_SERIES_CUTOFF, series, branch)
 
 
-class _TrapezoidRows(NamedTuple):
-    """Constants of the rows of a trapezoid-rule constraint, computed once per solve."""
-
-    b_e1: np.ndarray
-    b_e2: np.ndarray
-    s2: np.ndarray  # sqrt(b e_2), where the integral starts
-    inv_s2: np.ndarray
-    sqrt_b: np.ndarray
-
-    @classmethod
-    def of(cls, e1, e2, b) -> "_TrapezoidRows":
-        s2 = np.sqrt(b * e2)
-        return cls(b * e1, b * e2, s2, 1.0 / s2, np.sqrt(b))
-
-
-def _trapezoid_number(alpha, rows: _TrapezoidRows):
-    root = np.sqrt(2.0 - alpha)
-    head = 1.0 / (alpha + rows.b_e1) + 0.5 / (alpha + rows.b_e2) - 0.75
-    edge = -(root - rows.s2) / (2.0 * rows.sqrt_b)
-    tail = (_bracket_primitive(alpha, rows.inv_s2) - _bracket_primitive(alpha, 1.0 / root)) / rows.sqrt_b
+def _trapezoid_number(alpha, e1, e2, b):
+    root, sqrt_b, s2 = np.sqrt(2.0 - alpha), np.sqrt(b), np.sqrt(b * e2)  # the integral starts at s2
+    head = 1.0 / (alpha + b * e1) + 0.5 / (alpha + b * e2) - 0.75
+    edge = -(root - s2) / (2.0 * sqrt_b)
+    tail = (_bracket_primitive(alpha, 1.0 / s2) - _bracket_primitive(alpha, 1.0 / root)) / sqrt_b
     return head + edge + tail
 
 
@@ -143,11 +121,12 @@ def semi_analytic_total_number(side: WellSide, alpha, b):
     integral cut off where the exponent reaches 2, and linearizes the
     Bose kernel on that range. Defined for -b e_1 < alpha < 2, on arrays too.
     """
+    check_domain(t=b)
     e1 = side.ground_energy
-    if np.any(b <= 0.0) or np.any(alpha + b * e1 <= 0.0) or np.any(alpha >= 2.0):
-        raise ValueError(f"need b > 0 and -b*e_1 < alpha < 2, got b = {b}, alpha = {alpha}")
+    if not (np.all(alpha + b * e1 > 0.0) and np.all(alpha < 2.0)):
+        raise ValueError(f"need -b*e_1 < alpha < 2, got b = {b}, alpha = {alpha}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _trapezoid_number(alpha, _TrapezoidRows.of(e1, energy_level(side, 2), b))
+        return _trapezoid_number(alpha, e1, energy_level(side, 2), b)
 
 
 def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exception | None]]:
@@ -162,12 +141,12 @@ def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exc
     """
     levels = {side: (side.ground_energy, energy_level(side, 2)) for side in WellSide}
     e1, e2 = np.array([levels[side] for side in sides]).T
-    rows = _TrapezoidRows.of(e1, e2, 1.0 / np.broadcast_to(t, e1.shape))
-    pole = rows.b_e1
+    b = 1.0 / np.broadcast_to(t, e1.shape)
+    pole = b * e1
     ends = np.stack((-pole + 1e-10 * np.maximum(1.0, pole), np.full(len(e1), 2.0 - 1e-12)))
     with np.errstate(all="ignore"):
         lo, hi = ends
-        f_lo, f_hi = (_trapezoid_number(ends, rows) - n_particles) * (ends + pole)
+        f_lo, f_hi = (_trapezoid_number(ends, e1, e2, b) - n_particles) * (ends + pole)
         out_of_range = f_hi > 0.0
         live = (f_lo >= 0.0) & (f_hi <= 0.0)  # false on nan
         moved_lo = moved_hi = np.zeros(len(e1), dtype=bool)
@@ -177,7 +156,7 @@ def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exc
             if step == 200 or not live.any():
                 break
             x = np.clip(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + 0.5 * tol, hi - 0.5 * tol)
-            f = (_trapezoid_number(x, rows) - n_particles) * (x + pole)
+            f = (_trapezoid_number(x, e1, e2, b) - n_particles) * (x + pole)
             up = live & (f > 0.0)  # the root lies above x
             down = live & (f <= 0.0)  # a nan drops the row
             # Illinois: an end kept twice in a row has its value halved
@@ -205,7 +184,7 @@ def _solved(alpha: np.ndarray, errors: list[Exception | None]) -> list[float]:
 
 def semi_analytic_alpha(side: WellSide, n_particles: int, t: float) -> float:
     """Solve the trapezoid-rule constraint for alpha, meant for t >> 1: one row of semi_analytic_rows."""
-    ThermoPoint(n_particles, t)  # validates N and t
+    check_domain(n_particles, t)
     return _solved(*semi_analytic_rows((side,), n_particles, t))[0]
 
 
@@ -224,7 +203,7 @@ def semi_analytic_delta_f(n_particles: int, t: float) -> float:
     Equals (N t + (35/96) sqrt(pi) t^(3/2)) (alpha_plus - alpha_minus) plus
     (sqrt(e_1_plus) - sqrt(e_1_minus)) t.
     """
-    ThermoPoint(n_particles, t)  # validates N and t
+    check_domain(n_particles, t)
     alpha_plus, alpha_minus = _solved(*semi_analytic_rows((WellSide.PLUS, WellSide.MINUS), n_particles, t))
     f_plus = semi_analytic_force(WellSide.PLUS, alpha_plus, t, n_particles)
     return semi_analytic_force(WellSide.MINUS, alpha_minus, t, n_particles) - f_plus
@@ -247,7 +226,7 @@ def theta_partition_sum(side: WellSide, k: int, b: float, method: str = "direct"
         while True:
             term = math.exp(-u * energy_level(side, n))
             total += term
-            if term < _SERIES_TOL * total:
+            if term <= _SERIES_TOL * total:  # an all-zero tail ends the sum once the terms underflow
                 return total
             n += 1
     if method == "poisson":
@@ -265,10 +244,9 @@ def poisson_force_sum(side: WellSide, k: int, b: float) -> float:
 
 
 def _theta_exponent(k: int, b: float) -> float:
-    if k < 1:
+    if not 1 <= k < math.inf:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if b <= 0.0:
-        raise ValueError(f"inverse temperature must be positive, got {b}")
+    check_domain(t=b)
     return k * b
 
 
@@ -310,10 +288,7 @@ def fugacity_expansion(side: WellSide, n_particles: int, b: float) -> FugacityEx
     Validity requires N sqrt(b) to be small; outside that window the
     returned expansion is flagged invalid rather than rejected.
     """
-    if n_particles < 1:
-        raise ValueError(f"particle number must be >= 1, got {n_particles}")
-    if b <= 0.0:
-        raise ValueError(f"inverse temperature must be positive, got {b}")
+    check_domain(n_particles, b)
     q1 = 2.0 * n_particles * math.sqrt(b / math.pi)
     q2 = 2.0 * n_particles * (side.sigma - math.sqrt(2.0) * n_particles) * b / math.pi
     return FugacityExpansion(q1, q2, b)
@@ -328,5 +303,5 @@ def delta_f_high_t(n_particles: int, t):
     about 0.4-0.45 N/sqrt(t) near t = 100 N^2, and falls below 5% only for
     t >~ 80 N^2 (N = 100: ratio 0.675 at t = N^2, 0.956 at t = 100 N^2).
     """
-    _check_domain(n_particles, t)
+    check_domain(n_particles, t)
     return 0.5 * n_particles * np.sqrt(t / math.pi)

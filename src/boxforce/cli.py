@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .force import GridScale, Method, SweepRow, sweep
-from .occupancy import DEFAULT_TOL
+from .occupancy import DEFAULT_TOL, check_domain, check_tolerance
 
 __all__ = ["SweepConfig", "CSV_HEADER", "parse_config", "write_csv", "run", "main"]
 
@@ -46,16 +46,14 @@ class SweepConfig:
     output_path: str = "-"
 
     def __post_init__(self) -> None:
-        if self.n_particles < 1:
-            raise ValueError(f"--n-particles must be >= 1, got {self.n_particles}")
-        if not (0.0 < self.t_min <= self.t_max < float("inf") and 1.0 / self.t_min < float("inf")):
-            raise ValueError(f"need finite 0 < t_min <= t_max and 1/t_min, got [{self.t_min}, {self.t_max}]")
+        check_domain(self.n_particles, (self.t_min, self.t_max))
+        if not self.t_min <= self.t_max:
+            raise ValueError(f"--t-min must not exceed --t-max, got [{self.t_min}, {self.t_max}]")
         if self.grid_points < 1:
             raise ValueError(f"--points must be >= 1, got {self.grid_points}")
         if not self.methods:
             raise ValueError("--methods must name at least one method")
-        if not (0.0 < self.tolerance < 1.0):
-            raise ValueError(f"--tol must lie in (0, 1), got {self.tolerance}")
+        check_tolerance(self.tolerance)
 
 
 def _parse_methods(text: str) -> frozenset[Method]:

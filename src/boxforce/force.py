@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import approx
-from .occupancy import DEFAULT_TOL, ThermoPoint, solve_alpha, solve_rows
+from .occupancy import DEFAULT_TOL, ThermoPoint, check_domain, solve_alpha, solve_rows
 from .spectrum import WellSide
 
 if TYPE_CHECKING:
@@ -105,8 +105,7 @@ def net_force_zero_t(n_particles: int) -> float:
     Handled analytically because b = 1/t is outside the numeric pipeline's
     domain at t = 0.
     """
-    if n_particles < 1:
-        raise ValueError(f"particle number must be >= 1, got {n_particles}")
+    check_domain(n_particles)
     return 0.75 * n_particles
 
 

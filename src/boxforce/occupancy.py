@@ -72,6 +72,27 @@ POLE_DISTANCE = 10.0
 NODE_LEVELS = 1 << 10
 
 
+def check_domain(n_particles: int = 1, t=1.0) -> None:
+    """The model's input rule, raising ValueError: N finite and >= 1, t positive with finite t and 1/t.
+
+    The rule is symmetric under t <-> 1/t, so it checks b = 1/t unchanged. On
+    an array (or numpy scalar) t the smallest and largest elements decide, a
+    nan reaching both; a Python float or int takes no numpy call. A left-out
+    argument passes.
+    """
+    if not 1 <= n_particles < math.inf:
+        raise ValueError(f"particle number must be finite and >= 1, got {n_particles}")
+    for end in (t,) if type(t) in (float, int) else (float(np.min(t)), float(np.max(t))):
+        if not (0.0 < end < math.inf and 1.0 / end < math.inf):
+            raise ValueError(f"temperature (or b = 1/t) must be positive with finite t and 1/t, got {end}")
+
+
+def check_tolerance(tol: float) -> None:
+    """The solver tolerance rule, 0 < tol < 1 (a nan fails). Raises ValueError."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+
+
 @dataclass(frozen=True)
 class ThermoPoint:
     """One (particle number, temperature) evaluation point."""
@@ -80,10 +101,7 @@ class ThermoPoint:
     t: float
 
     def __post_init__(self) -> None:
-        if self.n_particles < 1:
-            raise ValueError(f"particle number must be >= 1, got {self.n_particles}")
-        if not (0.0 < self.t < math.inf and 1.0 / self.t < math.inf):
-            raise ValueError(f"temperature must be positive with finite t and 1/t, got {self.t}")
+        check_domain(self.n_particles, self.t)
 
     @property
     def b(self) -> float:
@@ -125,7 +143,7 @@ def occupation(alpha: float, b: float, energy: float) -> float:
     occupation would be divergent or negative.
     """
     z = alpha + b * energy
-    if z <= 0.0:
+    if not z > 0.0:
         raise ValueError(f"alpha + b*e must be positive, got {z}")
     if z > OVERFLOW_EXPONENT:
         return 0.0
@@ -210,9 +228,10 @@ def _level_sums(x, plans):
 
 def total_number(side: WellSide, alpha: float, b: float) -> float:
     """Total occupation sum over the levels of one half well, cut off at TAIL_EXPONENT."""
+    check_domain(t=b)
     x = alpha + b * side.ground_energy
-    if not (b > 0.0 and x > 0.0):
-        raise ValueError(f"need b > 0 and alpha + b*e_1 > 0, got b = {b}, alpha + b*e_1 = {x}")
+    if not x > 0.0:
+        raise ValueError(f"alpha + b*e_1 must be positive, got {x}")
     levels = _cutoff(np.array([b]))
     if levels[0] > MAX_LEVELS:
         raise ValueError(f"inverse temperature {b} needs more than {MAX_LEVELS} levels")
@@ -276,8 +295,7 @@ def solve_rows(
     Any other row wider than _TILE levels rebuilds its plan chunk by chunk
     on each evaluation, which keeps memory bounded.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    check_tolerance(tol)
     rows = len(sides)
     plus = np.fromiter((side is WellSide.PLUS for side in sides), dtype=bool, count=rows)
     ground = np.where(plus, WellSide.PLUS.ground_energy, WellSide.MINUS.ground_energy)

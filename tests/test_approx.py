@@ -98,7 +98,11 @@ class TestArrayT:
         assert delta_f_low_t(100, np.array([1e-308, 1e-300])).tolist() == [75.0, 75.0]
 
     @pytest.mark.parametrize("closed_form", [delta_f_low_t, delta_f_linear, delta_f_high_t])
-    @pytest.mark.parametrize("n, bad", [(100, 0.0), (100, -1.0), (100, math.inf), (100, math.nan), (100, 1e-320), (0, 1.0)])
+    @pytest.mark.parametrize(
+        "n, bad",
+        [(100, 0.0), (100, -1.0), (100, math.inf), (100, math.nan), (100, 1e-320), (0, 1.0),
+         (math.nan, 1.0), (math.inf, 1.0)],
+    )
     def test_bad_element_raises_like_a_scalar(self, closed_form, n, bad):
         with pytest.raises(ValueError):
             closed_form(n, bad)
@@ -251,6 +255,11 @@ class TestThetaSums:
         value = theta_partition_sum(M, 1, 0.01, "poisson")
         assert value == pytest.approx(math.sqrt(math.pi / 0.04) - 0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("side, k, b", [(M, 1, 710.0), (P, 1, 2970.0), (P, 2, 1500.0)])
+    def test_underflowing_terms_end_the_direct_sum(self, side, k, b):
+        # past k b e_1 ~ 708 the relative cutoff underflows to 0; the zero tail still ends the sum
+        assert theta_partition_sum(side, k, b, "direct") == math.exp(-k * b * side.ground_energy)
+
     def test_large_exponent_single_term(self):
         u = 30.0
         value = theta_partition_sum(M, 1, u, "direct")
@@ -302,7 +311,11 @@ class TestFugacityExpansion:
         assert not fugacity_expansion(P, 100, 1e-3).is_valid
         assert fugacity_expansion(P, 100, 1e-9).is_valid
 
-    @pytest.mark.parametrize("n, b", [(0, 1e-3), (-1, 1e-3), (1, 0.0), (1, -1e-3)])
+    @pytest.mark.parametrize(
+        "n, b",
+        [(0, 1e-3), (-1, 1e-3), (1, 0.0), (1, -1e-3),
+         (math.nan, 1e-3), (math.inf, 1e-3), (1, -1.0), (1, math.nan), (1, math.inf), (1, 1e-320)],
+    )
     def test_rejects_bad_inputs(self, n, b):
         with pytest.raises(ValueError):
             fugacity_expansion(P, n, b)
@@ -369,3 +382,39 @@ class TestSeriesReconstruction:
                 break
             k += 1
         assert series == pytest.approx(reference, rel=1e-12)
+
+
+BAD_N = [0, math.nan, math.inf]
+BAD_T = [0.0, -1.0, math.nan, math.inf, 1e-320]  # 1/1e-320 overflows
+
+
+class TestInputRule:
+    """Each entry taking N, t or b raises ValueError on every bad value of the one input rule."""
+
+    @pytest.mark.parametrize(
+        "entry", [semi_analytic_delta_f, lambda n, t: semi_analytic_alpha(P, n, t)], ids=["delta_f", "alpha"]
+    )
+    @pytest.mark.parametrize("n, t", [(n, 10.0) for n in BAD_N] + [(100, t) for t in BAD_T])
+    def test_semi_analytic_n_and_t(self, entry, n, t):
+        with pytest.raises(ValueError):
+            entry(n, t)
+
+    @pytest.mark.parametrize("alpha, b", [(0.1, b) for b in BAD_T] + [(math.nan, 0.1)])
+    def test_semi_analytic_total_number_b_and_nan_alpha(self, alpha, b):
+        with pytest.raises(ValueError):
+            semi_analytic_total_number(P, alpha, b)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda k, b: theta_partition_sum(P, k, b, "direct"),
+            lambda k, b: theta_partition_sum(P, k, b, "poisson"),
+            lambda k, b: poisson_force_sum(P, k, b),
+        ],
+        ids=["theta-direct", "theta-poisson", "poisson-force"],
+    )
+    @pytest.mark.parametrize("k, b", [(k, 1.0) for k in BAD_N] + [(1, b) for b in BAD_T])
+    def test_theta_sums_k_and_b(self, entry, k, b):
+        # unchecked, a nan or inf k or b keeps the sums from ever ending
+        with pytest.raises(ValueError):
+            entry(k, b)

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -66,6 +67,16 @@ class TestParseConfig:
             parse_config(argv)
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_particles", n) for n in (0, math.nan, math.inf)]
+        + [(end, t) for end in ("t_min", "t_max") for t in (0.0, -1.0, math.nan, math.inf, 1e-320)],
+    )
+    def test_config_rejects_bad_n_and_t(self, field, value):
+        # the library path, past argparse's own type checks
+        with pytest.raises(ValueError):
+            SweepConfig(**{field: value})
 
     def test_help_lists_methods_and_defaults(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "500")  # one line per option, so no name is hyphen-wrapped

@@ -111,6 +111,11 @@ class TestNetForceZeroT:
         with pytest.raises(ValueError):
             net_force_zero_t(0)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_rejects_non_finite_n(self, n):
+        with pytest.raises(ValueError):
+            net_force_zero_t(n)
+
 
 class TestSweep:
     def test_single_point_numeric(self):
@@ -249,9 +254,9 @@ class TestBatchedSolve:
         bad_t = temperature_grid(config)[2]
         original = approx._trapezoid_number
 
-        def lifted(alpha, rows):
+        def lifted(alpha, e1, e2, b):
             # the constraint of bad_t stays above N up to alpha = 2: no admissible root
-            return original(alpha, rows) + np.where(rows.sqrt_b == np.sqrt(1.0 / bad_t), 1e9, 0.0)
+            return original(alpha, e1, e2, b) + np.where(b == 1.0 / bad_t, 1e9, 0.0)
 
         monkeypatch.setattr(approx, "_trapezoid_number", lifted)
         with pytest.raises(approx.MethodOutOfRangeError):

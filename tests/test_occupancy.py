@@ -55,7 +55,11 @@ class TestThermoPoint:
         assert point.b == 4.0
         assert point.b * point.t == pytest.approx(1.0, rel=1e-15)
 
-    @pytest.mark.parametrize("n, t", [(0, 1.0), (-5, 1.0), (1, 0.0), (1, -2.0), (1, math.inf), (1, 1e-310)])
+    @pytest.mark.parametrize(
+        "n, t",
+        [(0, 1.0), (-5, 1.0), (1, 0.0), (1, -2.0), (1, math.inf), (1, 1e-310),
+         (math.nan, 1.0), (math.inf, 1.0), (1, -1.0), (1, math.nan), (1, 1e-320)],
+    )
     def test_rejects_bad_points(self, n, t):
         with pytest.raises(ValueError):
             ThermoPoint(n, t)
@@ -72,7 +76,9 @@ class TestOccupation:
     def test_derived_value(self):
         assert occupation(0.6, 0.1, 4.0) == pytest.approx(OCCUPATION_AT_UNIT_EXPONENT, rel=1e-14)
 
-    @pytest.mark.parametrize("alpha, b, e", [(0.0, 1.0, 0.0), (-1.0, 1.0, 0.5), (-10.0, 0.1, 50.0)])
+    @pytest.mark.parametrize(
+        "alpha, b, e", [(0.0, 1.0, 0.0), (-1.0, 1.0, 0.5), (-10.0, 0.1, 50.0), (math.nan, 1.0, 0.0)]
+    )
     def test_nonpositive_exponent_rejected(self, alpha, b, e):
         with pytest.raises(ValueError):
             occupation(alpha, b, e)
@@ -95,6 +101,14 @@ class TestTotalNumber:
             total_number(P, -1.0, 1.0)
         with pytest.raises(ValueError, match="levels"):
             total_number(P, 1.0, 1e-17)  # t = 1e17 needs ~2e9 levels, past MAX_LEVELS
+
+    @pytest.mark.parametrize(
+        "alpha, b", [(1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, math.inf), (1.0, 1e-320), (math.nan, 1.0)]
+    )
+    def test_rejects_bad_b_and_nan_alpha(self, alpha, b):
+        # b = 1/t follows the t rule unchanged; 1/1e-320 overflows
+        with pytest.raises(ValueError):
+            total_number(P, alpha, b)
 
     def test_monotone_decreasing_in_alpha(self):
         rng = np.random.default_rng(11)

@@ -9,13 +9,15 @@ At low temperature alpha approaches log1p(1/N) - b e_1, a difference of
 two numbers of order b, while x stays of order 1/N; solving for x keeps
 the ground-state occupation fully resolved at every temperature. A row's
 levels stay fixed during a solve, so solve_rows builds the level plan of
-each group of rows once and runs Newton on it to the end. A wide row far
-from condensation (see NODE_STEP) sums its levels as one integral instead,
-on ~100 trapezoid nodes, which Poisson summation makes exact up to a
-remainder far below rounding. The level cutoff (TAIL_EXPONENT), the node
-rule and the batched monotone Newton iteration are choices of this
-implementation; only the occupation formula and the constraint itself are
-physics.
+each group of rows once and runs Newton on it to the end. A wide row sums
+its levels as one integral instead, on at most 100 fixed nodes, which
+Poisson summation makes exact up to a remainder far below rounding. Far
+from condensation the integrand is the occupation itself (see NODE_STEP).
+Near it, the occupation's pole at zero exponent is split off and summed in
+closed form, and only the analytic remainder is integrated (see
+_SPLIT_STEP). The level cutoff (TAIL_EXPONENT), both node rules and the
+batched monotone Newton iteration are choices of this implementation; only
+the occupation formula and the constraint itself are physics.
 """
 
 from __future__ import annotations
@@ -50,26 +52,53 @@ DEFAULT_TOL = 1e-12
 MAX_ITER = 200
 # rows whose cutoff passes this many levels (t > ~2.5e14) are not attempted
 MAX_LEVELS = 100_000_000
-# largest (rows x levels) plan chunk or level-sum temporary, in float64 elements
+# largest (rows x levels) plan or level-sum temporary, in float64 elements
 _TILE = 1 << 14
-# A row of more than NODE_LEVELS levels whose start x0 = log1p(1/N) has
-# x0 t >= POLE_DISTANCE**2 sums its levels as one integral (_node_plan). The
-# levels are symmetric about n = 1/2 (PLUS) or n = 0 (MINUS), so the sum over
-# n >= 1 is half the sum over all integers n, less N(0)/2 for MINUS, and by
-# Poisson summation that sum is the integral of N(n) up to ~2 pi (t / d)
-# exp(-2 pi d), d = sqrt(alpha t) being the distance from the real n axis of
-# the occupation's nearest pole. x only climbs from x0, so d >= sqrt(99) at
-# every iterate, and the remainder is below ~1e-26 of the sum. The integral
-# is the trapezoid rule of step NODE_STEP in s, n - centre = sqrt(x0 t)
-# sinh(s), whose error falls like exp(-pi^2 / (2 NODE_STEP)), the mapped
-# integrand being analytic for |Im s| < ~pi/4. Against math.fsum direct sums
-# it measured ~2e-9 relative at step 0.2 and at most 4.4e-16, the rounding
-# floor, at 0.12. The nodes reach s = asinh(sqrt(TAIL_EXPONENT / x0)), the
-# level cutoff, so the discarded tail is the one TAIL_EXPONENT bounds. That
-# is 24 nodes a row at N = 1, 61 at N = 1e4 and 99 at N = 1e8, at any t.
+# A row of more than NODE_LEVELS levels (t > ~26,200) sums its levels as one
+# integral. The levels are symmetric about n = 1/2 (PLUS) or n = 0 (MINUS), so
+# the sum over n >= 1 is half the sum over all integers n, less N(0)/2 for
+# MINUS, and by Poisson summation that sum is the integral of N(n) up to
+# ~2 pi (t / d) exp(-2 pi d), d being the distance from the real n axis of the
+# integrand's nearest pole. POLE_DISTANCE picks the integrand. A row whose
+# start x0 = log1p(1/N) has x0 t >= POLE_DISTANCE**2 integrates the occupation
+# itself (_node_plan): its nearest pole lies d = sqrt(alpha t) away, x only
+# climbs from x0, so d >= sqrt(99) at every iterate, and the remainder is
+# below ~1e-26 of the sum. The integral is the trapezoid rule of step
+# NODE_STEP in s, n - centre = sqrt(x0 t) sinh(s), whose error falls like
+# exp(-pi^2 / (2 NODE_STEP)), the mapped integrand being analytic for
+# |Im s| < ~pi/4. Against math.fsum direct sums it measured ~2e-9 relative at
+# step 0.2 and at most 4.4e-16, the rounding floor, at 0.12. The nodes reach
+# s = asinh(sqrt(TAIL_EXPONENT / x0)), the level cutoff, so the discarded tail
+# is the one TAIL_EXPONENT bounds. That is 24 nodes a row at N = 1, 61 at
+# N = 1e4 and 99 at N = 1e8, at any t. Any other wide row is near
+# condensation, and takes the pole split of _SPLIT_STEP.
 NODE_STEP = 0.12
 POLE_DISTANCE = 10.0
 NODE_LEVELS = 1 << 10
+# A wide row with x0 t < POLE_DISTANCE**2 splits its occupation 1/expm1(z),
+# z = alpha + b (n - c)^2 with c = 1/2 (PLUS) or 0 (MINUS), into the pole 1/z
+# and the remainder r(z) = 1/expm1(z) - 1/z (_split_sums). The pole's lattice
+# sum is closed form in A = alpha t (_lattice). r is analytic at z = 0 and its
+# nearest poles, z = +-2 pi i, lie ~sqrt(pi t) >= 286 from the real n axis, so
+# its lattice sum is sqrt(t) times the integral of r(alpha + v^2) dv to far
+# below rounding; so are those of z/expm1(z), for the force, and of r', for
+# Newton's derivative. The integrals are the trapezoid rule of step
+# _SPLIT_STEP in s on the double-exponential map v = sinh((pi/2) sinh s),
+# s in [0, 4), _SPLIT_NODES nodes a row at any N and t: r decays only like
+# -1/v^2, which a sinh map cannot follow. The last node sits at v ~ 2e18, so
+# the discarded tail of r is ~5e-19. Against math.fsum direct sums the rule
+# measured, in the worst of sum N_n, sum N_n^2 and sum (e_n - e_1) N_n,
+# ~4e-11 relative at step 0.07, ~3e-14 at 0.05 and at most 1.5e-15, the
+# rounding floor, at 0.04 (N = 1e3 to 1e16, t from the NODE_LEVELS threshold
+# to x0 t = 100 or 1e10, both wells, at x0, the root and three times the root). Far
+# from condensation the split loses digits to cancellation between the pole
+# sum and the integral of r (at N = 1, t = 1e10, with the head series widened
+# to reach alpha ~ 11: ~7e-12 in sum N_n and ~1e-10 in the force sum), which
+# is why POLE_DISTANCE stays.
+_SPLIT_STEP = 0.04
+_SPLIT_NODES = 100
+# terms of the power series of _series, which reach rounding for |Y| <= 12
+_SERIES_TERMS = 18
 
 
 def check_domain(n_particles: int = 1, t=1.0) -> None:
@@ -172,16 +201,14 @@ def _gaps(plus: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.where(plus[:, None], level_gap(WellSide.PLUS, n), level_gap(WellSide.MINUS, n))
 
 
-def _plans(plus, b, levels):
-    """Chunks of _TILE levels of a plan: exponent bases b (e_n - e_1), inf past each row's cutoff, gaps, no weights."""
-    for lo in range(0, int(levels[-1]), _TILE):
-        hi = min(lo + _TILE, int(levels[-1]))
-        n = np.arange(lo + 1.0, hi + 1.0)
-        gap = _gaps(plus, n)
-        base = b[:, None] * gap
-        if levels[0] < hi:  # the shortest row ends inside the chunk
-            base[n > levels[:, None]] = np.inf
-        yield base, gap, None
+def _level_plan(plus, b, levels):
+    """A level plan: exponent bases b (e_n - e_1), inf past each row's cutoff, the gaps, no weights."""
+    n = np.arange(1.0, levels[-1] + 1.0)
+    gap = _gaps(plus, n)
+    base = b[:, None] * gap
+    if levels[0] < levels[-1]:  # the shortest row ends inside the plan
+        base[n > levels[:, None]] = np.inf
+    return base, gap, None
 
 
 def _node_count(x0: float) -> int:
@@ -190,7 +217,7 @@ def _node_count(x0: float) -> int:
 
 
 def _node_plan(ground, b, x0, nodes):
-    """The one chunk of a node plan (see NODE_STEP): exponent bases, gaps e(n) - e_1 and weights at each row's nodes.
+    """A node plan (see NODE_STEP): exponent bases, gaps e(n) - e_1 and weights at each row's nodes.
 
     Node k of a row sits at n = centre + c sinh(k NODE_STEP), c = sqrt(x0 t),
     with weight NODE_STEP c cosh(k NODE_STEP): the trapezoid rule over the
@@ -204,30 +231,157 @@ def _node_plan(ground, b, x0, nodes):
     gap = u * u - ground[:, None]
     weight = (NODE_STEP * c) * np.cosh(s)
     weight[:, 0] = 0.5 * (weight[:, 0] - (ground == WellSide.MINUS.ground_energy))
-    return [(b[:, None] * gap, gap, weight)]
+    return b[:, None] * gap, gap, weight
 
 
-def _level_sums(x, plans):
+def _level_sums(x, plan):
     """sum_n N_n, sum_n N_n^2 and sum_n (e_n - e_1) N_n per row at x over a plan (call under np.errstate).
 
-    A plan chunk is (base, gap, weight): levels carry no weight, nodes the
-    weights of _node_plan.
+    A plan is (base, gap, weight): levels carry no weight, nodes the weights
+    of _node_plan.
     """
-    sums = None  # most plans are one chunk, whose sums are the totals
-    for base, gap, weight in plans:
-        occ = base + x[:, None]
-        np.expm1(occ, out=occ)
-        np.divide(1.0, occ, out=occ)
-        mass = occ if weight is None else occ * weight
-        number, weighted = mass.sum(axis=1), (mass * gap).sum(axis=1)
-        mass *= occ
-        chunk = (number, mass.sum(axis=1), weighted)
-        sums = chunk if sums is None else tuple(total + part for total, part in zip(sums, chunk))
-    return sums
+    base, gap, weight = plan
+    occ = base + x[:, None]
+    np.expm1(occ, out=occ)
+    np.divide(1.0, occ, out=occ)
+    mass = occ if weight is None else occ * weight
+    number, weighted = mass.sum(axis=1), (mass * gap).sum(axis=1)
+    mass *= occ
+    return number, mass.sum(axis=1), weighted
+
+
+def _series_matrix(terms: int) -> np.ndarray:
+    """Rows: the power series in Y of S(Y) = sinh(y)/y, E(Y) = (y cosh y - sinh y)/y^3, S' and E', Y = y^2."""
+    odd = [math.factorial(2 * k + 1) for k in range(terms + 1)]
+    s = [1.0 / odd[k] for k in range(terms)]
+    e = [2.0 * (k + 1) / odd[k + 1] for k in range(terms)]
+    return np.array([s, e, *([k * c for k, c in enumerate(f)][1:] + [0.0] for f in (s, e))])
+
+
+# Module constants are built with math, not numpy ufuncs, which would page in
+# their code at import time.
+_SERIES = _series_matrix(_SERIES_TERMS)
+# the nodes of the split rule (see _SPLIT_STEP): v^2 and the folded trapezoid weights dv, centre halved
+_SPLIT_V2 = np.array([math.sinh(0.5 * math.pi * math.sinh(k * _SPLIT_STEP)) ** 2 for k in range(_SPLIT_NODES)])
+_SPLIT_WEIGHT = np.array([
+    (0.5 if k == 0 else 1.0) * _SPLIT_STEP * 0.5 * math.pi * math.cosh(k * _SPLIT_STEP)
+    * math.cosh(0.5 * math.pi * math.sinh(k * _SPLIT_STEP))
+    for k in range(_SPLIT_NODES)
+])
+# The head, the nodes with v^2 <= 1/4, takes r from its series, as z = alpha + v^2
+# may come near 0 there. Elsewhere z > 1/4 - b e_1 and the direct 1/expm1(z) - 1/z
+# loses at most ~8 ulp, on nodes whose share of the sum is small. On the split
+# route alpha < 3.75 (S(3.75) < N there), so the head's Y = (z/2)^2 stays below 4.
+_SPLIT_HEAD = int(np.count_nonzero(_SPLIT_V2 <= 0.25))
+
+
+def _series(y2):
+    """rho(Y) = (y coth y - 1)/y^2 = E/S and d rho/dY at Y = y2 from _SERIES (Y < 0 continues y to i y)."""
+    powers = np.empty((_SERIES_TERMS - 1,) + y2.shape)
+    powers[:] = y2
+    np.cumprod(powers, axis=0, out=powers)  # Y, Y^2, ...
+    # einsum, not @: a BLAS call pages in ~0.25 MB of library code for this small product
+    sums = _SERIES[:, :1] + np.einsum("ck,kr->cr", _SERIES[:, 1:], powers.reshape(_SERIES_TERMS - 1, -1))
+    s, e, ds, de = sums.reshape((4,) + y2.shape)
+    return e / s, (de * s - e * ds) / (s * s)
+
+
+def _lattice(p):
+    """Phi(A) = sum_{n != 0} 1/(A + n^2) and -Phi'(A) = sum_{n != 0} 1/(A + n^2)^2 at A = p - 1 > -1.
+
+    p = 1 + A, the distance from the pole at A = -1 (level n = +-1), comes in
+    without cancellation. The closed form Phi = (pi/a) coth(pi a) - 1/A,
+    a = sqrt(A), serves A >= 1. For -1/2 <= A < 1 it cancels, and Phi =
+    pi^2 rho(pi^2 A) comes from the series of _series. For A < -1/2 it
+    continues to -(pi/a) cot(pi a) - 1/A, a = sqrt(-A), taken through the
+    complement 1 - a = p / (1 + a) so that the pole stays resolved. Measured
+    against mpmath: <= 1.7e-15 relative from p = 1e-14 to 1e8.
+    """
+    a2 = p - 1.0
+    phi, squares = np.empty_like(p), np.empty_like(p)
+    hyperbolic, trigonometric = a2 >= 1.0, a2 < -0.5
+    series = ~(hyperbolic | trigonometric)
+    if hyperbolic.any():
+        A = a2[hyperbolic]
+        a = np.sqrt(A)
+        value = math.pi / (a * np.tanh(math.pi * a)) - 1.0 / A
+        phi[hyperbolic] = value
+        squares[hyperbolic] = (value + (math.pi / np.sinh(math.pi * a)) ** 2 - 1.0 / A) / (2.0 * A)
+    if series.any():
+        rho, slope = _series(math.pi**2 * a2[series])
+        phi[series] = math.pi**2 * rho
+        squares[series] = -(math.pi**4) * slope
+    if trigonometric.any():
+        A = a2[trigonometric]
+        a = np.sqrt(-A)
+        angle = math.pi * p[trigonometric] / (1.0 + a)
+        sine = np.sin(angle)
+        cot = np.cos(angle) / sine
+        phi[trigonometric] = math.pi * cot / a - 1.0 / A
+        squares[trigonometric] = 0.5 * (math.pi / (a * sine)) ** 2 - math.pi * cot / (2.0 * a**3) - 1.0 / (A * A)
+    return phi, squares
+
+
+def _split_plan(ground, b):
+    """A split plan (see _SPLIT_STEP): node weights sqrt(t) dv per row, less half of n = 0 for MINUS, and (t, e_1)."""
+    t = 1.0 / b
+    weight = np.sqrt(t)[:, None] * _SPLIT_WEIGHT
+    weight[:, 0] -= 0.5 * (ground == WellSide.MINUS.ground_energy)
+    return weight, np.stack((t, ground), axis=1)
+
+
+def _split_sums(x, plan):
+    """The sums of _level_sums at x over a split plan (call under np.errstate).
+
+    With A = alpha t = x t - e_1, the pole's sum over n >= 1 is (t/2) times
+    sum_{n != c} 1/(A + (n - c)^2): Phi(A) for MINUS (n = 0 is no level), and
+    4 Phi(4A) - Phi(A) for PLUS, its lattice being the odd half of the
+    integers in units of 1/2. The remainder r, r' and z/expm1(z) are summed
+    on the nodes, and sum_n (e_n - e_1) N_n = t (sum_n z_n N_n - x S).
+    """
+    weight, rows = plan
+    t, ground = rows.T
+    xt = x * t
+    scale = 1.0 / ground  # 4 for PLUS, 1 for MINUS
+    other = (scale - 1.0) / 3.0  # the weight of Phi(A): 1 for PLUS, 0 for MINUS
+    phi, squares = _lattice(np.concatenate((scale * xt, xt + (1.0 - ground))))
+    count = len(x)
+    pole = scale * phi[:count] - other * phi[count:]
+    pole_squares = scale * scale * squares[:count] - other * squares[count:]
+    z = ((xt - ground) / t)[:, None] + _SPLIT_V2
+    occ = 1.0 / np.expm1(np.minimum(z, OVERFLOW_EXPONENT))  # expm1 is slow where it overflows
+    inverse = 1.0 / z
+    terms = np.empty((3,) + z.shape)  # r(z), -r'(z) = N (N + 1) - 1/z^2 = r (N + 1/z) + N and z N at each node
+    np.subtract(occ, inverse, out=terms[0])
+    np.multiply(terms[0], occ + inverse, out=terms[1])
+    terms[1] += occ
+    np.multiply(z, occ, out=terms[2])
+    u = 0.5 * z[:, :_SPLIT_HEAD]  # r(z) = (coth(z/2) - 1)/2 - 1/z = (u rho(u^2) - 1)/2
+    rho, slope = _series(u * u)
+    terms[0, :, :_SPLIT_HEAD] = 0.5 * (u * rho - 1.0)
+    terms[1, :, :_SPLIT_HEAD] = -0.25 * (rho + 2.0 * u * u * slope)
+    terms[2, :, :_SPLIT_HEAD] = 1.0 + 2.0 * u * terms[0, :, :_SPLIT_HEAD]
+    remainder, derivative, moment = np.einsum("krn,rn->kr", terms, weight)
+    number = 0.5 * t * pole + remainder
+    squares = 0.5 * t * t * pole_squares + derivative - number  # sum N^2 = sum N (N + 1) - S
+    return number, squares, t * (moment - x * number)
+
+
+def _plan(route, plus, ground, b, levels, x0):
+    """The kernel and the plan of rows on one route: "levels", "nodes" (NODE_STEP) or "split" (_SPLIT_STEP)."""
+    if route == "levels":
+        return _level_sums, _level_plan(plus, b, levels)
+    if route == "nodes":
+        return _level_sums, _node_plan(ground, b, x0, _node_count(x0))
+    return _split_sums, _split_plan(ground, b)
 
 
 def total_number(side: WellSide, alpha: float, b: float) -> float:
-    """Total occupation sum over the levels of one half well, cut off at TAIL_EXPONENT."""
+    """Total occupation sum over the levels of one half well, cut off at TAIL_EXPONENT.
+
+    A b of more than NODE_LEVELS levels is summed on nodes like a solve_rows
+    row, the integrand picked by this call's x t in place of x0 t.
+    """
     check_domain(t=b)
     x = alpha + b * side.ground_energy
     if not x > 0.0:
@@ -235,8 +389,11 @@ def total_number(side: WellSide, alpha: float, b: float) -> float:
     levels = _cutoff(np.array([b]))
     if levels[0] > MAX_LEVELS:
         raise ValueError(f"inverse temperature {b} needs more than {MAX_LEVELS} levels")
-    with np.errstate(over="ignore"):
-        number, _, _ = _level_sums(np.array([x]), _plans(np.array([side is WellSide.PLUS]), np.array([b]), levels))
+    route = "levels" if levels[0] <= NODE_LEVELS else "nodes" if x >= POLE_DISTANCE**2 * b else "split"
+    plus = np.array([side is WellSide.PLUS])
+    kernel, plan = _plan(route, plus, np.array([side.ground_energy]), np.array([b]), levels, x)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        number, _, _ = kernel(np.array([x]), plan)
     return float(number[0])
 
 
@@ -288,12 +445,13 @@ def solve_rows(
     non-finite step. Groups of rows (_groups) are solved one by one: the
     level plan is built once, the rows still iterating hold their x in a
     compact array, and a row that stops leaves both and has its results
-    written, once. A row of more than NODE_LEVELS levels whose start
-    satisfies x0 t >= POLE_DISTANCE**2 gets a plan of ~100 trapezoid nodes
-    in place of its levels, whose sums match the direct ones to rounding
-    (see NODE_STEP); the test costs O(1) in a call without such wide rows.
-    Any other row wider than _TILE levels rebuilds its plan chunk by chunk
-    on each evaluation, which keeps memory bounded.
+    written, once. A row of at most NODE_LEVELS levels sums its levels. A
+    wider row sums them as one integral on at most 100 nodes, whose sums
+    match the direct ones to rounding: the occupation's own where its start
+    satisfies x0 t >= POLE_DISTANCE**2 (see NODE_STEP), the pole split's
+    nearer condensation (see _SPLIT_STEP). Routing costs O(1) in a call
+    without wide rows, and no plan is wider than _TILE levels unless
+    NODE_LEVELS is raised past it.
     """
     check_tolerance(tol)
     rows = len(sides)
@@ -308,22 +466,20 @@ def solve_rows(
     iterations = np.zeros(rows, dtype=np.int64)
     order = np.argsort(levels, kind="stable")
     order = order[levels[order] <= MAX_LEVELS]
-    groups = []  # (rows, nodes a row, 0 for levels) per group
+    groups = []  # (route, rows) per group
     if order.size and levels[order[-1]] > NODE_LEVELS:  # O(1) unless the call has a wide row
-        wide = (levels[order] > NODE_LEVELS) & (x0 >= POLE_DISTANCE**2 * b[order])
+        wide = levels[order] > NODE_LEVELS
         routed, order = order[wide], order[~wide]
-        nodes = _node_count(x0)
-        groups = [(routed[group], nodes) for group in _groups(np.full(routed.size, nodes))]
-    groups += [(order[group], 0) for group in _groups(levels[order])]
+        split = x0 < POLE_DISTANCE**2 * b[routed]
+        for route, on, nodes in (("nodes", routed[~split], _node_count(x0)), ("split", routed[split], _SPLIT_NODES)):
+            groups += [(route, on[group]) for group in _groups(np.full(on.size, nodes))]
+    groups += [("levels", order[group]) for group in _groups(levels[order])]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for live, nodes in groups:  # live: the group's rows still iterating, xs their iterates
-            if nodes:
-                plans = _node_plan(ground[live], b[live], x0, nodes)
-            else:  # the plan of a row wider than _TILE is rebuilt chunk by chunk on each evaluation
-                plans = None if levels[live[-1]] > _TILE else list(_plans(plus[live], b[live], levels[live]))
+        for route, live in groups:  # live: the group's rows still iterating, xs their iterates
+            kernel, plan = _plan(route, plus[live], ground[live], b[live], levels[live], x0)
             xs = x[live]
             for count in range(1, max_iter + 1):
-                s, squares, w = _level_sums(xs, plans or _plans(plus[live], b[live], levels[live]))
+                s, squares, w = kernel(xs, plan)
                 excess = s - target
                 step = np.log1p(excess / target) * s / (squares + s)  # S' = -sum_n N_n (N_n + 1)
                 stop = (np.abs(excess) <= tol * target) | ~np.isfinite(step)
@@ -335,11 +491,8 @@ def solve_rows(
                     out, keep = live[stop], ~stop
                     x[out], number[out], weighted[out], iterations[out] = xs[stop], s[stop], w[stop], count
                     live, xs, step = live[keep], xs[keep], step[keep]
-                    if plans:  # a gap row shared by the group stays
-                        plans = [
-                            (base[keep], gap if gap.ndim == 1 else gap[keep], weight if weight is None else weight[keep])
-                            for base, gap, weight in plans
-                        ]
+                    # a plan's 2-D arrays hold one row per live row; a 1-D gap row is shared by the group
+                    plan = tuple(part if part is None or part.ndim == 1 else part[keep] for part in plan)
                 xs += step
     residual = np.abs(number - target)
     converged = residual <= tol * target  # false where a row stopped early or was not attempted

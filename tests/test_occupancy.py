@@ -31,9 +31,12 @@ TWO_TERM_TOTAL = 1.0000000010305768
 
 
 def direct_sums(plus, x, b, levels, chunk=1 << 16):
-    """Plain numpy sum_n N_n and sum_n (e_n - e_1) N_n over levels 1..levels, per x; chunk totals added exactly."""
+    """Plain numpy sum_n N_n, sum_n (e_n - e_1) N_n and sum_n N_n^2 over levels 1..levels, per x.
+
+    Chunk totals are added exactly.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))[:, None]
-    numbers, weighted = [], []
+    numbers, weighted, squares = [], [], []
     with np.errstate(over="ignore"):
         for lo in range(1, levels + 1, chunk):
             n = np.arange(lo, min(lo + chunk, levels + 1), dtype=np.float64)
@@ -41,12 +44,18 @@ def direct_sums(plus, x, b, levels, chunk=1 << 16):
             occ = 1.0 / np.expm1(x + b * gap)
             numbers.append(occ.sum(axis=1))
             weighted.append((occ * gap).sum(axis=1))
-    return np.array([[math.fsum(col) for col in zip(*parts)] for parts in (numbers, weighted)])
+            squares.append((occ * occ).sum(axis=1))
+    return np.array([[math.fsum(col) for col in zip(*parts)] for parts in (numbers, weighted, squares)])
 
 
-def routed(n_particles, t, levels):
-    """The rows solve_rows sums on nodes: wide, and x0 t >= POLE_DISTANCE**2 at the start."""
-    return (levels > NODE_LEVELS) & (levels <= MAX_LEVELS) & (math.log1p(1.0 / n_particles) * t >= POLE_DISTANCE**2)
+def routed(levels):
+    """The rows solve_rows sums on nodes: every row wider than NODE_LEVELS, up to MAX_LEVELS."""
+    return (levels > NODE_LEVELS) & (levels <= MAX_LEVELS)
+
+
+def split(n_particles, t):
+    """Whether a node-routed row integrates the pole split (x0 t < POLE_DISTANCE**2) rather than the occupation."""
+    return math.log1p(1.0 / n_particles) * t < POLE_DISTANCE**2
 
 
 class TestThermoPoint:
@@ -95,6 +104,19 @@ class TestTotalNumber:
     def test_ground_state_dominance_at_low_t(self):
         value = total_number(M, math.log1p(0.01) - 100.0, 100.0)
         assert value == pytest.approx(100.0, rel=1e-10)
+
+    @pytest.mark.parametrize("xt, unused", [(10.0, "_node_plan"), (1_000.0, "_split_plan")])
+    def test_wide_b_sums_on_nodes(self, monkeypatch, xt, unused):
+        # t = 1e7: 20,001 levels, summed on the nodes of the pole split at
+        # x t = 10 and of the occupation at x t = 1,000 (x t >= POLE_DISTANCE**2)
+        monkeypatch.setattr(occupancy, "_level_plan", None)  # a level plan would fail
+        monkeypatch.setattr(occupancy, unused, None)  # so would the other node plan
+        b = 1e-7
+        levels = int(occupancy._cutoff(np.array([b]))[0])
+        for side in (P, M):
+            value = total_number(side, (xt - side.ground_energy) * b, b)
+            expected = direct_sums(side is P, xt * b, b, levels)[0][0]
+            assert value == pytest.approx(expected, rel=1e-14)
 
     def test_domain_error_propagates(self):
         with pytest.raises(ValueError):
@@ -250,32 +272,34 @@ class TestSolveRowGroups:
         assert not short.converged.any()
         assert len(calls) == full > 0
 
-    def test_wide_rows_off_nodes_rebuild_their_chunks(self, monkeypatch):
-        # N = 1e6 at t = 1e7: ~2e4 levels, more than _TILE, but x0 t = 10 is
-        # short of POLE_DISTANCE**2, so the rows sum their levels, rebuilding
-        # their plan chunk by chunk on each evaluation
+    def test_wide_rows_near_condensation_build_one_split_plan(self, monkeypatch):
+        # N = 1e6 at t = 1e7: ~2e4 levels, more than _TILE, and x0 t = 10 is
+        # short of POLE_DISTANCE**2, so both rows sum on the pole split's
+        # nodes, one group whose plan is built once for all its evaluations
         built = []
-        plans = occupancy._plans
+        split_plan = occupancy._split_plan
 
-        def counted(plus, b, levels):
+        def counted(ground, b):
             built.append(len(b))
-            return plans(plus, b, levels)
+            return split_plan(ground, b)
 
-        monkeypatch.setattr(occupancy, "_plans", counted)
-        monkeypatch.setattr(occupancy, "_node_plan", None)  # a node plan would fail
+        monkeypatch.setattr(occupancy, "_split_plan", counted)
+        monkeypatch.setattr(occupancy, "_level_plan", None)  # a level plan would fail
+        monkeypatch.setattr(occupancy, "_node_plan", None)  # so would a node plan of the occupation
         t = 1e7
         solved = solve_rows((P, M), 1_000_000, 1.0 / t)
         assert (solved.levels_used > _TILE).all()
-        assert not routed(1_000_000, t, solved.levels_used).any()
+        assert routed(solved.levels_used).all() and split(1_000_000, t)
         assert solved.converged.all()
-        assert len(built) == solved.iterations.sum()  # one row per group, one build per evaluation
+        assert solved.iterations.min() > 1
+        assert built == [2]  # one group of both rows, one build
         for side, x in zip((P, M), solved.shifted_alpha):
-            number, _ = direct_sums(side is P, x, 1.0 / t, int(solved.levels_used[0]))
+            number = direct_sums(side is P, x, 1.0 / t, int(solved.levels_used[0]))[0]
             assert abs(number[0] - 1e6) <= DEFAULT_TOL * 1e6
 
     def test_plan_memory_stays_bounded(self):
         # groups are solved one at a time, so only one group's plan, a few
-        # _TILE-sized arrays, is alive at once (peak ~0.6 MiB with numpy 2.4)
+        # _TILE-sized arrays, is alive at once (peak ~0.5 MiB with numpy 2.4)
         config = SweepConfig(n_particles=10_000, t_min=1.0, t_max=1e8, grid_points=100)
         tracemalloc.start()
         try:
@@ -300,7 +324,7 @@ class TestNodePlan:
         for t in np.geomspace(threshold * 1.001, 1e12, 3):
             b = 1.0 / t
             levels = occupancy._cutoff(np.array([b]))
-            assert routed(n_particles, t, levels).all()
+            assert routed(levels).all() and not split(n_particles, t)
             roots = solve_rows((P, M), n_particles, b).shifted_alpha
             for side, root in zip((P, M), roots):
                 x = np.array([x0, root, 5.0])
@@ -320,11 +344,11 @@ class TestNodePlan:
         t = np.repeat(np.geomspace(1.0, 1e8, 100), 2)
         sides = [P, M] * 100
         nodes = solve_rows(sides, n_particles, 1.0 / t)
-        wide = routed(n_particles, t, nodes.levels_used)
+        wide = routed(nodes.levels_used)
         assert 0 < np.count_nonzero(wide) < len(t)
         assert nodes.converged.all()
         for i in np.flatnonzero(wide):
-            number, _ = direct_sums(sides[i] is P, nodes.shifted_alpha[i], 1.0 / t[i], int(nodes.levels_used[i]))
+            number, _, _ = direct_sums(sides[i] is P, nodes.shifted_alpha[i], 1.0 / t[i], int(nodes.levels_used[i]))
             assert abs(number[0] - n_particles) <= DEFAULT_TOL * n_particles
         monkeypatch.setattr(occupancy, "NODE_LEVELS", MAX_LEVELS)  # every row on its levels
         levels = solve_rows(sides, n_particles, 1.0 / t)
@@ -358,6 +382,50 @@ class TestNodePlan:
         # levels, x0 t ~ 18,230, so both wells run on nodes
         t = 26_300.0
         levels = occupancy._cutoff(np.array([1.0 / t]))
-        assert routed(1, t, levels).all()
+        assert routed(levels).all() and not split(1, t)
         pair = net_force(ThermoPoint(1, t))
         assert pair.delta_f == pytest.approx(float(mp_delta_f(1, t)), rel=1e-9)
+
+
+class TestSplitPlan:
+    @pytest.mark.parametrize("n_particles", [1_000, 10_000, 10**6, 10**8, 10**12, 10**16])
+    def test_split_sums_match_direct_sums(self, n_particles):
+        # the split rule's error budget (_SPLIT_STEP): closed-form pole sum,
+        # double-exponential integral of the remainder and the force moment all
+        # lie at rounding, from the NODE_LEVELS threshold to just under x0 t =
+        # 100 (capped at t = 1e10, 6.3e5 levels, for the direct sums), at the
+        # start, the root and three times the root
+        x0 = math.log1p(1.0 / n_particles)
+        threshold = NODE_LEVELS**2 / occupancy.TAIL_EXPONENT
+        top = min(0.999 * POLE_DISTANCE**2 / x0, 1e10)
+        below_ground = 0
+        for t in np.geomspace(threshold * 1.001, top, 3):
+            b = 1.0 / t
+            levels = occupancy._cutoff(np.array([b]))
+            assert routed(levels).all() and split(n_particles, t)
+            roots = solve_rows((P, M), n_particles, b).shifted_alpha
+            for side, root in zip((P, M), roots):
+                x = np.array([x0, root, 3.0 * root])
+                below_ground += np.count_nonzero(x * t < side.ground_energy)  # alpha < 0
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    number, squares, weighted = occupancy._split_sums(
+                        x, occupancy._split_plan(np.full(3, side.ground_energy), np.full(3, b))
+                    )
+                expected = direct_sums(side is P, x, b, int(levels[0]))
+                np.testing.assert_allclose(number, expected[0], rtol=1e-14, atol=0.0)
+                np.testing.assert_allclose(weighted, expected[1], rtol=1e-14, atol=0.0)
+                np.testing.assert_allclose(squares, expected[2], rtol=1e-14, atol=0.0)
+        if n_particles >= 10**6:
+            assert below_ground
+        if n_particles == 10**16:  # t = 1e10: x t ~ 1e-6, next to the ground-state pole
+            assert 0 < root * t < 1e-5
+
+    def test_split_point_matches_mp_oracle(self):
+        # the smallest degenerate wide point at N = 1,000: 1,026 levels and
+        # x0 t ~ 26.3, so both wells run on the pole split
+        t = 26_300.0
+        levels = occupancy._cutoff(np.array([1.0 / t]))
+        assert levels[0] == 1_026
+        assert routed(levels).all() and split(1_000, t)
+        pair = net_force(ThermoPoint(1_000, t))
+        assert pair.delta_f == pytest.approx(float(mp_delta_f(1_000, t)), rel=1e-9)

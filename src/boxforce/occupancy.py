@@ -9,14 +9,15 @@ At low temperature alpha approaches log1p(1/N) - b e_1, a difference of
 two numbers of order b, while x stays of order 1/N; solving for x keeps
 the ground-state occupation fully resolved at every temperature. A row's
 levels stay fixed during a solve, so solve_rows builds the level plan of
-each group of rows once and runs Newton on it to the end. A wide row sums
-its levels as one integral instead, on at most 100 fixed nodes, which
-Poisson summation makes exact up to a remainder far below rounding. Far
+each group of rows once and runs Newton on it to the end, stepping in
+w = log(expm1 x), where log S is nearly linear. A wide row sums its levels
+as one integral instead, on at most 100 fixed nodes, which Poisson
+summation makes exact up to a remainder far below rounding. Far
 from condensation the integrand is the occupation itself (see NODE_STEP).
 Near it, the occupation's pole at zero exponent is split off and summed in
 closed form, and only the analytic remainder is integrated (see
 _SPLIT_STEP). The level cutoff (TAIL_EXPONENT), both node rules and the
-batched monotone Newton iteration are choices of this implementation; only
+batched Newton iteration are choices of this implementation; only
 the occupation formula and the constraint itself are physics.
 """
 
@@ -61,10 +62,10 @@ _TILE = 1 << 14
 # ~2 pi (t / d) exp(-2 pi d), d being the distance from the real n axis of the
 # integrand's nearest pole. POLE_DISTANCE picks the integrand. A row whose
 # start x0 = log1p(1/N) has x0 t >= POLE_DISTANCE**2 integrates the occupation
-# itself (_node_plan): its nearest pole lies d = sqrt(alpha t) away, x only
-# climbs from x0, so d >= sqrt(99) at every iterate, and the remainder is
-# below ~1e-26 of the sum. The integral is the trapezoid rule of step
-# NODE_STEP in s, n - centre = sqrt(x0 t) sinh(s), whose error falls like
+# itself (_node_plan): its nearest pole lies d = sqrt(alpha t) away, and
+# solve_rows keeps every iterate at x >= x0, so d >= sqrt(99) and the
+# remainder is below ~1e-26 of the sum. The integral is the trapezoid rule
+# of step NODE_STEP in s, n - centre = sqrt(x0 t) sinh(s), whose error falls like
 # exp(-pi^2 / (2 NODE_STEP)), the mapped integrand being analytic for
 # |Im s| < ~pi/4. Against math.fsum direct sums it measured ~2e-9 relative at
 # step 0.2 and at most 4.4e-16, the rounding floor, at 0.12. The nodes reach
@@ -157,7 +158,7 @@ class AlphaSolution:
 
 
 class ConstraintSolverError(RuntimeError):
-    """A constraint solve failed; carries the interval its iterates covered."""
+    """A failed constraint solve; bracket is (x0, last iterate): the root's exact lower bound and where x stopped."""
 
     def __init__(self, message: str, bracket: tuple[float, float]):
         super().__init__(f"{message} (bracket: [{bracket[0]!r}, {bracket[1]!r}])")
@@ -271,7 +272,8 @@ _SPLIT_WEIGHT = np.array([
 # The head, the nodes with v^2 <= 1/4, takes r from its series, as z = alpha + v^2
 # may come near 0 there. Elsewhere z > 1/4 - b e_1 and the direct 1/expm1(z) - 1/z
 # loses at most ~8 ulp, on nodes whose share of the sum is small. On the split
-# route alpha < 3.75 (S(3.75) < N there), so the head's Y = (z/2)^2 stays below 4.
+# route alpha < 3.75 at the root (S(3.75) < N there) and at every iterate tested
+# (peak 0.46, tests/test_occupancy.py), so the head's Y = (z/2)^2 stays below 4.
 _SPLIT_HEAD = int(np.count_nonzero(_SPLIT_V2 <= 0.25))
 
 
@@ -415,7 +417,7 @@ class RowSolutions(NamedTuple):
     n_particles: int
 
     def solution(self, row: int) -> AlphaSolution:
-        """One row as an AlphaSolution; raises ConstraintSolverError if it failed."""
+        """One row as an AlphaSolution; raises ConstraintSolverError, bracket [x0, last iterate], if it failed."""
         x = float(self.shifted_alpha[row])
         if not self.converged[row]:
             raise ConstraintSolverError(
@@ -436,22 +438,28 @@ def solve_rows(
 
     Every row holds the same N = n_particles; b is an array, or a scalar
     broadcast over the rows. Each row starts at x0 = log1p(1/N), where
-    level 1 alone holds N particles, so S(x0) >= N. S is a sum of
-    log-convex decreasing terms, so log S is convex and decreasing, and
-    Newton on log S - log N, x <- x - log(S/N) S/S', climbs to the root
-    from the left with no bracket; its steps are longer than Newton's on
-    S - N and exact where one exponential dominates (high t). A row stops
-    once |S - N| <= tol * N, or unconverged at max_iter evaluations or a
-    non-finite step. Groups of rows (_groups) are solved one by one: the
-    level plan is built once, the rows still iterating hold their x in a
-    compact array, and a row that stops leaves both and has its results
-    written, once. A row of at most NODE_LEVELS levels sums its levels. A
-    wider row sums them as one integral on at most 100 nodes, whose sums
-    match the direct ones to rounding: the occupation's own where its start
-    satisfies x0 t >= POLE_DISTANCE**2 (see NODE_STEP), the pole split's
-    nearer condensation (see _SPLIT_STEP). Routing costs O(1) in a call
-    without wide rows, and no plan is wider than _TILE levels unless
-    NODE_LEVELS is raised past it.
+    level 1 alone holds N particles, so S(x0) >= N, the root's exact lower
+    bound. Newton's step in x, log(S/N) S/(S + sum_n N_n^2), is taken in
+    w = log(expm1 x), w += step/(1 - e^-x). There d log S/dw is minus a
+    weighted mean of (1 - e^-x)/(1 - e^-z_n), z_n = x + b (e_n - e_1), in
+    (0, 1], so log S is linear in w for one level and nearly so far from
+    condensation (w ~ x) and in degenerate rows (w ~ log x, S a power of x).
+    The first step climbs from x0; a step may overshoot the root, the next
+    ones returning from the right. Iterates are clamped at x0, which the
+    node route rests on (see NODE_STEP). A row stops once |S - N| <= tol * N,
+    or unconverged at max_iter evaluations or a non-finite step; over N = 1
+    to 1e300 and t = 1e-300 to 2e14 every row stopped converged within 6
+    evaluations and the clamp never acted (tests/test_occupancy.py). Groups
+    of rows (_groups) are solved one by one: the level plan is built once,
+    the rows still iterating hold their x in a compact array, and a row
+    that stops leaves both and has its results written, once. A row of at
+    most NODE_LEVELS levels sums its levels. A wider row sums them as one
+    integral on at most 100 nodes, whose sums match the direct ones to
+    rounding: the occupation's own where its start satisfies
+    x0 t >= POLE_DISTANCE**2 (see NODE_STEP), the pole split's nearer
+    condensation (see _SPLIT_STEP). Routing costs O(1) in a call without
+    wide rows, and no plan is wider than _TILE levels unless NODE_LEVELS is
+    raised past it.
     """
     check_tolerance(tol)
     rows = len(sides)
@@ -493,7 +501,7 @@ def solve_rows(
                     live, xs, step = live[keep], xs[keep], step[keep]
                     # a plan's 2-D arrays hold one row per live row; a 1-D gap row is shared by the group
                     plan = tuple(part if part is None or part.ndim == 1 else part[keep] for part in plan)
-                xs += step
+                xs = np.maximum(np.log1p(np.expm1(xs) * np.exp(step / -np.expm1(-xs))), x0)  # w += step dw/dx
     residual = np.abs(number - target)
     converged = residual <= tol * target  # false where a row stopped early or was not attempted
     force = weighted + ground * number
@@ -505,9 +513,9 @@ def solve_alpha(
 ) -> AlphaSolution:
     """Solve sum_n N_n = N for the multiplier of one half well.
 
-    A one-row solve_rows call: Newton on log sum_n N_n in x = alpha + b e_1,
-    climbing monotonically from the exact lower bound x0 = log1p(1/N) until
+    A one-row solve_rows call: Newton on log sum_n N_n in w = log(expm1 x),
+    x = alpha + b e_1, from the exact lower bound x0 = log1p(1/N) until
     |sum_n N_n - N| <= tol * N. Raises ConstraintSolverError, carrying the
-    interval [x0, last iterate], when the solve fails.
+    bracket [x0, last iterate], when the solve fails.
     """
     return solve_rows((side,), point.n_particles, point.b, tol, max_iter).solution(0)

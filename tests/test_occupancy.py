@@ -225,32 +225,32 @@ class TestSolveRowGroups:
             assert batch.converged[i] == one.converged[0]
 
     def test_iteration_cap_counts_as_a_stop(self):
-        # both wells at N = 100, b = 1e-4 converge on evaluation 8: a cap of 8
-        # lets them, a cap of 7 stops them one evaluation short
-        full = solve_rows((P, M), 100, 1e-4, max_iter=8)
-        assert full.iterations.tolist() == [8, 8]
+        # both wells at N = 100, b = 1e-4 converge on evaluation 6: a cap of 6
+        # lets them, a cap of 5 stops them one evaluation short
+        full = solve_rows((P, M), 100, 1e-4, max_iter=6)
+        assert full.iterations.tolist() == [6, 6]
         assert full.converged.all()
-        capped = solve_rows((P, M), 100, 1e-4, max_iter=7)
-        assert capped.iterations.tolist() == [7, 7]
+        capped = solve_rows((P, M), 100, 1e-4, max_iter=5)
+        assert capped.iterations.tolist() == [5, 5]
         assert not capped.converged.any()
 
     def test_rows_stopping_apart_match_one_row_solves(self):
-        # one group of 21-level rows, no padding, so a row's sums round as in
-        # its one-row solve; its rows stop on evaluations 4 and 5, and a cap
-        # of 4 stops the slower ones unconverged
-        sides = (M, P, P, M, P)
-        t = np.array([10.0, 10.0, 10.3, 10.25, 10.1])
+        # one group of 18-level rows, no padding, so a row's sums round as in
+        # its one-row solve; its rows stop on evaluations 3 and 4, and a cap
+        # of 3 stops the slower ones unconverged
+        sides = (M, P, P, M, M)
+        t = np.array([7.3, 7.3, 7.9, 8.0, 7.4])
         batch = solve_rows(sides, 100, 1.0 / t)
-        assert (batch.levels_used == 21).all()
+        assert (batch.levels_used == 18).all()
         assert batch.converged.all()
-        assert batch.iterations.tolist() == [4, 5, 5, 4, 5]
+        assert batch.iterations.tolist() == [3, 4, 4, 4, 3]
         for i, (side, ti) in enumerate(zip(sides, t)):
             one = solve_rows((side,), 100, 1.0 / ti)
             for field in RowSolutions._fields[:-1]:  # the per-row arrays
                 np.testing.assert_array_equal(getattr(batch, field)[i], getattr(one, field)[0])
-        capped = solve_rows(sides, 100, 1.0 / t, max_iter=4)
-        assert capped.iterations.tolist() == [4] * 5
-        np.testing.assert_array_equal(capped.converged, batch.iterations == 4)
+        capped = solve_rows(sides, 100, 1.0 / t, max_iter=3)
+        assert capped.iterations.tolist() == [3] * 5
+        np.testing.assert_array_equal(capped.converged, batch.iterations == 3)
 
     def test_plan_built_once_per_group(self, monkeypatch):
         # both wells at N = 100, t = 1e4 share one group of 2 x 633 levels
@@ -262,7 +262,7 @@ class TestSolveRowGroups:
             return gap(side, n)
 
         monkeypatch.setattr(occupancy, "level_gap", counted)
-        assert solve_rows((P, M), 100, 1e-4).iterations.tolist() == [8, 8]
+        assert solve_rows((P, M), 100, 1e-4).iterations.tolist() == [6, 6]
         calls.clear()
         net_force(ThermoPoint(100, 1e4))
         full = len(calls)
@@ -296,6 +296,45 @@ class TestSolveRowGroups:
         for side, x in zip((P, M), solved.shifted_alpha):
             number = direct_sums(side is P, x, 1.0 / t, int(solved.levels_used[0]))[0]
             assert abs(number[0] - 1e6) <= DEFAULT_TOL * 1e6
+
+    def test_every_row_converges_within_six_evaluations(self, monkeypatch):
+        # the step bound over the accepted domain: N from 1 to 1e300, t from
+        # 1e-300 to 2e14 (under MAX_LEVELS), both wells, all three routes. At
+        # every evaluation x >= x0, which the node route's pole distance rests
+        # on, and alpha < 3.75 on split rows, which bounds _SPLIT_HEAD's series
+        # argument; only a row's first evaluation sits at x0, so the clamp at
+        # x0 never acts
+        seen = {"at_x0": 0, "nodes": 0, "split": 0}
+        level_sums, split_sums = occupancy._level_sums, occupancy._split_sums
+
+        def checked(x):
+            assert (x >= seen["x0"]).all()
+            seen["at_x0"] += np.count_nonzero(x == seen["x0"])
+
+        def level_checked(x, plan):
+            checked(x)
+            seen["nodes"] += x.size if plan[2] is not None else 0
+            return level_sums(x, plan)
+
+        def split_checked(x, plan):
+            checked(x)
+            t, ground = plan[1].T
+            assert (x - ground / t < 3.75).all()
+            seen["split"] += x.size
+            return split_sums(x, plan)
+
+        monkeypatch.setattr(occupancy, "_level_sums", level_checked)
+        monkeypatch.setattr(occupancy, "_split_sums", split_checked)
+        t = np.repeat(np.geomspace(1e-300, 2e14, 400), 2)
+        for n_particles in (1, 10, 100, 10**4, 10**6, 10**9, 10**15, 10**30, 10**100, 10**300):
+            seen["x0"] = math.log1p(1.0 / float(n_particles))
+            seen["at_x0"] = 0
+            solved = solve_rows([P, M] * 400, n_particles, 1.0 / t)
+            assert (solved.levels_used <= MAX_LEVELS).all()
+            assert solved.converged.all()
+            assert solved.iterations.max() <= 6
+            assert seen["at_x0"] == len(t)
+        assert seen["nodes"] and seen["split"]
 
     def test_plan_memory_stays_bounded(self):
         # groups are solved one at a time, so only one group's plan, a few

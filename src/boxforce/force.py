@@ -110,7 +110,12 @@ def net_force_zero_t(n_particles: int) -> float:
 
 
 def temperature_grid(config: "SweepConfig") -> list[float]:
-    """Materialize the sweep grid of a configuration that SweepConfig has validated."""
+    """Materialize the sweep grid of a configuration.
+
+    A SweepConfig has validated its grid already; grid_points is checked
+    again because sweep also takes duck-typed configs that never passed
+    through SweepConfig.
+    """
     if config.grid_points < 1:
         raise ValueError(f"grid must be non-empty, got {config.grid_points} points")
     space = np.geomspace if config.grid_scale is GridScale.LOG else np.linspace

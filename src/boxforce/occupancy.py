@@ -24,6 +24,7 @@ the occupation formula and the constraint itself are physics.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -103,18 +104,19 @@ _SERIES_TERMS = 18
 
 
 def check_domain(n_particles: int = 1, t=1.0) -> None:
-    """The model's input rule, raising ValueError: N finite and >= 1, t positive with finite t and 1/t.
+    """The model's input rule, raising ValueError: 1 <= N and 0 < t, both in the float range, and 1/t finite.
 
-    The rule is symmetric under t <-> 1/t, so it checks b = 1/t unchanged. On
-    an array (or numpy scalar) t the smallest and largest elements decide, a
-    nan reaching both; a Python float or int takes no numpy call. A left-out
-    argument passes.
+    The rule is symmetric under t <-> 1/t, so it checks b = 1/t unchanged. An
+    int N or t past the largest float fails (the int/float comparison is
+    exact), as float() of it would overflow. On an array (or numpy scalar) t
+    the smallest and largest elements decide, a nan reaching both; a Python
+    float or int takes no numpy call. A left-out argument passes.
     """
-    if not 1 <= n_particles < math.inf:
-        raise ValueError(f"particle number must be finite and >= 1, got {n_particles}")
+    if not 1 <= n_particles <= sys.float_info.max:
+        raise ValueError(f"particle number must be >= 1 and within the float range, got {n_particles}")
     for end in (t,) if type(t) in (float, int) else (float(np.min(t)), float(np.max(t))):
-        if not (0.0 < end < math.inf and 1.0 / end < math.inf):
-            raise ValueError(f"temperature (or b = 1/t) must be positive with finite t and 1/t, got {end}")
+        if not (0.0 < end <= sys.float_info.max and 1.0 / end < math.inf):
+            raise ValueError(f"temperature (or b = 1/t) must be positive, t and 1/t within the float range, got {end}")
 
 
 def check_tolerance(tol: float) -> None:
@@ -195,17 +197,10 @@ def _groups(levels: np.ndarray):
         start = end
 
 
-def _gaps(plus: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Gaps e_n - e_1 of a plan: one row shared by all rows when they are of one well."""
-    if np.count_nonzero(plus) in (0, len(plus)):
-        return level_gap(WellSide.PLUS if plus[0] else WellSide.MINUS, n)
-    return np.where(plus[:, None], level_gap(WellSide.PLUS, n), level_gap(WellSide.MINUS, n))
-
-
 def _level_plan(plus, b, levels):
     """A level plan: exponent bases b (e_n - e_1), inf past each row's cutoff, the gaps, no weights."""
     n = np.arange(1.0, levels[-1] + 1.0)
-    gap = _gaps(plus, n)
+    gap = np.where(plus[:, None], level_gap(WellSide.PLUS, n), level_gap(WellSide.MINUS, n))
     base = b[:, None] * gap
     if levels[0] < levels[-1]:  # the shortest row ends inside the plan
         base[n > levels[:, None]] = np.inf
@@ -369,34 +364,50 @@ def _split_sums(x, plan):
     return number, squares, t * (moment - x * number)
 
 
-def _plan(route, plus, ground, b, levels, x0):
-    """The kernel and the plan of rows on one route: "levels", "nodes" (NODE_STEP) or "split" (_SPLIT_STEP)."""
-    if route == "levels":
-        return _level_sums, _level_plan(plus, b, levels)
-    if route == "nodes":
-        return _level_sums, _node_plan(ground, b, x0, _node_count(x0))
-    return _split_sums, _split_plan(ground, b)
+def _routes(plus, ground, b, levels, x0):
+    """Yield (kernel, plan, rows) per group (_groups) of rows started at x0, rows being the group's indices.
+
+    A row of at most NODE_LEVELS levels sums its levels. A wider row sums
+    them as one integral on at most 100 nodes, whose sums match the direct
+    ones to rounding: the occupation's own where x0 t >= POLE_DISTANCE**2
+    (see NODE_STEP), the pole split's nearer condensation (see _SPLIT_STEP).
+    A row past MAX_LEVELS is in no group. Each plan is built when its group
+    is taken. Routing costs O(1) in a call without wide rows, and no plan is
+    wider than _TILE levels unless NODE_LEVELS is raised past it.
+    """
+    order = np.argsort(levels, kind="stable")
+    order = order[levels[order] <= MAX_LEVELS]
+    if order.size and levels[order[-1]] > NODE_LEVELS:  # O(1) unless the call has a wide row
+        wide = levels[order] > NODE_LEVELS
+        routed, order = order[wide], order[~wide]
+        split = x0 < POLE_DISTANCE**2 * b[routed]
+        nodes, on_nodes, on_split = _node_count(x0), routed[~split], routed[split]
+        for group in _groups(np.full(on_nodes.size, nodes)):
+            on = on_nodes[group]
+            yield _level_sums, _node_plan(ground[on], b[on], x0, nodes), on
+        for group in _groups(np.full(on_split.size, _SPLIT_NODES)):
+            on = on_split[group]
+            yield _split_sums, _split_plan(ground[on], b[on]), on
+    for group in _groups(levels[order]):
+        on = order[group]
+        yield _level_sums, _level_plan(plus[on], b[on], levels[on]), on
 
 
 def total_number(side: WellSide, alpha: float, b: float) -> float:
     """Total occupation sum over the levels of one half well, cut off at TAIL_EXPONENT.
 
-    A b of more than NODE_LEVELS levels is summed on nodes like a solve_rows
-    row, the integrand picked by this call's x t in place of x0 t.
+    The sum takes the route _routes gives a solve_rows row, the integrand
+    picked by this call's x t in place of x0 t.
     """
     check_domain(t=b)
     x = alpha + b * side.ground_energy
     if not x > 0.0:
         raise ValueError(f"alpha + b*e_1 must be positive, got {x}")
-    levels = _cutoff(np.array([b]))
-    if levels[0] > MAX_LEVELS:
-        raise ValueError(f"inverse temperature {b} needs more than {MAX_LEVELS} levels")
-    route = "levels" if levels[0] <= NODE_LEVELS else "nodes" if x >= POLE_DISTANCE**2 * b else "split"
-    plus = np.array([side is WellSide.PLUS])
-    kernel, plan = _plan(route, plus, np.array([side.ground_energy]), np.array([b]), levels, x)
+    plus, ground, row = np.array([side is WellSide.PLUS]), np.array([side.ground_energy]), np.array([b])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        number, _, _ = kernel(np.array([x]), plan)
-    return float(number[0])
+        for kernel, plan, _ in _routes(plus, ground, row, _cutoff(row), x):
+            return float(kernel(np.array([x]), plan)[0][0])
+    raise ValueError(f"inverse temperature {b} needs more than {MAX_LEVELS} levels")
 
 
 class RowSolutions(NamedTuple):
@@ -449,17 +460,11 @@ def solve_rows(
     node route rests on (see NODE_STEP). A row stops once |S - N| <= tol * N,
     or unconverged at max_iter evaluations or a non-finite step; over N = 1
     to 1e300 and t = 1e-300 to 2e14 every row stopped converged within 6
-    evaluations and the clamp never acted (tests/test_occupancy.py). Groups
-    of rows (_groups) are solved one by one: the level plan is built once,
-    the rows still iterating hold their x in a compact array, and a row
-    that stops leaves both and has its results written, once. A row of at
-    most NODE_LEVELS levels sums its levels. A wider row sums them as one
-    integral on at most 100 nodes, whose sums match the direct ones to
-    rounding: the occupation's own where its start satisfies
-    x0 t >= POLE_DISTANCE**2 (see NODE_STEP), the pole split's nearer
-    condensation (see _SPLIT_STEP). Routing costs O(1) in a call without
-    wide rows, and no plan is wider than _TILE levels unless NODE_LEVELS is
-    raised past it.
+    evaluations and the clamp never acted (tests/test_occupancy.py). The
+    groups of _routes, which also picks each group's route, are solved one
+    by one: the plan is built once, the rows still iterating hold their x in
+    a compact array, and a row that stops leaves both and has its results
+    written, once.
     """
     check_tolerance(tol)
     rows = len(sides)
@@ -472,19 +477,8 @@ def solve_rows(
     x = np.full(rows, x0)
     number, weighted = np.full((2, rows), np.nan)  # weighted is sum_n (e_n - e_1) N_n
     iterations = np.zeros(rows, dtype=np.int64)
-    order = np.argsort(levels, kind="stable")
-    order = order[levels[order] <= MAX_LEVELS]
-    groups = []  # (route, rows) per group
-    if order.size and levels[order[-1]] > NODE_LEVELS:  # O(1) unless the call has a wide row
-        wide = levels[order] > NODE_LEVELS
-        routed, order = order[wide], order[~wide]
-        split = x0 < POLE_DISTANCE**2 * b[routed]
-        for route, on, nodes in (("nodes", routed[~split], _node_count(x0)), ("split", routed[split], _SPLIT_NODES)):
-            groups += [(route, on[group]) for group in _groups(np.full(on.size, nodes))]
-    groups += [("levels", order[group]) for group in _groups(levels[order])]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for route, live in groups:  # live: the group's rows still iterating, xs their iterates
-            kernel, plan = _plan(route, plus[live], ground[live], b[live], levels[live], x0)
+        for kernel, plan, live in _routes(plus, ground, b, levels, x0):  # live: rows still iterating, xs their x
             xs = x[live]
             for count in range(1, max_iter + 1):
                 s, squares, w = kernel(xs, plan)
@@ -499,8 +493,7 @@ def solve_rows(
                     out, keep = live[stop], ~stop
                     x[out], number[out], weighted[out], iterations[out] = xs[stop], s[stop], w[stop], count
                     live, xs, step = live[keep], xs[keep], step[keep]
-                    # a plan's 2-D arrays hold one row per live row; a 1-D gap row is shared by the group
-                    plan = tuple(part if part is None or part.ndim == 1 else part[keep] for part in plan)
+                    plan = tuple(part if part is None else part[keep] for part in plan)  # one row per live row
                 xs = np.maximum(np.log1p(np.expm1(xs) * np.exp(step / -np.expm1(-xs))), x0)  # w += step dw/dx
     residual = np.abs(number - target)
     converged = residual <= tol * target  # false where a row stopped early or was not attempted

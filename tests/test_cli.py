@@ -60,6 +60,7 @@ class TestParseConfig:
             ["--tol", "inf"],
             ["--t-max", "inf"],
             ["--t-min", "1e-310"],
+            ["--n-particles", str(10**400)],  # an int past the float range
         ],
     )
     def test_usage_errors_exit_2(self, argv, capsys):

@@ -67,7 +67,8 @@ class TestThermoPoint:
     @pytest.mark.parametrize(
         "n, t",
         [(0, 1.0), (-5, 1.0), (1, 0.0), (1, -2.0), (1, math.inf), (1, 1e-310),
-         (math.nan, 1.0), (math.inf, 1.0), (1, -1.0), (1, math.nan), (1, 1e-320)],
+         (math.nan, 1.0), (math.inf, 1.0), (1, -1.0), (1, math.nan), (1, 1e-320),
+         (10**400, 1.0), (1, 10**400)],  # ints past the float range
     )
     def test_rejects_bad_points(self, n, t):
         with pytest.raises(ValueError):
@@ -168,10 +169,17 @@ class TestSolveAlpha:
                 )
 
     def test_solution_reproduces_total_number(self):
-        point = ThermoPoint(250, 7.5)
-        for side in (P, M):
-            solution = solve_alpha(side, point)
-            assert total_number(side, solution.alpha, point.b) == pytest.approx(250.0, rel=1e-11)
+        # one solve per route: levels (18), the occupation's nodes (2,000
+        # levels, x0 t ~ 6.9e4) and the pole split (20,001 levels, x0 t ~ 10).
+        # total_number routes by the root's own x t, ~240 at the last point,
+        # so there it checks the split's root on the occupation's nodes
+        for n, t, route in ((250, 7.5, "levels"), (1, 1e5, "nodes"), (10**6, 1e7, "split")):
+            point = ThermoPoint(n, t)
+            for side in (P, M):
+                solution = solve_alpha(side, point)
+                on_nodes = routed(solution.levels_used)
+                assert (("split" if split(n, t) else "nodes") if on_nodes else "levels") == route
+                assert abs(total_number(side, solution.alpha, point.b) - n) <= DEFAULT_TOL * n
 
     def test_plus_multiplier_exceeds_minus(self):
         rng = np.random.default_rng(23)

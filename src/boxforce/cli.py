@@ -1,6 +1,6 @@
 """Command-line driver: run a temperature sweep and write it as CSV.
 
-The output schema is fixed:
+The output schema is fixed, one column per SweepRow field in order:
 
     t,method,alpha_plus,alpha_minus,f_plus,f_minus,delta_f,status
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .force import GridScale, Method, SweepRow, sweep
@@ -23,6 +24,12 @@ from .occupancy import DEFAULT_TOL, check_domain, check_tolerance
 __all__ = ["SweepConfig", "CSV_HEADER", "parse_config", "write_csv", "run", "main"]
 
 CSV_HEADER = "t,method,alpha_plus,alpha_minus,f_plus,f_minus,delta_f,status"
+# A row whose five data fields are all set, t formatted already; '%.17g' % v
+# is format(v, ".17g").
+_FULL_ROW = "%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
+# (t, method name); the Enum's value property and hash are Python-level
+# calls, its _value_ attribute is not
+_ROW_ORDER = attrgetter("t", "method._value_")
 
 _METHOD_NAMES = {m.value: m for m in Method}
 
@@ -117,24 +124,23 @@ def _format_field(value: float | None) -> str:
 
 
 def write_csv(rows: list[SweepRow], destination: str) -> None:
-    """Write sweep rows, ordered by temperature then method name."""
-    ordered = sorted(rows, key=lambda row: (row.t, row.method.value))
+    """Write sweep rows, ordered by temperature then method name.
+
+    Each line is the row's fields in SweepRow order, floats with 17
+    significant digits and None as an empty field. A t shared by
+    consecutive rows, as the methods of one sweep temperature share it, is
+    formatted once.
+    """
     lines = [CSV_HEADER]
-    for row in ordered:
-        lines.append(
-            ",".join(
-                (
-                    _format_field(row.t),
-                    row.method.value,
-                    _format_field(row.alpha_plus),
-                    _format_field(row.alpha_minus),
-                    _format_field(row.f_plus),
-                    _format_field(row.f_minus),
-                    _format_field(row.delta_f),
-                    row.status,
-                )
-            )
-        )
+    last_t = t_text = None
+    for t, method, alpha_plus, alpha_minus, f_plus, f_minus, delta_f, status in sorted(rows, key=_ROW_ORDER):
+        if t is not last_t:
+            last_t, t_text = t, format(t, ".17g")
+        data = (alpha_plus, alpha_minus, f_plus, f_minus, delta_f)
+        if alpha_plus is None or alpha_minus is None or f_plus is None or f_minus is None or delta_f is None:
+            lines.append(",".join((t_text, method._value_, *map(_format_field, data), status)))
+        else:
+            lines.append(_FULL_ROW % (t_text, method._value_, *data, status))
     text = "\n".join(lines) + "\n"
     if destination == "-":
         sys.stdout.write(text)

@@ -8,15 +8,17 @@ near t ~ N and grows like sqrt(t) from there.
 
 A sweep evaluates a set of methods (the exact sums and/or the closed-form
 approximations) over a temperature grid, each as one array evaluation, and
-reports one row per (temperature, method) pair. Failures become error rows
-instead of aborting the sweep; a closed form that raises fails its column.
+reports one SweepRow record per (temperature, method) pair, its fields in
+the CSV's column order. Failures become error rows instead of aborting the
+sweep; a closed form that raises fails its column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from itertools import repeat
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -64,14 +66,15 @@ class GridScale(Enum):
     LOG = "log"
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One (temperature, method) record of a sweep.
+class SweepRow(NamedTuple):
+    """One (temperature, method) record of a sweep, its fields in the CSV's column order.
 
     Per-well fields are filled only by methods that compute them (numeric
     and semi-analytic); delta_f is absent only on error rows. status is
     "ok", "out-of-range" for a value computed outside its method's declared
-    validity window, or "error".
+    validity window, or "error". A NamedTuple, not a frozen dataclass: a
+    sweep builds one per (t, method), and a dataclass's __init__ sets each
+    field through object.__setattr__, most of the row builder's time.
     """
 
     t: float
@@ -150,17 +153,18 @@ def _rows(method: Method, grid: list[float], alpha, force, delta_f, status) -> l
     fields[:4] = None if alpha is None else np.concatenate((alpha, force))
     fields[4] = delta_f
     fields[:, status == "error"] = None
-    return [SweepRow(t, method, *values, s) for t, values, s in zip(grid, fields.T.tolist(), status.tolist())]
+    return list(map(SweepRow, grid, repeat(method), *fields.tolist(), status.tolist()))
 
 
 def sweep(config: "SweepConfig") -> list[SweepRow]:
     """Evaluate every configured method over the temperature grid.
 
-    Rows come back ordered by temperature and then by method name, one row
-    per (t, method) pair, independent of evaluation order. Each method's
-    column is one array evaluation over the grid (one batched solve of every
-    point and both wells for numeric and semi-analytic); a closed form that
-    raises turns its whole column into error rows.
+    Rows come back as SweepRow records ordered by temperature and then by
+    method name, the order write_csv writes, one row per (t, method) pair,
+    independent of evaluation order. Each method's column is one array
+    evaluation over the grid (one batched solve of every point and both
+    wells for numeric and semi-analytic); a closed form that raises turns
+    its whole column into error rows.
     """
     grid = temperature_grid(config)
     columns = [

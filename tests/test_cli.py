@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from boxforce import (
     SweepRow,
     parse_config,
     run,
+    sweep,
     write_csv,
 )
 
@@ -93,6 +95,21 @@ class TestParseConfig:
             assert f"(default: {value})" in text
 
 
+def _reference_csv(rows) -> str:
+    """The CSV by the per-field rule: rows sorted by (t, method name), each field format(v, ".17g") or "" for None."""
+
+    def cell(value):
+        return "" if value is None else format(value, ".17g")
+
+    ordered = sorted(rows, key=lambda row: (row.t, row.method.value))
+    lines = [",".join((cell(row.t), row.method.value, *map(cell, row[2:7]), row.status)) for row in ordered]
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
+
+
+# data-field values whose 17-digit text is easy to get wrong
+AWKWARD = [-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf, 0.1, 74.833926687922799]
+
+
 class TestWriteCsv:
     def _row(self, **overrides):
         fields = dict(
@@ -160,6 +177,50 @@ class TestWriteCsv:
         write_csv(rows, str(out))
         keys = [(float(line.split(",")[0]), line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         assert keys == sorted(keys)
+
+    def _written(self, rows, tmp_path) -> str:
+        out = tmp_path / "rows.csv"
+        write_csv(rows, str(out))
+        return out.read_text(encoding="ascii")
+
+    def test_every_none_pattern_matches_the_per_field_writer(self, tmp_path):
+        rows = []
+        for pattern in range(32):  # bit i set: data field i is None
+            data = [None if pattern >> i & 1 else AWKWARD[(pattern + i) % len(AWKWARD)] for i in range(5)]
+            status = "error" if pattern == 31 else "ok"
+            rows.append(SweepRow(0.5 + pattern, Method.SEMI_ANALYTIC, *data, status))
+        text = self._written(rows, tmp_path)
+        assert text == _reference_csv(rows)
+        assert len(text.splitlines()) == 33
+
+    def test_awkward_values_in_every_field(self, tmp_path):
+        rows = [
+            SweepRow(1.0 + i, Method.NUMERIC, *([value] * 5), "ok") for i, value in enumerate(AWKWARD)
+        ]
+        text = self._written(rows, tmp_path)
+        assert text == _reference_csv(rows)
+        assert "-0,-0,-0,-0,-0" in text and "nan,nan" in text and ",-inf," in text
+
+    def test_int_and_signed_zero_t(self, tmp_path):
+        # equal t that print differently (0.0 and -0.0), and an int t, must each keep their own text
+        rows = [
+            self._row(t=3),
+            self._row(t=0.0, method=Method.HIGH_T),
+            self._row(t=-0.0),
+            self._row(t=3, method=Method.LOW_T, alpha_plus=None),
+        ]
+        text = self._written(rows, tmp_path)
+        assert text == _reference_csv(rows)
+        assert [line.split(",")[0] for line in text.splitlines()[1:]] == ["0", "-0", "3", "3"]
+
+    def test_shuffled_sweep_rows_match_the_per_field_writer(self, tmp_path):
+        config = SweepConfig(t_min=0.05, t_max=200.0, grid_points=12, methods=frozenset(Method))
+        rows = sweep(config)
+        text = self._written(rows, tmp_path)
+        assert text == _reference_csv(rows)
+        for seed in range(3):
+            shuffled = random.Random(seed).sample(rows, len(rows))
+            assert self._written(shuffled, tmp_path) == text
 
 
 class TestRun:

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from boxforce import (
+    CSV_HEADER,
     ConstraintSolverError,
     ForcePair,
     GridScale,
     Method,
     SweepConfig,
+    SweepRow,
     ThermoPoint,
     WellSide,
     force,
@@ -160,8 +162,9 @@ class TestSweep:
         )
         rows = sweep(config)
         assert len(rows) == 12
+        assert all(type(row) is SweepRow for row in rows)
         keys = [(row.t, row.method.value) for row in rows]
-        assert keys == sorted(keys)
+        assert keys == sorted(keys)  # the order write_csv writes
 
     def test_linear_rows_flagged_past_validity(self):
         config = SweepConfig(
@@ -214,6 +217,35 @@ class TestSweep:
         assert sorted(calls) == [("delta_f_high_t", (50,)), ("delta_f_linear", (50,)), ("delta_f_low_t", (50,))]
         assert len(rows) == 150
         assert all(row.status != "error" and isinstance(row.delta_f, float) for row in rows)
+
+
+class TestSweepRow:
+    FIELDS = dict(
+        t=1.0, method=Method.NUMERIC, alpha_plus=-0.24, alpha_minus=-0.99, f_plus=25.32, f_minus=100.16,
+        delta_f=74.83, status="ok",
+    )
+
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = SweepRow(**self.FIELDS)
+        by_position = SweepRow(*self.FIELDS.values())
+        assert by_keyword == by_position
+        assert hash(by_keyword) == hash(by_position)
+        assert by_keyword.delta_f == 74.83 and by_keyword.method is Method.NUMERIC
+
+    def test_fields_are_read_only(self):
+        row = SweepRow(**self.FIELDS)
+        with pytest.raises(AttributeError):
+            row.delta_f = 0.0
+
+    def test_fields_follow_the_csv_columns(self):
+        assert SweepRow._fields == tuple(CSV_HEADER.split(","))
+
+    def test_repr_names_every_field(self):
+        assert repr(SweepRow(**self.FIELDS)) == (
+            "SweepRow(t=1.0, method=<Method.NUMERIC: 'numeric'>, alpha_plus=-0.24, alpha_minus=-0.99, "
+            "f_plus=25.32, f_minus=100.16, delta_f=74.83, status='ok')"
+        )
+
 
 def test_temperature_grid_scales():
     log_cfg = SweepConfig(t_min=0.1, t_max=10.0, grid_points=3)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 
 from .force import GridScale, Method, SweepRow, sweep
@@ -27,9 +26,6 @@ CSV_HEADER = "t,method,alpha_plus,alpha_minus,f_plus,f_minus,delta_f,status"
 # A row whose five data fields are all set, t formatted already; '%.17g' % v
 # is format(v, ".17g").
 _FULL_ROW = "%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
-# (t, method name); the Enum's value property and hash are Python-level
-# calls, its _value_ attribute is not
-_ROW_ORDER = attrgetter("t", "method._value_")
 
 _METHOD_NAMES = {m.value: m for m in Method}
 
@@ -131,16 +127,17 @@ def write_csv(rows: list[SweepRow], destination: str) -> None:
     consecutive rows, as the methods of one sweep temperature share it, is
     formatted once.
     """
+    ordered = sorted(rows, key=lambda row: (row.t, row.method.value))
     lines = [CSV_HEADER]
     last_t = t_text = None
-    for t, method, alpha_plus, alpha_minus, f_plus, f_minus, delta_f, status in sorted(rows, key=_ROW_ORDER):
+    for t, method, alpha_plus, alpha_minus, f_plus, f_minus, delta_f, status in ordered:
         if t is not last_t:
             last_t, t_text = t, format(t, ".17g")
         data = (alpha_plus, alpha_minus, f_plus, f_minus, delta_f)
         if alpha_plus is None or alpha_minus is None or f_plus is None or f_minus is None or delta_f is None:
-            lines.append(",".join((t_text, method._value_, *map(_format_field, data), status)))
+            lines.append(",".join((t_text, method.value, *map(_format_field, data), status)))
         else:
-            lines.append(_FULL_ROW % (t_text, method._value_, *data, status))
+            lines.append(_FULL_ROW % (t_text, method.value, *data, status))
     text = "\n".join(lines) + "\n"
     if destination == "-":
         sys.stdout.write(text)

@@ -199,11 +199,10 @@ def _groups(levels: np.ndarray):
 
 def _level_plan(plus, b, levels):
     """A level plan: exponent bases b (e_n - e_1), inf past each row's cutoff, the gaps, no weights."""
-    widest = levels.max()
-    n = np.arange(1.0, widest + 1.0)
+    n = np.arange(1.0, levels[-1] + 1.0)
     gap = np.where(plus[:, None], level_gap(WellSide.PLUS, n), level_gap(WellSide.MINUS, n))
     base = b[:, None] * gap
-    if levels.min() < widest:  # the shortest row ends inside the plan
+    if levels[0] < levels[-1]:  # the shortest row ends inside the plan
         base[n > levels[:, None]] = np.inf
     return base, gap, None
 
@@ -373,16 +372,9 @@ def _routes(plus, ground, b, levels, x0):
     ones to rounding: the occupation's own where x0 t >= POLE_DISTANCE**2
     (see NODE_STEP), the pole split's nearer condensation (see _SPLIT_STEP).
     A row past MAX_LEVELS is in no group. Each plan is built when its group
-    is taken. When every row sums levels and all fit one plan, as in a
-    scalar net_force or total_number call, they are one group in row order,
-    neither sorted nor grouped. Routing costs O(1) in a call without wide
-    rows, and no plan is wider than _TILE levels unless NODE_LEVELS is
-    raised past it.
+    is taken. Routing costs O(1) in a call without wide rows, and no plan is
+    wider than _TILE levels unless NODE_LEVELS is raised past it.
     """
-    widest = levels.max(initial=0)
-    if 0 < widest <= NODE_LEVELS and levels.size * widest <= _TILE:
-        yield _level_sums, _level_plan(plus, b, levels), np.arange(levels.size)
-        return
     order = np.argsort(levels, kind="stable")
     order = order[levels[order] <= MAX_LEVELS]
     if order.size and levels[order[-1]] > NODE_LEVELS:  # O(1) unless the call has a wide row

@@ -10,9 +10,11 @@ two numbers of order b, while x stays of order 1/N; solving for x keeps
 the ground-state occupation fully resolved at every temperature. A row's
 levels stay fixed during a solve, so solve_rows builds the level plan of
 each group of rows once and runs Newton on it to the end, stepping in
-w = log(expm1 x), where log S is nearly linear. A wide row sums its levels
-as one integral instead, on at most 100 fixed nodes, which Poisson
-summation makes exact up to a remainder far below rounding. Far
+w = log(expm1 x), where log S is nearly linear. A plan lays its rows'
+levels end to end, each row a run of exactly its own levels, and sums each
+run pairwise, so a row's sums round the same in any group. A wide row sums
+its levels as one integral instead, on at most 100 fixed nodes, which
+Poisson summation makes exact up to a remainder far below rounding. Far
 from condensation the integrand is the occupation itself (see NODE_STEP).
 Near it, the occupation's pole at zero exponent is split off and summed in
 closed form, and only the analytic remainder is integrated (see
@@ -54,7 +56,8 @@ DEFAULT_TOL = 1e-12
 MAX_ITER = 200
 # rows whose cutoff passes this many levels (t > ~2.5e14) are not attempted
 MAX_LEVELS = 100_000_000
-# largest (rows x levels) plan or level-sum temporary, in float64 elements
+# largest plan or level-sum temporary, in float64 elements: the levels (or
+# nodes) of a group's rows, laid end to end
 _TILE = 1 << 14
 # A row of more than NODE_LEVELS levels (t > ~26,200) sums its levels as one
 # integral. The levels are symmetric about n = 1/2 (PLUS) or n = 0 (MINUS), so
@@ -188,23 +191,31 @@ def _cutoff(b: np.ndarray) -> np.ndarray:
 
 
 def _groups(levels: np.ndarray):
-    """Slices of rows sorted by levels that share a plan, at most _TILE elements padded to its widest row."""
-    start = 0
+    """Slices of consecutive rows that share a plan, their levels adding up to at most _TILE (a wider row alone)."""
+    ends = np.add.accumulate(levels)
+    start = taken = 0
     while start < len(levels):
-        fits = np.count_nonzero(np.arange(1, len(levels) - start + 1) * levels[start:] <= _TILE)
-        end = start + max(int(fits), 1)  # a row wider than _TILE is a group alone
+        end = max(int(ends.searchsorted(taken + _TILE, side="right")), start + 1)
         yield slice(start, end)
-        start = end
+        start, taken = end, ends[end - 1]
 
 
 def _level_plan(plus, b, levels):
-    """A level plan: exponent bases b (e_n - e_1), inf past each row's cutoff, the gaps, no weights."""
-    n = np.arange(1.0, levels[-1] + 1.0)
-    gap = np.where(plus[:, None], level_gap(WellSide.PLUS, n), level_gap(WellSide.MINUS, n))
-    base = b[:, None] * gap
-    if levels[0] < levels[-1]:  # the shortest row ends inside the plan
-        base[n > levels[:, None]] = np.inf
-    return base, gap, None
+    """A level plan: exponent bases b (e_n - e_1) and gaps of n = 1..levels[r] for each row r, no weights.
+
+    The rows, sorted by levels, lay their levels end to end, row r's run
+    beginning at starts[r]. A plan is (base, gap, weight, counts, starts),
+    counts being each row's run length. Every row has at least one level
+    (_cutoff), and np.add.reduceat in _level_sums needs that: it returns
+    the next element, not 0, for an empty run.
+    """
+    ends = np.add.accumulate(levels)
+    starts = ends - levels
+    widest = int(levels[-1])
+    n = np.arange(1.0, widest + 1.0)
+    gaps = np.concatenate((level_gap(WellSide.MINUS, n), level_gap(WellSide.PLUS, n)))
+    gap = gaps[np.arange(int(ends[-1])) - np.repeat(starts - widest * plus, levels)]  # a PLUS row reads the second half
+    return np.repeat(b, levels) * gap, gap, None, levels, starts
 
 
 def _node_count(x0: float) -> int:
@@ -219,7 +230,9 @@ def _node_plan(ground, b, x0, nodes):
     with weight NODE_STEP c cosh(k NODE_STEP): the trapezoid rule over the
     whole line, halved for n >= 1, folded onto k >= 0. The centre node
     counts half, and a MINUS row (ground energy 1) drops half of N(0) there
-    as well, n = 0 being no level.
+    as well, n = 0 being no level. The plan has the form of _level_plan's,
+    each row a run of its nodes in place of its levels; no run is empty,
+    a row taking at least 24 nodes (x0 <= log 2).
     """
     s = np.arange(nodes) * NODE_STEP
     c = np.sqrt(x0 / b)[:, None]
@@ -227,23 +240,26 @@ def _node_plan(ground, b, x0, nodes):
     gap = u * u - ground[:, None]
     weight = (NODE_STEP * c) * np.cosh(s)
     weight[:, 0] = 0.5 * (weight[:, 0] - (ground == WellSide.MINUS.ground_energy))
-    return b[:, None] * gap, gap, weight
+    counts = np.full(len(b), nodes)
+    return (b[:, None] * gap).ravel(), gap.ravel(), weight.ravel(), counts, np.arange(0, gap.size, nodes)
 
 
 def _level_sums(x, plan):
     """sum_n N_n, sum_n N_n^2 and sum_n (e_n - e_1) N_n per row at x over a plan (call under np.errstate).
 
-    A plan is (base, gap, weight): levels carry no weight, nodes the weights
-    of _node_plan.
+    A plan is (base, gap, weight, counts, starts) (_level_plan): levels carry
+    no weight, nodes the weights of _node_plan. np.add.reduceat sums each
+    row's run pairwise, the same wherever the run lies in the plan.
     """
-    base, gap, weight = plan
-    occ = base + x[:, None]
+    base, gap, weight, counts, starts = plan
+    occ = np.repeat(x, counts)
+    occ += base
     np.expm1(occ, out=occ)
     np.divide(1.0, occ, out=occ)
     mass = occ if weight is None else occ * weight
-    number, weighted = mass.sum(axis=1), (mass * gap).sum(axis=1)
+    number, weighted = np.add.reduceat(mass, starts), np.add.reduceat(mass * gap, starts)
     mass *= occ
-    return number, mass.sum(axis=1), weighted
+    return number, np.add.reduceat(mass, starts), weighted
 
 
 def _series_matrix(terms: int) -> np.ndarray:
@@ -364,6 +380,16 @@ def _split_sums(x, plan):
     return number, squares, t * (moment - x * number)
 
 
+def _compact(plan, keep):
+    """The plan of the rows where keep is true: a split plan keeps those rows, a level or node plan their runs."""
+    if len(plan) == 2:  # _split_plan: one row of each part per row
+        return tuple(part[keep] for part in plan)
+    *terms, counts, _ = plan
+    kept = np.repeat(keep, counts)
+    counts = counts[keep]
+    return (*(part if part is None else part[kept] for part in terms), counts, np.add.accumulate(counts) - counts)
+
+
 def _routes(plus, ground, b, levels, x0):
     """Yield (kernel, plan, rows) per group (_groups) of rows started at x0, rows being the group's indices.
 
@@ -372,14 +398,15 @@ def _routes(plus, ground, b, levels, x0):
     ones to rounding: the occupation's own where x0 t >= POLE_DISTANCE**2
     (see NODE_STEP), the pole split's nearer condensation (see _SPLIT_STEP).
     A row past MAX_LEVELS is in no group. Each plan is built when its group
-    is taken. Routing costs O(1) in a call without wide rows, and no plan is
-    wider than _TILE levels unless NODE_LEVELS is raised past it.
+    is taken, and none holds more than _TILE levels or nodes unless
+    NODE_LEVELS is raised past _TILE, a row wider than that being a group
+    alone.
     """
     order = np.argsort(levels, kind="stable")
-    order = order[levels[order] <= MAX_LEVELS]
-    if order.size and levels[order[-1]] > NODE_LEVELS:  # O(1) unless the call has a wide row
-        wide = levels[order] > NODE_LEVELS
-        routed, order = order[wide], order[~wide]
+    ordered = levels[order]
+    narrow, attempted = ordered.searchsorted((NODE_LEVELS, MAX_LEVELS), side="right")
+    routed, order, ordered = order[narrow:attempted], order[:narrow], ordered[:narrow]
+    if routed.size:
         split = x0 < POLE_DISTANCE**2 * b[routed]
         nodes, on_nodes, on_split = _node_count(x0), routed[~split], routed[split]
         for group in _groups(np.full(on_nodes.size, nodes)):
@@ -388,9 +415,9 @@ def _routes(plus, ground, b, levels, x0):
         for group in _groups(np.full(on_split.size, _SPLIT_NODES)):
             on = on_split[group]
             yield _split_sums, _split_plan(ground[on], b[on]), on
-    for group in _groups(levels[order]):
+    for group in _groups(ordered):
         on = order[group]
-        yield _level_sums, _level_plan(plus[on], b[on], levels[on]), on
+        yield _level_sums, _level_plan(plus[on], b[on], ordered[group]), on
 
 
 def total_number(side: WellSide, alpha: float, b: float) -> float:
@@ -492,8 +519,7 @@ def solve_rows(
                 if stopped:
                     out, keep = live[stop], ~stop
                     x[out], number[out], weighted[out], iterations[out] = xs[stop], s[stop], w[stop], count
-                    live, xs, step = live[keep], xs[keep], step[keep]
-                    plan = tuple(part if part is None else part[keep] for part in plan)  # one row per live row
+                    live, xs, step, plan = live[keep], xs[keep], step[keep], _compact(plan, keep)
                 xs = np.maximum(np.log1p(np.expm1(xs) * np.exp(step / -np.expm1(-xs))), x0)  # w += step dw/dx
     residual = np.abs(number - target)
     converged = residual <= tol * target  # false where a row stopped early or was not attempted

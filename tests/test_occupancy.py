@@ -215,22 +215,84 @@ class TestSolveAlpha:
 class TestSolveRowGroups:
     def test_batch_rows_match_one_row_solves(self):
         # both wells, from 1 level (t = 1e-3) past _TILE levels (t = 1e7) and
-        # one row past MAX_LEVELS (t = 1e15), in an order that mixes them
+        # one row past MAX_LEVELS (t = 1e15), in an order that mixes them; at
+        # N = 100 the wide rows sum on the occupation's nodes, at N = 1e6 on
+        # the pole split's
         t = np.repeat([1e-3, 0.3, 10.0, 1e3, 1e5, 1e7, 1e15], 2)
         sides = [P, M] * (len(t) // 2)
         order = np.random.default_rng(3).permutation(len(t))
         t = t[order]
         sides = [sides[i] for i in order]
-        batch = solve_rows(sides, 100, 1.0 / t)
-        assert batch.levels_used.min() == 1
-        assert np.any((batch.levels_used > _TILE) & (batch.levels_used <= MAX_LEVELS))
-        assert batch.levels_used.max() > MAX_LEVELS
-        for i, (side, ti) in enumerate(zip(sides, t)):
-            one = solve_rows((side,), 100, 1.0 / ti)
-            np.testing.assert_allclose(batch.alpha[i], one.alpha[0], rtol=1e-13, atol=0.0)
-            np.testing.assert_allclose(batch.force[i], one.force[0], rtol=1e-13, atol=0.0)  # nan past MAX_LEVELS
-            assert batch.iterations[i] == one.iterations[0]
-            assert batch.converged[i] == one.converged[0]
+        for n_particles in (100, 1_000_000):
+            batch = solve_rows(sides, n_particles, 1.0 / t)
+            assert batch.levels_used.min() == 1
+            assert np.any((batch.levels_used > _TILE) & (batch.levels_used <= MAX_LEVELS))
+            assert batch.levels_used.max() > MAX_LEVELS
+            on_split = routed(batch.levels_used) & np.array([split(n_particles, ti) for ti in t])
+            assert on_split.any() == (n_particles > 100)
+            for i, (side, ti) in enumerate(zip(sides, t)):
+                one = solve_rows((side,), n_particles, 1.0 / ti)
+                if on_split[i]:  # the split kernel sums a group's rows in one einsum
+                    np.testing.assert_allclose(batch.alpha[i], one.alpha[0], rtol=1e-13, atol=0.0)
+                    np.testing.assert_allclose(batch.force[i], one.force[0], rtol=1e-13, atol=0.0)
+                    assert batch.iterations[i] == one.iterations[0]
+                    assert batch.converged[i] == one.converged[0]
+                else:  # a run of levels or nodes sums the same wherever it lies in its plan
+                    for field in RowSolutions._fields[:-1]:  # the per-row arrays; nan past MAX_LEVELS
+                        np.testing.assert_array_equal(getattr(batch, field)[i], getattr(one, field)[0])
+
+    def test_no_rows_and_rows_past_max_levels(self):
+        # no row: every array empty. A row past MAX_LEVELS is in no plan; it
+        # is reported unattempted, beside a row that solves
+        empty = solve_rows([], 100, 1.0)
+        assert all(getattr(empty, field).shape == (0,) for field in RowSolutions._fields[:-1])
+        solved = solve_rows((P, M), 100, np.array([1.0, 1e-15]))
+        assert solved.levels_used[1] > MAX_LEVELS
+        assert solved.iterations.tolist() == [3, 0]
+        assert solved.converged.tolist() == [True, False]
+
+    def test_level_plans_hold_each_rows_own_levels(self):
+        # the README mid and high sweeps and the large_n grid, both wells, in
+        # one call: each level plan holds exactly its rows' levels, all
+        # finite, and no plan passes _TILE unless it is a single row
+        t = np.concatenate([np.geomspace(0.01, 160, 400), np.geomspace(1.0, 1e4, 300), np.geomspace(1.0, 1e8, 100)])
+        b = np.repeat(1.0 / t, 2)
+        plus = np.tile([True, False], len(t))
+        ground = np.where(plus, P.ground_energy, M.ground_energy)
+        levels = occupancy._cutoff(b)
+        seen = 0
+        for kernel, plan, rows in occupancy._routes(plus, ground, b, levels, math.log1p(1e-4)):
+            if kernel is occupancy._split_sums:
+                continue
+            base, gap, weight, counts, starts = plan
+            assert base.size == gap.size == counts.sum() <= _TILE or len(rows) == 1
+            np.testing.assert_array_equal(starts, np.cumsum(counts) - counts)
+            assert np.isfinite(base).all()
+            if weight is None:
+                np.testing.assert_array_equal(counts, levels[rows])
+                seen += len(rows)
+        assert seen == np.count_nonzero(levels <= NODE_LEVELS)
+
+    def test_mixed_group_sums_match_direct_sums(self):
+        # 1-level rows between rows of ~1,000 levels, both wells, in one plan:
+        # no run leaks into its neighbour, each row's sums being its own
+        t = np.array([1e-3, 2.5e4, 0.02, 0.01, 2.6e4, 1e-2])
+        sides = [P, M, M, P, P, M]
+        plus = np.array([side is P for side in sides])
+        ground = np.array([side.ground_energy for side in sides])
+        levels = occupancy._cutoff(1.0 / t)
+        assert sorted(levels.tolist()) == [1, 1, 1, 1, 1000, 1020]
+        (kernel, plan, rows), = occupancy._routes(plus, ground, 1.0 / t, levels, 0.01)
+        assert kernel is occupancy._level_sums and sorted(rows.tolist()) == list(range(len(t)))
+        x = np.array([0.01, 0.05, 0.2, 1.0, 0.02, 3.0])
+        with np.errstate(over="ignore"):
+            sums = occupancy._level_sums(x[rows], plan)
+        for row, number, squares, weighted in zip(rows, *sums):
+            n = np.arange(1.0, levels[row] + 1.0)
+            gap = (n - 1.0) * (n + (0.0 if plus[row] else 1.0))
+            occ = 1.0 / np.expm1(x[row] + gap / t[row])
+            for value, terms in ((number, occ), (squares, occ * occ), (weighted, occ * gap)):
+                assert value == pytest.approx(math.fsum(terms), rel=1e-14, abs=0.0)
 
     def test_iteration_cap_counts_as_a_stop(self):
         # both wells at N = 100, b = 1e-4 converge on evaluation 6: a cap of 6

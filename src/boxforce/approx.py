@@ -193,6 +193,7 @@ def semi_analytic_force(side: WellSide, alpha, t, n_particles: int):
 
     (-N alpha + 1/2 - sqrt(e_1)) t plus the closed Bose integral times t^(3/2).
     """
+    check_domain(n_particles, t)
     linear = (-n_particles * alpha + 0.5 - math.sqrt(side.ground_energy)) * t
     return linear + bose_integral_closed(alpha) * t**1.5
 
@@ -297,11 +298,12 @@ def fugacity_expansion(side: WellSide, n_particles: int, b: float) -> FugacityEx
 def delta_f_high_t(n_particles: int, t):
     """Leading high-temperature net force at t (scalar or array): (N/2) sqrt(t/pi).
 
-    The remainder delta_f - (N/2) sqrt(t/pi) is of order N^2 t^0: it tends
-    to about -0.13 N^2 (-0.116 N^2 at N = 10, -0.130 N^2 at N = 100, both at
-    t = 1e8). The relative error therefore dies off only as 1/sqrt(t), at
-    about 0.4-0.45 N/sqrt(t) near t = 100 N^2, and falls below 5% only for
-    t >~ 80 N^2 (N = 100: ratio 0.675 at t = N^2, 0.956 at t = 100 N^2).
+    The remainder delta_f - (N/2) sqrt(t/pi) tends to the constant
+    c(N) = N/(2 pi) - (sqrt(2) - 1) N^2/pi (-11.593 at N = 10, -1302.57 at
+    N = 100), the gap closing like 1/sqrt(t). The relative error therefore
+    dies off only as 1/sqrt(t), at about 0.4-0.45 N/sqrt(t) near t = 100 N^2,
+    and falls below 5% only for t >~ 80 N^2 (N = 100: ratio 0.675 at t = N^2,
+    0.956 at t = 100 N^2).
     """
     check_domain(n_particles, t)
     return 0.5 * n_particles * np.sqrt(t / math.pi)

@@ -175,8 +175,9 @@ def occupation(alpha: float, b: float, energy: float) -> float:
 
     Returns exactly 0.0 once the exponent passes the float64 overflow
     threshold. Raises ValueError when alpha + b*energy <= 0, where the
-    occupation would be divergent or negative.
+    occupation would be divergent or negative, or b fails check_domain.
     """
+    check_domain(t=b)
     z = alpha + b * energy
     if not z > 0.0:
         raise ValueError(f"alpha + b*e must be positive, got {z}")
@@ -380,16 +381,6 @@ def _split_sums(x, plan):
     return number, squares, t * (moment - x * number)
 
 
-def _compact(plan, keep):
-    """The plan of the rows where keep is true: a split plan keeps those rows, a level or node plan their runs."""
-    if len(plan) == 2:  # _split_plan: one row of each part per row
-        return tuple(part[keep] for part in plan)
-    *terms, counts, _ = plan
-    kept = np.repeat(keep, counts)
-    counts = counts[keep]
-    return (*(part if part is None else part[kept] for part in terms), counts, np.add.accumulate(counts) - counts)
-
-
 def _routes(plus, ground, b, levels, x0):
     """Yield (kernel, plan, rows) per group (_groups) of rows started at x0, rows being the group's indices.
 
@@ -489,9 +480,9 @@ def solve_rows(
     to 1e300 and t = 1e-300 to 2e14 every row stopped converged within 6
     evaluations and the clamp never acted (tests/test_occupancy.py). The
     groups of _routes, which also picks each group's route, are solved one
-    by one: the plan is built once, the rows still iterating hold their x in
-    a compact array, and a row that stops leaves both and has its results
-    written, once.
+    by one on plans built once. A stopped row stays in its group's plan,
+    frozen at its x, where each kernel keeps its sums its own; the group
+    writes its results once, when its last row stops or at max_iter.
     """
     check_tolerance(tol)
     rows = len(sides)
@@ -505,22 +496,19 @@ def solve_rows(
     number, weighted = np.full((2, rows), np.nan)  # weighted is sum_n (e_n - e_1) N_n
     iterations = np.zeros(rows, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for kernel, plan, live in _routes(plus, ground, b, levels, x0):  # live: rows still iterating, xs their x
-            xs = x[live]
+        for kernel, plan, group in _routes(plus, ground, b, levels, x0):
+            xs, moving, evaluations = x[group], np.ones(group.size, dtype=bool), np.zeros(group.size, dtype=np.int64)
             for count in range(1, max_iter + 1):
+                evaluations += moving  # a row counts the evaluations up to the one it stopped on
                 s, squares, w = kernel(xs, plan)
                 excess = s - target
                 step = np.log1p(excess / target) * s / (squares + s)  # S' = -sum_n N_n (N_n + 1)
-                stop = (np.abs(excess) <= tol * target) | ~np.isfinite(step)
-                stopped = live.size if count == max_iter else np.count_nonzero(stop)
-                if stopped == live.size:  # the usual end of a group: every row stops at once
-                    x[live], number[live], weighted[live], iterations[live] = xs, s, w, count
+                moving = (np.abs(excess) > tol * target) & np.isfinite(step)
+                if count == max_iter or np.count_nonzero(moving) == 0:
+                    x[group], number[group], weighted[group], iterations[group] = xs, s, w, evaluations
                     break
-                if stopped:
-                    out, keep = live[stop], ~stop
-                    x[out], number[out], weighted[out], iterations[out] = xs[stop], s[stop], w[stop], count
-                    live, xs, step, plan = live[keep], xs[keep], step[keep], _compact(plan, keep)
-                xs = np.maximum(np.log1p(np.expm1(xs) * np.exp(step / -np.expm1(-xs))), x0)  # w += step dw/dx
+                moved = np.maximum(np.log1p(np.expm1(xs) * np.exp(step / -np.expm1(-xs))), x0)  # w += step dw/dx
+                xs = np.where(moving, moved, xs)  # a stopped row keeps its x
     residual = np.abs(number - target)
     converged = residual <= tol * target  # false where a row stopped early or was not attempted
     force = weighted + ground * number

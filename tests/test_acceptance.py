@@ -166,8 +166,9 @@ def test_criterion_05_semi_analytic_regime():
 
 
 def test_criterion_06_high_t_asymptotics():
-    # (N/2) sqrt(t/pi) holds for t >> N^2: the remainder tends to ~-0.13 N^2,
-    # so the relative error is ~0.44 N/sqrt(t) and the 5% band is first met
+    # (N/2) sqrt(t/pi) holds for t >> N^2: the remainder tends to
+    # c(N) = N/(2 pi) - (sqrt(2) - 1) N^2/pi (-1302.57 at N = 100), so the
+    # relative error is ~0.44 N/sqrt(t) and the 5% band is first met
     # near t = 78 N^2. The band is asserted at t = 100 N^2 = 1e6. Oracle
     # values (mpmath, ~110 s at 1e6, so not called here): delta_f(1e4) =
     # 1904.809008996 (ratio 0.67524), delta_f(1e6) = 26957.53960531

@@ -345,6 +345,20 @@ class TestHighT:
             ratios[t] = exact / delta_f_high_t(100, t)
         assert abs(ratios[4e4] - 1.0) < abs(ratios[1e3] - 1.0)
 
+    @pytest.mark.parametrize("n_particles", [10, 100])
+    def test_remainder_approaches_its_constant(self, n_particles):
+        # delta_f - (N/2) sqrt(t/pi) tends to c(N) = N/(2 pi) - (sqrt(2) - 1) N^2/pi,
+        # the gap shrinking by about sqrt(10) per decade of t (N = 100:
+        # 5.2 at t = 1e8, 0.17 at 1e11). N = 1 is left out: by t = 1e11 its
+        # gap reaches the rounding floor of f_minus - f_plus
+        limit = n_particles / (2.0 * math.pi) - (math.sqrt(2.0) - 1.0) * n_particles**2 / math.pi
+        gaps = []
+        for t in (1e8, 1e9, 1e10, 1e11):
+            remainder = net_force(ThermoPoint(n_particles, t)).delta_f - delta_f_high_t(n_particles, t)
+            gaps.append(abs(remainder - limit))
+        assert all(2.5 < wider / narrower < 4.5 for wider, narrower in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 2e-4 * abs(limit)
+
 
 class TestSeriesReconstruction:
     """Fugacity-series route: N and f rebuilt from the per-k theta sums."""
@@ -392,7 +406,13 @@ class TestInputRule:
     """Each entry taking N, t or b raises ValueError on every bad value of the one input rule."""
 
     @pytest.mark.parametrize(
-        "entry", [semi_analytic_delta_f, lambda n, t: semi_analytic_alpha(P, n, t)], ids=["delta_f", "alpha"]
+        "entry",
+        [
+            semi_analytic_delta_f,
+            lambda n, t: semi_analytic_alpha(P, n, t),
+            lambda n, t: semi_analytic_force(P, 0.1, t, n),
+        ],
+        ids=["delta_f", "alpha", "force"],
     )
     @pytest.mark.parametrize("n, t", [(n, 10.0) for n in BAD_N] + [(100, t) for t in BAD_T])
     def test_semi_analytic_n_and_t(self, entry, n, t):

@@ -87,7 +87,10 @@ class TestOccupation:
         assert occupation(0.6, 0.1, 4.0) == pytest.approx(OCCUPATION_AT_UNIT_EXPONENT, rel=1e-14)
 
     @pytest.mark.parametrize(
-        "alpha, b, e", [(0.0, 1.0, 0.0), (-1.0, 1.0, 0.5), (-10.0, 0.1, 50.0), (math.nan, 1.0, 0.0)]
+        "alpha, b, e",
+        [(0.0, 1.0, 0.0), (-1.0, 1.0, 0.5), (-10.0, 0.1, 50.0), (math.nan, 1.0, 0.0),
+         # b follows the t rule (check_domain) even where the exponent is positive
+         (5.0, -1.0, 1.0), (5.0, 0.0, 1.0), (5.0, math.inf, 1.0), (5.0, 1e-320, 1.0)],
     )
     def test_nonpositive_exponent_rejected(self, alpha, b, e):
         with pytest.raises(ValueError):
@@ -193,6 +196,9 @@ class TestSolveAlpha:
         with pytest.raises(ConstraintSolverError) as excinfo:
             solve_alpha(P, ThermoPoint(100, 1e4), max_iter=3)
         assert len(excinfo.value.bracket) == 2
+        with pytest.raises(ConstraintSolverError) as excinfo:
+            solve_alpha(P, ThermoPoint(100, 1e4), max_iter=0)
+        assert excinfo.value.bracket == (math.log1p(1e-2), math.log1p(1e-2))  # (x0, x0): no evaluation
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
@@ -303,24 +309,49 @@ class TestSolveRowGroups:
         capped = solve_rows((P, M), 100, 1e-4, max_iter=5)
         assert capped.iterations.tolist() == [5, 5]
         assert not capped.converged.any()
+        # a cap of 0 leaves both rows at x0, unevaluated
+        none = solve_rows((P, M), 100, 1e-4, max_iter=0)
+        assert none.shifted_alpha.tolist() == [math.log1p(1e-2)] * 2
+        assert np.isnan(none.residual).all()
+        assert none.iterations.tolist() == [0, 0]
+        assert not none.converged.any()
 
     def test_rows_stopping_apart_match_one_row_solves(self):
-        # one group of 18-level rows, no padding, so a row's sums round as in
-        # its one-row solve; its rows stop on evaluations 3 and 4, and a cap
-        # of 3 stops the slower ones unconverged
-        sides = (M, P, P, M, M)
-        t = np.array([7.3, 7.3, 7.9, 8.0, 7.4])
-        batch = solve_rows(sides, 100, 1.0 / t)
-        assert (batch.levels_used == 18).all()
-        assert batch.converged.all()
-        assert batch.iterations.tolist() == [3, 4, 4, 4, 3]
-        for i, (side, ti) in enumerate(zip(sides, t)):
-            one = solve_rows((side,), 100, 1.0 / ti)
-            for field in RowSolutions._fields[:-1]:  # the per-row arrays
-                np.testing.assert_array_equal(getattr(batch, field)[i], getattr(one, field)[0])
-        capped = solve_rows(sides, 100, 1.0 / t, max_iter=3)
-        assert capped.iterations.tolist() == [3] * 5
-        np.testing.assert_array_equal(capped.converged, batch.iterations == 3)
+        # in each group the rows stop on different evaluations, each staying
+        # frozen in the plan until the last stops; a cap of 3 stops the slower
+        # ones unconverged
+        groups = [
+            # 18-level rows, no padding, so a row's sums round as in its
+            # one-row solve
+            (100, (M, P, P, M, M), (7.3, 7.3, 7.9, 8.0, 7.4), occupancy._level_sums, [3, 4, 4, 4, 3]),
+            # on the occupation's nodes (x0 t >= POLE_DISTANCE**2)
+            (100, (P, M, P, M, P), (3e4, 3e4, 1e7, 1e11, 1e11), occupancy._level_sums, [6, 6, 5, 4, 4]),
+            # on the pole split's nodes (x0 t < POLE_DISTANCE**2)
+            (10**6, (M, P, P, M, M), (3e4, 3e4, 1e6, 1e6, 1e7), occupancy._split_sums, [3, 4, 5, 5, 4]),
+        ]
+        for n_particles, sides, t, kernel, iterations in groups:
+            b = 1.0 / np.array(t)
+            plus = np.array([side is P for side in sides])
+            ground = np.array([side.ground_energy for side in sides])
+            x0 = math.log1p(1.0 / n_particles)
+            (routed_kernel, _, _), = occupancy._routes(plus, ground, b, occupancy._cutoff(b), x0)  # one group
+            assert routed_kernel is kernel
+            batch = solve_rows(sides, n_particles, b)
+            assert batch.converged.all()
+            assert batch.iterations.tolist() == iterations
+            for i, (side, bi) in enumerate(zip(sides, b)):
+                one = solve_rows((side,), n_particles, bi)
+                if kernel is occupancy._split_sums:  # the split kernel sums a group's rows in one einsum
+                    np.testing.assert_allclose(batch.alpha[i], one.alpha[0], rtol=1e-13, atol=0.0)
+                    np.testing.assert_allclose(batch.force[i], one.force[0], rtol=1e-13, atol=0.0)
+                    for field in ("levels_used", "iterations", "converged"):
+                        assert getattr(batch, field)[i] == getattr(one, field)[0]
+                else:  # a run of levels or nodes sums the same wherever it lies in its plan
+                    for field in RowSolutions._fields[:-1]:  # the per-row arrays
+                        np.testing.assert_array_equal(getattr(batch, field)[i], getattr(one, field)[0])
+            capped = solve_rows(sides, n_particles, b, max_iter=3)
+            assert capped.iterations.tolist() == [min(count, 3) for count in iterations]
+            np.testing.assert_array_equal(capped.converged, batch.iterations <= 3)
 
     def test_plan_built_once_per_group(self, monkeypatch):
         # both wells at N = 100, t = 1e4 share one group of 2 x 633 levels
@@ -372,14 +403,26 @@ class TestSolveRowGroups:
         # 1e-300 to 2e14 (under MAX_LEVELS), both wells, all three routes. At
         # every evaluation x >= x0, which the node route's pole distance rests
         # on, and alpha < 3.75 on split rows, which bounds _SPLIT_HEAD's series
-        # argument; only a row's first evaluation sits at x0, so the clamp at
-        # x0 never acts
-        seen = {"at_x0": 0, "nodes": 0, "split": 0}
-        level_sums, split_sums = occupancy._level_sums, occupancy._split_sums
+        # argument. Every row starts at x0, and a stopped row stays frozen in
+        # its group's plan; so the clamp at x0 never acts when, from a group's
+        # second evaluation on, its rows at x0 are exactly those that stopped
+        # on the first
+        seen = {"nodes": 0, "split": 0}
+        routes, level_sums, split_sums = occupancy._routes, occupancy._level_sums, occupancy._split_sums
+
+        def grouped(*args):
+            for kernel, plan, rows in routes(*args):
+                seen["rows"], seen["evaluation"] = rows, 0
+                yield kernel, plan, rows
 
         def checked(x):
             assert (x >= seen["x0"]).all()
-            seen["at_x0"] += np.count_nonzero(x == seen["x0"])
+            at_x0 = x == seen["x0"]
+            seen["evaluation"] += 1
+            if seen["evaluation"] == 1:
+                assert at_x0.all()
+            else:
+                seen["later"].append((seen["rows"], at_x0))
 
         def level_checked(x, plan):
             checked(x)
@@ -393,18 +436,22 @@ class TestSolveRowGroups:
             seen["split"] += x.size
             return split_sums(x, plan)
 
+        monkeypatch.setattr(occupancy, "_routes", grouped)
         monkeypatch.setattr(occupancy, "_level_sums", level_checked)
         monkeypatch.setattr(occupancy, "_split_sums", split_checked)
         t = np.repeat(np.geomspace(1e-300, 2e14, 400), 2)
+        frozen_at_x0 = 0
         for n_particles in (1, 10, 100, 10**4, 10**6, 10**9, 10**15, 10**30, 10**100, 10**300):
             seen["x0"] = math.log1p(1.0 / float(n_particles))
-            seen["at_x0"] = 0
+            seen["later"] = []
             solved = solve_rows([P, M] * 400, n_particles, 1.0 / t)
             assert (solved.levels_used <= MAX_LEVELS).all()
             assert solved.converged.all()
             assert solved.iterations.max() <= 6
-            assert seen["at_x0"] == len(t)
-        assert seen["nodes"] and seen["split"]
+            for rows, at_x0 in seen["later"]:
+                np.testing.assert_array_equal(at_x0, solved.iterations[rows] == 1)
+                frozen_at_x0 += np.count_nonzero(at_x0)
+        assert frozen_at_x0 and seen["nodes"] and seen["split"]
 
     def test_plan_memory_stays_bounded(self):
         # groups are solved one at a time, so only one group's plan, a few

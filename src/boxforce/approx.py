@@ -92,8 +92,8 @@ def bose_integral_closed(alpha: float) -> float:
     return _SQRT_PI / 96.0 * (63.0 - 35.0 * alpha)
 
 
-def _bracket_primitive(alpha, v):
-    """A(sqrt|alpha| * v)/sqrt|alpha| with A = arctan (alpha > 0) or arctanh (alpha < 0).
+def _bracket_primitive(alpha, v, v3, v5):
+    """A(sqrt|alpha| * v)/sqrt|alpha| with A = arctan (alpha > 0) or arctanh (alpha < 0); v3, v5 are v^3, v^5.
 
     This is the antiderivative of 1/(alpha + s^2) evaluated at s = 1/v, on
     arrays too (call under np.errstate: the branch not taken may be nan).
@@ -102,15 +102,24 @@ def _bracket_primitive(alpha, v):
     """
     r = np.sqrt(np.abs(alpha))
     branch = np.where(alpha > 0.0, np.arctan(r * v), np.arctanh(r * v)) / r
-    series = v - alpha * v**3 / 3.0 + alpha * alpha * v**5 / 5.0
+    series = v - alpha * v3 / 3.0 + alpha * alpha * v5 / 5.0
     return np.where(np.abs(alpha) < _ALPHA_SERIES_CUTOFF, series, branch)
 
 
-def _trapezoid_number(alpha, e1, e2, b):
-    root, sqrt_b, s2 = np.sqrt(2.0 - alpha), np.sqrt(b), np.sqrt(b * e2)  # the integral starts at s2
-    head = 1.0 / (alpha + b * e1) + 0.5 / (alpha + b * e2) - 0.75
+def _trapezoid_rows(e1, e2, b):
+    """The row constants of _trapezoid_number: b e_1, b e_2, sqrt(b), s2 = sqrt(b e_2) and (1/s2)^k, k = 1, 3, 5."""
+    s2 = np.sqrt(b * e2)  # the integral starts at s2
+    v = 1.0 / s2
+    return b * e1, b * e2, np.sqrt(b), s2, (v, v**3, v**5)
+
+
+def _trapezoid_number(alpha, rows):
+    b_e1, b_e2, sqrt_b, s2, s2_powers = rows
+    root = np.sqrt(2.0 - alpha)
+    head = 1.0 / (alpha + b_e1) + 0.5 / (alpha + b_e2) - 0.75
     edge = -(root - s2) / (2.0 * sqrt_b)
-    tail = (_bracket_primitive(alpha, 1.0 / s2) - _bracket_primitive(alpha, 1.0 / root)) / sqrt_b
+    v = 1.0 / root
+    tail = (_bracket_primitive(alpha, *s2_powers) - _bracket_primitive(alpha, v, v**3, v**5)) / sqrt_b
     return head + edge + tail
 
 
@@ -126,7 +135,7 @@ def semi_analytic_total_number(side: WellSide, alpha, b):
     if not (np.all(alpha + b * e1 > 0.0) and np.all(alpha < 2.0)):
         raise ValueError(f"need -b*e_1 < alpha < 2, got b = {b}, alpha = {alpha}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _trapezoid_number(alpha, e1, energy_level(side, 2), b)
+        return _trapezoid_number(alpha, _trapezoid_rows(e1, energy_level(side, 2), b))
 
 
 def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exception | None]]:
@@ -145,8 +154,9 @@ def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exc
     pole = b * e1
     ends = np.stack((-pole + 1e-10 * np.maximum(1.0, pole), np.full(len(e1), 2.0 - 1e-12)))
     with np.errstate(all="ignore"):
+        rows = _trapezoid_rows(e1, e2, b)
         lo, hi = ends
-        f_lo, f_hi = (_trapezoid_number(ends, e1, e2, b) - n_particles) * (ends + pole)
+        f_lo, f_hi = (_trapezoid_number(ends, rows) - n_particles) * (ends + pole)
         out_of_range = f_hi > 0.0
         live = (f_lo >= 0.0) & (f_hi <= 0.0)  # false on nan
         moved_lo = moved_hi = np.zeros(len(e1), dtype=bool)
@@ -156,7 +166,7 @@ def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exc
             if step == 200 or not live.any():
                 break
             x = np.clip(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + 0.5 * tol, hi - 0.5 * tol)
-            f = (_trapezoid_number(x, e1, e2, b) - n_particles) * (x + pole)
+            f = (_trapezoid_number(x, rows) - n_particles) * (x + pole)
             up = live & (f > 0.0)  # the root lies above x
             down = live & (f <= 0.0)  # a nan drops the row
             # Illinois: an end kept twice in a row has its value halved

@@ -10,7 +10,9 @@ two numbers of order b, while x stays of order 1/N; solving for x keeps
 the ground-state occupation fully resolved at every temperature. A row's
 levels stay fixed during a solve, so solve_rows builds the level plan of
 each group of rows once and runs Newton on it to the end, stepping in
-w = log(expm1 x), where log S is nearly linear. A plan lays its rows'
+w = log(expm1 x), where log S is nearly linear, from the root of a pole
+model of the sum (see REMAINDER_LIMIT) or, where that model is off by
+more than x0 = log1p(1/N), from x0. A plan lays its rows'
 levels end to end, each row a run of exactly its own levels, and sums each
 run pairwise, so a row's sums round the same in any group. A wide row sums
 its levels as one integral instead, on at most 100 fixed nodes, which
@@ -18,13 +20,15 @@ Poisson summation makes exact up to a remainder far below rounding. Far
 from condensation the integrand is the occupation itself (see NODE_STEP).
 Near it, the occupation's pole at zero exponent is split off and summed in
 closed form, and only the analytic remainder is integrated (see
-_SPLIT_STEP). The level cutoff (TAIL_EXPONENT), both node rules and the
-batched Newton iteration are choices of this implementation; only
-the occupation formula and the constraint itself are physics.
+_SPLIT_STEP). The level cutoff (TAIL_EXPONENT), both node rules, the
+start and the batched Newton iteration are choices of this
+implementation; only the occupation formula and the constraint itself
+are physics.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -65,11 +69,12 @@ _TILE = 1 << 14
 # MINUS, and by Poisson summation that sum is the integral of N(n) up to
 # ~2 pi (t / d) exp(-2 pi d), d being the distance from the real n axis of the
 # integrand's nearest pole. POLE_DISTANCE picks the integrand. A row whose
-# start x0 = log1p(1/N) has x0 t >= POLE_DISTANCE**2 integrates the occupation
-# itself (_node_plan): its nearest pole lies d = sqrt(alpha t) away, and
-# solve_rows keeps every iterate at x >= x0, so d >= sqrt(99) and the
-# remainder is below ~1e-26 of the sum. The integral is the trapezoid rule
-# of step NODE_STEP in s, n - centre = sqrt(x0 t) sinh(s), whose error falls like
+# lower bound x0 = log1p(1/N) has x0 t >= POLE_DISTANCE**2 integrates the
+# occupation itself (_node_plan): its nearest pole lies d = sqrt(alpha t)
+# away, and solve_rows keeps every iterate, its start too, at x >= x0, so
+# d >= sqrt(99) and the remainder is below ~1e-26 of the sum. The integral
+# is the trapezoid rule of step NODE_STEP in s, n - centre = sqrt(x0 t)
+# sinh(s), whose error falls like
 # exp(-pi^2 / (2 NODE_STEP)), the mapped integrand being analytic for
 # |Im s| < ~pi/4. Against math.fsum direct sums it measured ~2e-9 relative at
 # step 0.2 and at most 4.4e-16, the rounding floor, at 0.12. The nodes reach
@@ -104,6 +109,34 @@ _SPLIT_STEP = 0.04
 _SPLIT_NODES = 100
 # terms of the power series of _series, which reach rounding for |Y| <= 12
 _SERIES_TERMS = 18
+# Newton starts each row at the root of the pole model (_start). Split as for
+# _SPLIT_STEP, a row's sum is t q(A), A = alpha t, from the pole, with q =
+# Phi(A)/2 (MINUS) or (4 Phi(4A) - Phi(A))/2 (PLUS) (_split_sums), plus the
+# remainder's, sqrt(t) R(alpha) less r(alpha)/2 for MINUS, whose level n = 0
+# is no level; R(alpha) is the integral of r(alpha + v^2) over v >= 0. The
+# model takes the remainder at alpha -> 0: t q(A) + C sqrt(t) + 1/4 (MINUS)
+# = N, C = R(0) = (sqrt(pi)/2) zeta(1/2) (REMAINDER_LIMIT). Its root in u =
+# A + e_1 = x t comes from a table of q's inverse (_start_tables), read with
+# np.interp. The model drops sqrt(t) (R(alpha) - C) ~ R'(0) alpha sqrt(t),
+# R'(0) = 0.18423, which sets where it is used:
+# * near the ground state alpha -> -e_1/t, and the model is off by ~R'(0) e_1
+#   / sqrt(t) particles; x0 is off by the population of level 2, ~1/expm1((e_2
+#   - e_1)/t). The model's error is the smaller for t > 0.68 (PLUS) and 1.48
+#   (MINUS), and below START_T, the larger, both wells keep x0. The rows
+#   that stop on their first evaluation, t < ~0.07 at any N, lie there;
+# * far from condensation the model is N = sqrt(t) (pi/(2 sqrt(alpha)) + C),
+#   and its error relative to N, (R(alpha) - C)/(N/sqrt(t)), reaches 1 at
+#   alpha = 1.12, N = START_DEGENERACY sqrt(t). Past that its root carries
+#   no information on N (it tends to alpha = 1.47 as N/sqrt(t) -> 0), and
+#   the row keeps x0.
+# Over N = 1 to 1e300 and t = 1e-300 to 2e14 every row still converges within
+# 6 evaluations, and within 5 from the model's root; the mean per row on the
+# large_n grid (N = 1e4, t = 1 to 1e8) fell from 4.25 to 2.53
+# (tests/test_occupancy.py).
+REMAINDER_LIMIT = -1.2942054864133927
+START_T = 1.48
+START_DEGENERACY = 0.19
+_START_KNOTS = 2161
 
 
 def check_domain(n_particles: int = 1, t=1.0) -> None:
@@ -411,6 +444,48 @@ def _routes(plus, ground, b, levels, x0):
         yield _level_sums, _level_plan(plus[on], b[on], ordered[group]), on
 
 
+@functools.cache
+def _start_tables():
+    """The pole model's inverse per well (see REMAINDER_LIMIT), built on first use: ((log q, log(u q)) PLUS, MINUS).
+
+    q falls monotonically in u = x t = A + e_1, from 1/u near u = 0 to
+    (pi/2)/sqrt(u) far out, so log q ascends over the knots, which run
+    down in log u = 2 sinh(s) from 34 to -20, s uniform: dense where q turns
+    from one form to the other, sparse along both asymptotes, where log(u q)
+    is nearly linear in log q. Read by linear interpolation, u is off by at
+    most 1.0e-6 relative (against _lattice at 200,001 points). u = e^34 lies
+    past the model's root on every row it is used on under MAX_LEVELS
+    (alpha <= 1.12 there, so u <= 1.12 t + 1 < 3e14); below u = e^-20 the
+    interpolant's right value, 0, stands in for log(u q) = log(1 + u (q -
+    1/u)) < 3e-9.
+    """
+    log_u = 2.0 * np.sinh(np.linspace(math.asinh(17.0), math.asinh(-10.0), _START_KNOTS))
+    u = np.exp(log_u)
+    with np.errstate(over="ignore"):  # sinh overflows in the unused sum of squares at large u
+        phi, _ = _lattice(np.concatenate((4.0 * u, u + 0.75, u)))  # Phi at 4A (PLUS), at A (PLUS) and at A (MINUS)
+    four_a, a_plus, a_minus = phi.reshape(3, -1)
+    log_q = np.log(0.5 * np.stack((4.0 * four_a - a_plus, a_minus)))
+    return tuple((row, log_u + row) for row in log_q)
+
+
+def _start(plus, b, target, x0):
+    """Each row's first iterate: the root of the pole model (see REMAINDER_LIMIT), clamped at x0.
+
+    A row keeps x0 unless START_T <= t <= (N / START_DEGENERACY)^2, where
+    the model's error is below x0's and below N. Call under np.errstate.
+    """
+    inside = (b <= 1.0 / START_T) & (b >= (START_DEGENERACY / target) ** 2)
+    if not np.count_nonzero(inside):
+        return np.full(b.size, x0)
+    pole = target - REMAINDER_LIMIT / np.sqrt(b) - 0.25 * ~plus  # t q: N less the remainder's C sqrt(t) (+ 1/4)
+    key = np.log(pole * b)
+    (plus_key, plus_value), (minus_key, minus_value) = _start_tables()
+    value = np.where(
+        plus, np.interp(key, plus_key, plus_value, right=0.0), np.interp(key, minus_key, minus_value, right=0.0)
+    )
+    return np.maximum(np.exp(value) / pole * inside, x0)  # x = u / t = (u q) / (t q)
+
+
 def total_number(side: WellSide, alpha: float, b: float) -> float:
     """Total occupation sum over the levels of one half well, cut off at TAIL_EXPONENT.
 
@@ -466,23 +541,28 @@ def solve_rows(
     """Solve sum_n N_n = N on many rows at once, one row per (sides[i], b[i]).
 
     Every row holds the same N = n_particles; b is an array, or a scalar
-    broadcast over the rows. Each row starts at x0 = log1p(1/N), where
-    level 1 alone holds N particles, so S(x0) >= N, the root's exact lower
-    bound. Newton's step in x, log(S/N) S/(S + sum_n N_n^2), is taken in
-    w = log(expm1 x), w += step/(1 - e^-x). There d log S/dw is minus a
-    weighted mean of (1 - e^-x)/(1 - e^-z_n), z_n = x + b (e_n - e_1), in
-    (0, 1], so log S is linear in w for one level and nearly so far from
-    condensation (w ~ x) and in degenerate rows (w ~ log x, S a power of x).
-    The first step climbs from x0; a step may overshoot the root, the next
-    ones returning from the right. Iterates are clamped at x0, which the
-    node route rests on (see NODE_STEP). A row stops once |S - N| <= tol * N,
-    or unconverged at max_iter evaluations or a non-finite step; over N = 1
-    to 1e300 and t = 1e-300 to 2e14 every row stopped converged within 6
-    evaluations and the clamp never acted (tests/test_occupancy.py). The
-    groups of _routes, which also picks each group's route, are solved one
-    by one on plans built once. A stopped row stays in its group's plan,
-    frozen at its x, where each kernel keeps its sums its own; the group
-    writes its results once, when its last row stops or at max_iter.
+    broadcast over the rows. At x0 = log1p(1/N) level 1 alone holds N
+    particles, so S(x0) >= N: x0 is the root's exact lower bound. A row
+    starts at the root of the pole model t q(A) + C sqrt(t) (+ 1/4 for
+    MINUS) = N, clamped at x0, where 1.48 <= t <= (N/0.19)^2, and at x0
+    elsewhere (see REMAINDER_LIMIT); the start depends on the row's own
+    (N, t, well) alone. Newton's step in x, log(S/N) S/(S + sum_n N_n^2),
+    is taken in w = log(expm1 x), w += step/(1 - e^-x). There d log S/dw
+    is minus a weighted mean of (1 - e^-x)/(1 - e^-z_n), z_n = x + b (e_n -
+    e_1), in (0, 1], so log S is linear in w for one level and nearly so far
+    from condensation (w ~ x) and in degenerate rows (w ~ log x, S a power
+    of x). A step may overshoot the root, the next ones returning from the
+    right. Iterates are clamped at x0, which the node route rests on (see
+    NODE_STEP). A row stops once |S - N| <= tol * N, or unconverged at
+    max_iter evaluations or a non-finite step; over N = 1 to 1e300 and t =
+    1e-300 to 2e14 every row stopped converged within 6 evaluations, those
+    started at the model's root within 5, and the clamp never acted
+    (tests/test_occupancy.py). The groups of _routes, which also picks each
+    group's route by x0, are solved one by one on plans built once. A
+    stopped row stays in its group's plan, frozen at its x, where each
+    kernel keeps its sums its own; the group writes its results once, when
+    its last row stops or at max_iter (at max_iter = 0 each row reports its
+    start).
     """
     check_tolerance(tol)
     rows = len(sides)
@@ -492,12 +572,12 @@ def solve_rows(
     b = np.full(rows, b, dtype=np.float64)
     levels = _cutoff(b)
     x0 = math.log1p(1.0 / target)
-    x = np.full(rows, x0)
     number, weighted = np.full((2, rows), np.nan)  # weighted is sum_n (e_n - e_1) N_n
     iterations = np.zeros(rows, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = _start(plus, b, target, x0)
         for kernel, plan, group in _routes(plus, ground, b, levels, x0):
-            xs, moving, evaluations = x[group], np.ones(group.size, dtype=bool), np.zeros(group.size, dtype=np.int64)
+            xs, moving, evaluations = x[group], True, 0
             for count in range(1, max_iter + 1):
                 evaluations += moving  # a row counts the evaluations up to the one it stopped on
                 s, squares, w = kernel(xs, plan)
@@ -521,8 +601,9 @@ def solve_alpha(
     """Solve sum_n N_n = N for the multiplier of one half well.
 
     A one-row solve_rows call: Newton on log sum_n N_n in w = log(expm1 x),
-    x = alpha + b e_1, from the exact lower bound x0 = log1p(1/N) until
-    |sum_n N_n - N| <= tol * N. Raises ConstraintSolverError, carrying the
-    bracket [x0, last iterate], when the solve fails.
+    x = alpha + b e_1, from the row's start (the pole model's root, or the
+    exact lower bound x0 = log1p(1/N)) until |sum_n N_n - N| <= tol * N.
+    Raises ConstraintSolverError, carrying the bracket [x0, last iterate],
+    when the solve fails.
     """
     return solve_rows((side,), point.n_particles, point.b, tol, max_iter).solution(0)

@@ -162,7 +162,7 @@ class TestSemiAnalyticConstraint:
 
         for v in (0.5, 2.0, 3.0):
             for alpha in (1.01e-6, -1.01e-6):
-                branch = _bracket_primitive(alpha, v)
+                branch = _bracket_primitive(alpha, v, v**3, v**5)
                 series = v - alpha * v**3 / 3.0 + alpha * alpha * v**5 / 5.0
                 assert abs(branch - series) < 1e-12 * v
 

@@ -74,10 +74,10 @@ class TestNetForce:
                 fine = net_force(point, tol=tol / 2).delta_f
                 assert abs(coarse - fine) < 10.0 * tol * abs(coarse)
 
-    @pytest.mark.parametrize("t, max_iter", [(1e4, 1), (7.0, 3)])
+    @pytest.mark.parametrize("t, max_iter", [(1e4, 1), (0.1, 1)])
     def test_failed_well_raises_with_bracket(self, monkeypatch, t, max_iter):
-        # N = 100 needs 6 evaluations a well at t = 1e4, and 4 (PLUS) and 3
-        # (MINUS) at t = 7: the cap fails both wells, then PLUS alone
+        # N = 100 needs 4 evaluations a well at t = 1e4, and 2 (PLUS) and 1
+        # (MINUS) at t = 0.1: the cap fails both wells, then PLUS alone
         monkeypatch.setattr(force, "solve_rows", functools.partial(solve_rows, max_iter=max_iter))
         with pytest.raises(ConstraintSolverError, match=f"after {max_iter} evaluations") as excinfo:
             net_force(ThermoPoint(100, t))
@@ -259,7 +259,7 @@ class TestBatchedSolve:
         import boxforce.force as force_module
         from boxforce import occupancy
 
-        cap = 4
+        cap = 3
         config = SweepConfig(t_min=0.01, t_max=1e4, grid_points=12, output_path=str(tmp_path / "out.csv"))
         grid = temperature_grid(config)
         b = 1.0 / np.array(grid)
@@ -286,9 +286,10 @@ class TestBatchedSolve:
         bad_t = temperature_grid(config)[2]
         original = approx._trapezoid_number
 
-        def lifted(alpha, e1, e2, b):
+        def lifted(alpha, rows):
             # the constraint of bad_t stays above N up to alpha = 2: no admissible root
-            return original(alpha, e1, e2, b) + np.where(b == 1.0 / bad_t, 1e9, 0.0)
+            sqrt_b = rows[2]
+            return original(alpha, rows) + np.where(sqrt_b == math.sqrt(1.0 / bad_t), 1e9, 0.0)
 
         monkeypatch.setattr(approx, "_trapezoid_number", lifted)
         with pytest.raises(approx.MethodOutOfRangeError):

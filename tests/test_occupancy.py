@@ -15,6 +15,7 @@ from boxforce import (
     occupation,
     solve_alpha,
     sweep,
+    temperature_grid,
     total_number,
 )
 from boxforce.occupancy import _TILE, DEFAULT_TOL, MAX_LEVELS, NODE_LEVELS, POLE_DISTANCE, RowSolutions, solve_rows
@@ -193,12 +194,19 @@ class TestSolveAlpha:
             assert solve_alpha(P, point).alpha > solve_alpha(M, point).alpha
 
     def test_iteration_cap_raises_with_bracket(self):
+        # N = 100 at t = 1e4 needs 4 evaluations
         with pytest.raises(ConstraintSolverError) as excinfo:
             solve_alpha(P, ThermoPoint(100, 1e4), max_iter=3)
         assert len(excinfo.value.bracket) == 2
-        with pytest.raises(ConstraintSolverError) as excinfo:
-            solve_alpha(P, ThermoPoint(100, 1e4), max_iter=0)
-        assert excinfo.value.bracket == (math.log1p(1e-2), math.log1p(1e-2))  # (x0, x0): no evaluation
+        # no evaluation: the bracket is (x0, the row's start), the start lying
+        # above x0 at t = 1e4 and at x0 in the ground-state row at t = 0.1
+        x0 = math.log1p(1e-2)
+        for t in (1e4, 0.1):
+            start = float(solve_rows((P,), 100, 1.0 / t, max_iter=0).shifted_alpha[0])
+            with pytest.raises(ConstraintSolverError) as excinfo:
+                solve_alpha(P, ThermoPoint(100, t), max_iter=0)
+            assert excinfo.value.bracket == (x0, start)
+            assert (start > x0) == (t > 1.0)
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
@@ -301,33 +309,38 @@ class TestSolveRowGroups:
                 assert value == pytest.approx(math.fsum(terms), rel=1e-14, abs=0.0)
 
     def test_iteration_cap_counts_as_a_stop(self):
-        # both wells at N = 100, b = 1e-4 converge on evaluation 6: a cap of 6
-        # lets them, a cap of 5 stops them one evaluation short
-        full = solve_rows((P, M), 100, 1e-4, max_iter=6)
-        assert full.iterations.tolist() == [6, 6]
+        # both wells at N = 100, b = 1e-4 converge on evaluation 4: a cap of 4
+        # lets them, a cap of 3 stops them one evaluation short
+        full = solve_rows((P, M), 100, 1e-4, max_iter=4)
+        assert full.iterations.tolist() == [4, 4]
         assert full.converged.all()
-        capped = solve_rows((P, M), 100, 1e-4, max_iter=5)
-        assert capped.iterations.tolist() == [5, 5]
+        capped = solve_rows((P, M), 100, 1e-4, max_iter=3)
+        assert capped.iterations.tolist() == [3, 3]
         assert not capped.converged.any()
-        # a cap of 0 leaves both rows at x0, unevaluated
+        # a cap of 0 leaves both rows at their starts, above x0 here,
+        # unevaluated; a cap of 1 evaluates them there
         none = solve_rows((P, M), 100, 1e-4, max_iter=0)
-        assert none.shifted_alpha.tolist() == [math.log1p(1e-2)] * 2
-        assert np.isnan(none.residual).all()
+        first = solve_rows((P, M), 100, 1e-4, max_iter=1)
+        np.testing.assert_array_equal(none.shifted_alpha, first.shifted_alpha)
+        assert (none.shifted_alpha > math.log1p(1e-2)).all()
+        assert np.isnan(none.residual).all() and np.isfinite(first.residual).all()
         assert none.iterations.tolist() == [0, 0]
         assert not none.converged.any()
 
     def test_rows_stopping_apart_match_one_row_solves(self):
         # in each group the rows stop on different evaluations, each staying
-        # frozen in the plan until the last stops; a cap of 3 stops the slower
-        # ones unconverged
+        # frozen in the plan until the last stops; a cap one short of the
+        # slowest row stops the slower ones unconverged. Each group holds rows
+        # started at x0 and rows started at the pole model's root (t >= 1.48,
+        # N >= 0.19 sqrt(t)), except the split group, all of whose rows start
+        # at the model's root
         groups = [
-            # 18-level rows, no padding, so a row's sums round as in its
-            # one-row solve
-            (100, (M, P, P, M, M), (7.3, 7.3, 7.9, 8.0, 7.4), occupancy._level_sums, [3, 4, 4, 4, 3]),
+            # 2 to 448 levels a row, each row's run its own
+            (100, (M, P, P, M, P, M), (0.05, 0.2, 1.0, 3.0, 1e3, 5e3), occupancy._level_sums, [1, 2, 3, 3, 4, 4]),
             # on the occupation's nodes (x0 t >= POLE_DISTANCE**2)
-            (100, (P, M, P, M, P), (3e4, 3e4, 1e7, 1e11, 1e11), occupancy._level_sums, [6, 6, 5, 4, 4]),
+            (100, (P, M, P, M, P), (3e4, 3e4, 1e7, 1e11, 1e11), occupancy._level_sums, [4, 4, 5, 4, 4]),
             # on the pole split's nodes (x0 t < POLE_DISTANCE**2)
-            (10**6, (M, P, P, M, M), (3e4, 3e4, 1e6, 1e6, 1e7), occupancy._split_sums, [3, 4, 5, 5, 4]),
+            (10**4, (M, P, P, M, M), (3e4, 3e4, 1e5, 1e5, 9e5), occupancy._split_sums, [2, 2, 3, 3, 3]),
         ]
         for n_particles, sides, t, kernel, iterations in groups:
             b = 1.0 / np.array(t)
@@ -336,6 +349,8 @@ class TestSolveRowGroups:
             x0 = math.log1p(1.0 / n_particles)
             (routed_kernel, _, _), = occupancy._routes(plus, ground, b, occupancy._cutoff(b), x0)  # one group
             assert routed_kernel is kernel
+            modelled = (np.array(t) >= occupancy.START_T) & (n_particles >= occupancy.START_DEGENERACY * np.sqrt(t))
+            np.testing.assert_array_equal(solve_rows(sides, n_particles, b, max_iter=0).shifted_alpha > x0, modelled)
             batch = solve_rows(sides, n_particles, b)
             assert batch.converged.all()
             assert batch.iterations.tolist() == iterations
@@ -349,9 +364,10 @@ class TestSolveRowGroups:
                 else:  # a run of levels or nodes sums the same wherever it lies in its plan
                     for field in RowSolutions._fields[:-1]:  # the per-row arrays
                         np.testing.assert_array_equal(getattr(batch, field)[i], getattr(one, field)[0])
-            capped = solve_rows(sides, n_particles, b, max_iter=3)
-            assert capped.iterations.tolist() == [min(count, 3) for count in iterations]
-            np.testing.assert_array_equal(capped.converged, batch.iterations <= 3)
+            cap = max(iterations) - 1
+            capped = solve_rows(sides, n_particles, b, max_iter=cap)
+            assert capped.iterations.tolist() == [min(count, cap) for count in iterations]
+            np.testing.assert_array_equal(capped.converged, batch.iterations <= cap)
 
     def test_plan_built_once_per_group(self, monkeypatch):
         # both wells at N = 100, t = 1e4 share one group of 2 x 633 levels
@@ -363,7 +379,7 @@ class TestSolveRowGroups:
             return gap(side, n)
 
         monkeypatch.setattr(occupancy, "level_gap", counted)
-        assert solve_rows((P, M), 100, 1e-4).iterations.tolist() == [6, 6]
+        assert solve_rows((P, M), 100, 1e-4).iterations.tolist() == [4, 4]
         calls.clear()
         net_force(ThermoPoint(100, 1e4))
         full = len(calls)
@@ -403,10 +419,11 @@ class TestSolveRowGroups:
         # 1e-300 to 2e14 (under MAX_LEVELS), both wells, all three routes. At
         # every evaluation x >= x0, which the node route's pole distance rests
         # on, and alpha < 3.75 on split rows, which bounds _SPLIT_HEAD's series
-        # argument. Every row starts at x0, and a stopped row stays frozen in
-        # its group's plan; so the clamp at x0 never acts when, from a group's
-        # second evaluation on, its rows at x0 are exactly those that stopped
-        # on the first
+        # argument. The first evaluation sits at each row's start, the x a cap
+        # of 0 reports: the pole model's root, or x0 outside the model's
+        # window. A stopped row stays frozen in its group's plan; so the clamp
+        # at x0 never acts when, from a group's second evaluation on, its rows
+        # at x0 are exactly those that started there and stopped on the first
         seen = {"nodes": 0, "split": 0}
         routes, level_sums, split_sums = occupancy._routes, occupancy._level_sums, occupancy._split_sums
 
@@ -417,12 +434,11 @@ class TestSolveRowGroups:
 
         def checked(x):
             assert (x >= seen["x0"]).all()
-            at_x0 = x == seen["x0"]
             seen["evaluation"] += 1
             if seen["evaluation"] == 1:
-                assert at_x0.all()
+                np.testing.assert_array_equal(x, seen["start"][seen["rows"]])
             else:
-                seen["later"].append((seen["rows"], at_x0))
+                seen["later"].append((seen["rows"], x == seen["x0"]))
 
         def level_checked(x, plan):
             checked(x)
@@ -439,19 +455,57 @@ class TestSolveRowGroups:
         monkeypatch.setattr(occupancy, "_routes", grouped)
         monkeypatch.setattr(occupancy, "_level_sums", level_checked)
         monkeypatch.setattr(occupancy, "_split_sums", split_checked)
-        t = np.repeat(np.geomspace(1e-300, 2e14, 400), 2)
-        frozen_at_x0 = 0
+        b = 1.0 / np.repeat(np.geomspace(1e-300, 2e14, 400), 2)
+        frozen_at_x0 = modelled = 0
         for n_particles in (1, 10, 100, 10**4, 10**6, 10**9, 10**15, 10**30, 10**100, 10**300):
-            seen["x0"] = math.log1p(1.0 / float(n_particles))
+            x0 = seen["x0"] = math.log1p(1.0 / float(n_particles))
             seen["later"] = []
-            solved = solve_rows([P, M] * 400, n_particles, 1.0 / t)
+            start = seen["start"] = solve_rows([P, M] * 400, n_particles, b, max_iter=0).shifted_alpha
+            solved = solve_rows([P, M] * 400, n_particles, b)
             assert (solved.levels_used <= MAX_LEVELS).all()
             assert solved.converged.all()
             assert solved.iterations.max() <= 6
+            assert solved.iterations[start > x0].max(initial=0) <= 5  # the rows started at the model's root
             for rows, at_x0 in seen["later"]:
-                np.testing.assert_array_equal(at_x0, solved.iterations[rows] == 1)
+                np.testing.assert_array_equal(at_x0, (start[rows] == x0) & (solved.iterations[rows] == 1))
                 frozen_at_x0 += np.count_nonzero(at_x0)
-        assert frozen_at_x0 and seen["nodes"] and seen["split"]
+            modelled += np.count_nonzero(start > x0)
+        assert frozen_at_x0 and modelled and seen["nodes"] and seen["split"]
+
+    def test_ground_state_rows_keep_x0_and_stop_on_the_first_evaluation(self):
+        # up to t ~ 0.07 at any N >= 1 the excited levels hold less than
+        # tol N at x0, so a row started there stops on its first evaluation;
+        # the pole model, off by ~0.1 particle near the ground state, would
+        # not. Below START_T every row starts at x0: t <= 0.03 at N = 1 to
+        # 1e4 (the scalar_random workload's ground-state rows) and the whole
+        # README low sweep (N = 100), which stops on evaluation 1 up to t = 0.05
+        for n_particles in (1, 10, 100, 1000, 10**4):
+            b = 1.0 / np.repeat(np.geomspace(1e-3, 0.03, 50), 2)
+            np.testing.assert_array_equal(solve_rows([P, M] * 50, n_particles, b, max_iter=0).shifted_alpha,
+                                          math.log1p(1.0 / n_particles))
+            assert solve_rows([P, M] * 50, n_particles, b).iterations.tolist() == [1] * 100
+        t = np.repeat(temperature_grid(SweepConfig(t_min=0.01, t_max=1.0, grid_points=200)), 2)
+        assert t.max() < occupancy.START_T
+        starts = solve_rows([P, M] * 200, 100, 1.0 / t, max_iter=0).shifted_alpha
+        np.testing.assert_array_equal(starts, math.log1p(1e-2))
+        assert (solve_rows([P, M] * 200, 100, 1.0 / t).iterations[t <= 0.05] == 1).all()
+
+    def test_start_cuts_evaluations_on_the_benchmark_grids(self, monkeypatch):
+        # mean evaluations per row and kernel calls per solve, both wells in
+        # one call as sweep() solves them; from x0 they were 4.25 and 21 on
+        # the large_n grid (N = 1e4, t = 1 to 1e8) and 4.49 and 34 on the
+        # README high sweep (N = 100, t = 1 to 1e4)
+        calls = []
+        for name in ("_level_sums", "_split_sums"):
+            kernel = getattr(occupancy, name)
+            monkeypatch.setattr(occupancy, name, lambda x, plan, kernel=kernel: calls.append(x.size) or kernel(x, plan))
+        for n_particles, t_max, points, mean_bound, calls_bound in ((10**4, 1e8, 100, 3.1, 15), (100, 1e4, 300, 3.4, 25)):
+            t = np.array(temperature_grid(SweepConfig(t_min=1.0, t_max=t_max, grid_points=points)))
+            calls.clear()
+            solved = solve_rows([P] * points + [M] * points, n_particles, 1.0 / np.concatenate((t, t)))
+            assert solved.converged.all()
+            assert solved.iterations.mean() <= mean_bound
+            assert len(calls) <= calls_bound
 
     def test_plan_memory_stays_bounded(self):
         # groups are solved one at a time, so only one group's plan, a few

@@ -114,13 +114,17 @@ _SERIES_TERMS = 18
 # Phi(A)/2 (MINUS) or (4 Phi(4A) - Phi(A))/2 (PLUS) (_split_sums), plus the
 # remainder's, sqrt(t) R(alpha) less r(alpha)/2 for MINUS, whose level n = 0
 # is no level; R(alpha) is the integral of r(alpha + v^2) over v >= 0. The
-# model takes the remainder at alpha -> 0: t q(A) + C sqrt(t) + 1/4 (MINUS)
-# = N, C = R(0) = (sqrt(pi)/2) zeta(1/2) (REMAINDER_LIMIT). Its root in u =
-# A + e_1 = x t comes from a table of q's inverse (_start_tables), read with
-# np.interp. The model drops sqrt(t) (R(alpha) - C) ~ R'(0) alpha sqrt(t),
-# R'(0) = 0.18423, which sets where it is used:
-# * near the ground state alpha -> -e_1/t, and the model is off by ~R'(0) e_1
-#   / sqrt(t) particles; x0 is off by the population of level 2, ~1/expm1((e_2
+# model takes the remainder to first order in alpha: t q(A) + sqrt(t) (C + R1
+# alpha) + 1/4 - alpha/24 (MINUS) = N, with C = R(0) = (sqrt(pi)/2) zeta(1/2)
+# (REMAINDER_LIMIT), R1 = R'(0) (REMAINDER_SLOPE) and -r(alpha)/2 = 1/4 -
+# alpha/24 + O(alpha^3). Its root in u = A + e_1 = x t is one Newton step from
+# the root of the model at alpha = 0, read from a table of q's inverse
+# (_start_tables) with np.interp. The model drops O(alpha^2) terms, sqrt(t)
+# R''(0) alpha^2/2 with R''(0) = -0.0225857. The window where it is used keeps
+# the edges derived from the model at alpha = 0, which drops sqrt(t) (R(alpha)
+# - C) ~ R1 alpha sqrt(t), R1 = 0.18423:
+# * near the ground state alpha -> -e_1/t, and the model is off by ~R1 e_1 /
+#   sqrt(t) particles; x0 is off by the population of level 2, ~1/expm1((e_2
 #   - e_1)/t). The model's error is the smaller for t > 0.68 (PLUS) and 1.48
 #   (MINUS), and below START_T, the larger, both wells keep x0. The rows
 #   that stop on their first evaluation, t < ~0.07 at any N, lie there;
@@ -129,14 +133,16 @@ _SERIES_TERMS = 18
 #   alpha = 1.12, N = START_DEGENERACY sqrt(t). Past that its root carries
 #   no information on N (it tends to alpha = 1.47 as N/sqrt(t) -> 0), and
 #   the row keeps x0.
-# Over N = 1 to 1e300 and t = 1e-300 to 2e14 every row still converges within
-# 6 evaluations, and within 5 from the model's root; the mean per row on the
-# large_n grid (N = 1e4, t = 1 to 1e8) fell from 4.25 to 2.53
+# Over N = 1 to 1e300 and t = 1e-300 to 2e14 every row converges within 6
+# evaluations, and within 4 from the model's root; the mean per row on the
+# large_n grid (N = 1e4, t = 1 to 1e8) is 2.13, against 4.25 from x0
 # (tests/test_occupancy.py).
 REMAINDER_LIMIT = -1.2942054864133927
+REMAINDER_SLOPE = 0.18423437000566129
 START_T = 1.48
 START_DEGENERACY = 0.19
 _START_KNOTS = 2161
+_START_SHIFT = 1024.0
 
 
 def check_domain(n_particles: int = 1, t=1.0) -> None:
@@ -432,7 +438,8 @@ def _routes(plus, ground, b, levels, x0):
     routed, order, ordered = order[narrow:attempted], order[:narrow], ordered[:narrow]
     if routed.size:
         split = x0 < POLE_DISTANCE**2 * b[routed]
-        nodes, on_nodes, on_split = _node_count(x0), routed[~split], routed[split]
+        on_nodes, on_split = routed[~split], routed[split]
+        nodes = _node_count(x0) if on_nodes.size else 0  # x0 t >= 100 on the node route, so 40 / x0 is finite there
         for group in _groups(np.full(on_nodes.size, nodes)):
             on = on_nodes[group]
             yield _level_sums, _node_plan(ground[on], b[on], x0, nodes), on
@@ -446,44 +453,67 @@ def _routes(plus, ground, b, levels, x0):
 
 @functools.cache
 def _start_tables():
-    """The pole model's inverse per well (see REMAINDER_LIMIT), built on first use: ((log q, log(u q)) PLUS, MINUS).
+    """The pole model's inverse for both wells (see REMAINDER_LIMIT), built on first use: one table (keys, values).
 
     q falls monotonically in u = x t = A + e_1, from 1/u near u = 0 to
     (pi/2)/sqrt(u) far out, so log q ascends over the knots, which run
     down in log u = 2 sinh(s) from 34 to -20, s uniform: dense where q turns
     from one form to the other, sparse along both asymptotes, where log(u q)
-    is nearly linear in log q. Read by linear interpolation, u is off by at
-    most 1.0e-6 relative (against _lattice at 200,001 points). u = e^34 lies
-    past the model's root on every row it is used on under MAX_LEVELS
-    (alpha <= 1.12 there, so u <= 1.12 t + 1 < 3e14); below u = e^-20 the
-    interpolant's right value, 0, stands in for log(u q) = log(1 + u (q -
-    1/u)) < 3e-9.
+    is nearly linear in log q. A knot's key is log q, less _START_SHIFT for
+    MINUS, whose knots come first; its value is log(u q) + i d log q / d log u,
+    the slope running from -1 near u = 0 to about -1/2 far out, from q' =
+    -(lattice sums of squares)/2, which _lattice returns with Phi. Read by
+    linear interpolation, u is off by at most 1.0e-6 relative and the slope
+    by 6.3e-7 (against _lattice at 200,001 points). u = e^34 lies past the
+    model's root on every row it is used on under MAX_LEVELS (alpha <= 1.12
+    there, so u <= 1.12 t + 1 < 3e14). Below u = e^-20, log(u q) = log(1 +
+    u (q - 1/u)) < 3e-9 and the slope is -1 to the same order, and -1j
+    stands in for the value: past the last PLUS knot as the interpolant's
+    right value, and past the last MINUS knot as two more knots, one a unit
+    further and one a unit before the first PLUS key. On a row it is used on
+    log q < log(1.8e308) < 710, so a MINUS key stays below the PLUS knots.
+    That value must be exact: above N ~ 1e154 sum_n N_n^2 overflows, Newton
+    cannot step, and only a start within tol of the root converges.
     """
     log_u = 2.0 * np.sinh(np.linspace(math.asinh(17.0), math.asinh(-10.0), _START_KNOTS))
     u = np.exp(log_u)
-    with np.errstate(over="ignore"):  # sinh overflows in the unused sum of squares at large u
-        phi, _ = _lattice(np.concatenate((4.0 * u, u + 0.75, u)))  # Phi at 4A (PLUS), at A (PLUS) and at A (MINUS)
+    with np.errstate(over="ignore"):  # sinh overflows at large u, where its term in the sum of squares is 0
+        phi, squares = _lattice(np.concatenate((4.0 * u, u + 0.75, u)))  # at 4A (PLUS), at A (PLUS), at A (MINUS)
     four_a, a_plus, a_minus = phi.reshape(3, -1)
-    log_q = np.log(0.5 * np.stack((4.0 * four_a - a_plus, a_minus)))
-    return tuple((row, log_u + row) for row in log_q)
+    four_s, s_plus, s_minus = squares.reshape(3, -1)
+    q = 0.5 * np.stack((a_minus, 4.0 * four_a - a_plus))  # MINUS, PLUS
+    # u q'/q, q' being -squares(A)/2 (MINUS) or -(16 squares(4A) - squares(A))/2 (PLUS)
+    slope = -0.5 * u * np.stack((s_minus, 16.0 * four_s - s_plus)) / q
+    log_q = np.log(q)
+    keys = np.concatenate((log_q[0] - _START_SHIFT, [log_q[0, -1] - _START_SHIFT + 1.0, log_q[1, 0] - 1.0], log_q[1]))
+    values = np.concatenate((log_u + log_q[0] + 1j * slope[0], [-1j, -1j], log_u + log_q[1] + 1j * slope[1]))
+    return keys, values
 
 
-def _start(plus, b, target, x0):
-    """Each row's first iterate: the root of the pole model (see REMAINDER_LIMIT), clamped at x0.
+def _start(plus, ground, b, target, x0):
+    """Each row's first iterate: the pole model's root (see REMAINDER_LIMIT), clamped at x0.
 
     A row keeps x0 unless START_T <= t <= (N / START_DEGENERACY)^2, where
-    the model's error is below x0's and below N. Call under np.errstate.
+    the model's error is below x0's and below N. The table gives the root
+    u0 = x t of the model at alpha = 0, t q(u) = N - C sqrt(t) (- 1/4 for
+    MINUS), and the slope s = d log q / d log u there; one Newton step in x
+    adds the model's terms linear in alpha = x - b e_1, K alpha with K = R1
+    sqrt(t) (- 1/24 for MINUS). Call under np.errstate.
     """
     inside = (b <= 1.0 / START_T) & (b >= (START_DEGENERACY / target) ** 2)
     if not np.count_nonzero(inside):
         return np.full(b.size, x0)
-    pole = target - REMAINDER_LIMIT / np.sqrt(b) - 0.25 * ~plus  # t q: N less the remainder's C sqrt(t) (+ 1/4)
-    key = np.log(pole * b)
-    (plus_key, plus_value), (minus_key, minus_value) = _start_tables()
-    value = np.where(
-        plus, np.interp(key, plus_key, plus_value, right=0.0), np.interp(key, minus_key, minus_value, right=0.0)
-    )
-    return np.maximum(np.exp(value) / pole * inside, x0)  # x = u / t = (u q) / (t q)
+    root_b = np.sqrt(b)
+    image = np.where(plus, 0.0, 0.25)  # MINUS: the n = 0 image, -r(alpha)/2 = 1/4 - alpha/24 + O(alpha^3)
+    pole = target - (REMAINDER_LIMIT / root_b + image)  # t q(u0)
+    keys, values = _start_tables()
+    key = np.log(pole * b) - (4.0 * _START_SHIFT) * image  # log q, less _START_SHIFT for MINUS
+    fit = np.interp(key, keys, values, right=-1j)
+    x = np.exp(fit.real) / pole  # x = u0 / t = (u0 q) / (t q)
+    # x - K alpha / (t q s / x + K) = x (scaled + b e_1) / (scaled + x), scaled = t q s / K; K > 0 on every row inside
+    scaled = pole / (REMAINDER_SLOPE / root_b - image / 6.0) * fit.imag
+    x *= (scaled + b * ground) / (scaled + x)
+    return np.maximum(np.where(inside, x, x0), x0)  # where, not a product: a row outside may hold a nan
 
 
 def total_number(side: WellSide, alpha: float, b: float) -> float:
@@ -543,10 +573,10 @@ def solve_rows(
     Every row holds the same N = n_particles; b is an array, or a scalar
     broadcast over the rows. At x0 = log1p(1/N) level 1 alone holds N
     particles, so S(x0) >= N: x0 is the root's exact lower bound. A row
-    starts at the root of the pole model t q(A) + C sqrt(t) (+ 1/4 for
-    MINUS) = N, clamped at x0, where 1.48 <= t <= (N/0.19)^2, and at x0
-    elsewhere (see REMAINDER_LIMIT); the start depends on the row's own
-    (N, t, well) alone. Newton's step in x, log(S/N) S/(S + sum_n N_n^2),
+    starts at the root of the pole model t q(A) + sqrt(t) (C + R1 alpha)
+    (+ 1/4 - alpha/24 for MINUS) = N, clamped at x0, where 1.48 <= t <=
+    (N/0.19)^2, and at x0 elsewhere (see REMAINDER_LIMIT); the start
+    depends on the row's own (N, t, well) alone. Newton's step in x, log(S/N) S/(S + sum_n N_n^2),
     is taken in w = log(expm1 x), w += step/(1 - e^-x). There d log S/dw
     is minus a weighted mean of (1 - e^-x)/(1 - e^-z_n), z_n = x + b (e_n -
     e_1), in (0, 1], so log S is linear in w for one level and nearly so far
@@ -556,7 +586,7 @@ def solve_rows(
     NODE_STEP). A row stops once |S - N| <= tol * N, or unconverged at
     max_iter evaluations or a non-finite step; over N = 1 to 1e300 and t =
     1e-300 to 2e14 every row stopped converged within 6 evaluations, those
-    started at the model's root within 5, and the clamp never acted
+    started at the model's root within 4, and the clamp never acted
     (tests/test_occupancy.py). The groups of _routes, which also picks each
     group's route by x0, are solved one by one on plans built once. A
     stopped row stays in its group's plan, frozen at its x, where each
@@ -575,7 +605,7 @@ def solve_rows(
     number, weighted = np.full((2, rows), np.nan)  # weighted is sum_n (e_n - e_1) N_n
     iterations = np.zeros(rows, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = _start(plus, b, target, x0)
+        x = _start(plus, ground, b, target, x0)
         for kernel, plan, group in _routes(plus, ground, b, levels, x0):
             xs, moving, evaluations = x[group], True, 0
             for count in range(1, max_iter + 1):
@@ -601,8 +631,9 @@ def solve_alpha(
     """Solve sum_n N_n = N for the multiplier of one half well.
 
     A one-row solve_rows call: Newton on log sum_n N_n in w = log(expm1 x),
-    x = alpha + b e_1, from the row's start (the pole model's root, or the
-    exact lower bound x0 = log1p(1/N)) until |sum_n N_n - N| <= tol * N.
+    x = alpha + b e_1, from the row's start (the root of the pole model to
+    first order in alpha, or the exact lower bound x0 = log1p(1/N)) until
+    |sum_n N_n - N| <= tol * N.
     Raises ConstraintSolverError, carrying the bracket [x0, last iterate],
     when the solve fails.
     """

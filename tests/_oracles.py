@@ -103,3 +103,47 @@ def bose_integral_quadrature(alpha: float) -> float:
     a = mpf(alpha)
     points = [0, mp.sqrt(-a), mp.inf] if alpha < 0.0 else [0, mp.inf]
     return float(mp.quad(lambda s: (a + s * s) / mp.expm1(a + s * s), points))
+
+
+def _bose_remainder(z, derivative: int):
+    """r(z) = 1/expm1(z) - 1/z (derivative 0) or r'(z) (1), the Bose occupation less its pole at z = 0.
+
+    Near z = 0 the difference cancels, so |z| < 1/2 takes the Taylor series
+    r(z) = -1/2 + sum_k B_2k z^(2k-1) / (2k)!, whose radius is 2 pi; 30
+    terms reach ~1e-70 there.
+    """
+    if abs(z) < 0.5:
+        terms = [mp.bernoulli(2 * k) / mp.factorial(2 * k) for k in range(1, 31)]  # of z^(2k-1)
+        if derivative == 0:
+            return -mpf(1) / 2 + mp.fsum(c * z ** (2 * k + 1) for k, c in enumerate(terms))
+        return mp.fsum((2 * k + 1) * c * z ** (2 * k) for k, c in enumerate(terms))
+    if derivative == 0:
+        return 1 / mp.expm1(z) - 1 / z
+    return 1 / (z * z) - mp.exp(z) / mp.expm1(z) ** 2
+
+
+def mp_remainder_integral(derivative: int = 0):
+    """integral_0^inf r^(derivative)(v^2) dv by mpmath quadrature (r as in _bose_remainder).
+
+    At derivative 0 this is R(0), the pole-split remainder's lattice sum per
+    sqrt(t) as alpha -> 0, equal to (sqrt(pi)/2) zeta(1/2); at 1 it is
+    R'(0), the slope in alpha of that sum.
+    """
+    return mp.quad(lambda v: _bose_remainder(v * v, derivative), [0, 1, 10, mp.inf])
+
+
+def _mp_lattice(a2):
+    """Phi(A) = sum_{n != 0} 1/(A + n^2) at A = a2 > -1, A != 0, in closed form (A < 0 through complex sqrt)."""
+    a = mp.sqrt(mpf(a2) + 0j)
+    return mp.re(mp.pi / (a * mp.tanh(mp.pi * a))) - 1 / mpf(a2)
+
+
+def mp_pole_slope(plus: bool, u):
+    """(q, d log q / d log u) of the pole model at u = A + e_1, q = (4 Phi(4A) - Phi(A))/2 (PLUS) or Phi(A)/2 (MINUS)."""
+    def q(v):
+        if plus:
+            return (4 * _mp_lattice(4 * v - 1) - _mp_lattice(v - mpf(1) / 4)) / 2
+        return _mp_lattice(v - 1) / 2
+
+    u = mpf(u)
+    return q(u), u * mp.diff(q, u) / q(u)

@@ -60,6 +60,16 @@ class TestNetForce:
         assert pair.f_plus > 0.0
         assert pair.f_minus > 0.0
 
+    def test_largest_particle_numbers_on_wide_rows(self):
+        # past N ~ 4.5e306, 40 / x0 overflows, so a call must not ask for the
+        # node count unless a row takes the node route, which at such N would
+        # need x0 t >= 100, t > 1e308: these wide rows all take the pole
+        # split. Level 1 holds N in both wells, f = e_1 N
+        pair = net_force(ThermoPoint(10**307, 1e5))
+        assert (pair.f_plus, pair.f_minus, pair.delta_f) == pytest.approx((2.5e306, 1e307, 7.5e306), rel=1e-12)
+        solved = solve_rows((P, M), int(1.7e308), 1e-9)
+        assert solved.converged.all()
+
     def test_low_t_plateau_value(self):
         assert net_force(ThermoPoint(100, 0.01)).delta_f == pytest.approx(75.0, abs=1e-3)
 
@@ -259,8 +269,10 @@ class TestBatchedSolve:
         import boxforce.force as force_module
         from boxforce import occupancy
 
-        cap = 3
-        config = SweepConfig(t_min=0.01, t_max=1e4, grid_points=12, output_path=str(tmp_path / "out.csv"))
+        # at N = 100 the rows near t = 1 also take 3 evaluations, so the grid
+        # starts at t = 4, where a cap of 2 cuts off only its high-t end
+        cap = 2
+        config = SweepConfig(t_min=4.0, t_max=1e4, grid_points=12, output_path=str(tmp_path / "out.csv"))
         grid = temperature_grid(config)
         b = 1.0 / np.array(grid)
         full = occupancy.solve_rows((P,) * len(grid) + (M,) * len(grid), 100, np.concatenate((b, b)))

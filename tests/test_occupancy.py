@@ -20,7 +20,7 @@ from boxforce import (
 )
 from boxforce.occupancy import _TILE, DEFAULT_TOL, MAX_LEVELS, NODE_LEVELS, POLE_DISTANCE, RowSolutions, solve_rows
 
-from _oracles import mp_delta_f
+from _oracles import mp, mp_delta_f, mp_pole_slope, mp_remainder_integral
 
 P = WellSide.PLUS
 M = WellSide.MINUS
@@ -194,9 +194,9 @@ class TestSolveAlpha:
             assert solve_alpha(P, point).alpha > solve_alpha(M, point).alpha
 
     def test_iteration_cap_raises_with_bracket(self):
-        # N = 100 at t = 1e4 needs 4 evaluations
+        # N = 100 at t = 1e4 needs 3 evaluations
         with pytest.raises(ConstraintSolverError) as excinfo:
-            solve_alpha(P, ThermoPoint(100, 1e4), max_iter=3)
+            solve_alpha(P, ThermoPoint(100, 1e4), max_iter=2)
         assert len(excinfo.value.bracket) == 2
         # no evaluation: the bracket is (x0, the row's start), the start lying
         # above x0 at t = 1e4 and at x0 in the ground-state row at t = 0.1
@@ -309,13 +309,13 @@ class TestSolveRowGroups:
                 assert value == pytest.approx(math.fsum(terms), rel=1e-14, abs=0.0)
 
     def test_iteration_cap_counts_as_a_stop(self):
-        # both wells at N = 100, b = 1e-4 converge on evaluation 4: a cap of 4
-        # lets them, a cap of 3 stops them one evaluation short
-        full = solve_rows((P, M), 100, 1e-4, max_iter=4)
-        assert full.iterations.tolist() == [4, 4]
+        # both wells at N = 100, b = 1e-4 converge on evaluation 3: a cap of 3
+        # lets them, a cap of 2 stops them one evaluation short
+        full = solve_rows((P, M), 100, 1e-4, max_iter=3)
+        assert full.iterations.tolist() == [3, 3]
         assert full.converged.all()
-        capped = solve_rows((P, M), 100, 1e-4, max_iter=3)
-        assert capped.iterations.tolist() == [3, 3]
+        capped = solve_rows((P, M), 100, 1e-4, max_iter=2)
+        assert capped.iterations.tolist() == [2, 2]
         assert not capped.converged.any()
         # a cap of 0 leaves both rows at their starts, above x0 here,
         # unevaluated; a cap of 1 evaluates them there
@@ -336,11 +336,13 @@ class TestSolveRowGroups:
         # at the model's root
         groups = [
             # 2 to 448 levels a row, each row's run its own
-            (100, (M, P, P, M, P, M), (0.05, 0.2, 1.0, 3.0, 1e3, 5e3), occupancy._level_sums, [1, 2, 3, 3, 4, 4]),
+            (100, (M, P, P, M, P, M), (0.05, 0.2, 1.0, 3.0, 1e3, 5e3), occupancy._level_sums, [1, 2, 3, 3, 2, 3]),
             # on the occupation's nodes (x0 t >= POLE_DISTANCE**2)
             (100, (P, M, P, M, P), (3e4, 3e4, 1e7, 1e11, 1e11), occupancy._level_sums, [4, 4, 5, 4, 4]),
-            # on the pole split's nodes (x0 t < POLE_DISTANCE**2)
-            (10**4, (M, P, P, M, M), (3e4, 3e4, 1e5, 1e5, 9e5), occupancy._split_sums, [2, 2, 3, 3, 3]),
+            # on the pole split's nodes (x0 t < POLE_DISTANCE**2); at N = 1e4 every
+            # such row stops on evaluation 2, while at t ~ 3e-9 N the start
+            # already lies within tol of the root
+            (10**14, (M, P, P, M, M), (3e5, 3e5, 1e8, 1e8, 1e9), occupancy._split_sums, [1, 1, 2, 2, 2]),
         ]
         for n_particles, sides, t, kernel, iterations in groups:
             b = 1.0 / np.array(t)
@@ -379,7 +381,7 @@ class TestSolveRowGroups:
             return gap(side, n)
 
         monkeypatch.setattr(occupancy, "level_gap", counted)
-        assert solve_rows((P, M), 100, 1e-4).iterations.tolist() == [4, 4]
+        assert solve_rows((P, M), 100, 1e-4).iterations.tolist() == [3, 3]
         calls.clear()
         net_force(ThermoPoint(100, 1e4))
         full = len(calls)
@@ -465,7 +467,7 @@ class TestSolveRowGroups:
             assert (solved.levels_used <= MAX_LEVELS).all()
             assert solved.converged.all()
             assert solved.iterations.max() <= 6
-            assert solved.iterations[start > x0].max(initial=0) <= 5  # the rows started at the model's root
+            assert solved.iterations[start > x0].max(initial=0) <= 4  # the rows started at the model's root
             for rows, at_x0 in seen["later"]:
                 np.testing.assert_array_equal(at_x0, (start[rows] == x0) & (solved.iterations[rows] == 1))
                 frozen_at_x0 += np.count_nonzero(at_x0)
@@ -494,12 +496,13 @@ class TestSolveRowGroups:
         # mean evaluations per row and kernel calls per solve, both wells in
         # one call as sweep() solves them; from x0 they were 4.25 and 21 on
         # the large_n grid (N = 1e4, t = 1 to 1e8) and 4.49 and 34 on the
-        # README high sweep (N = 100, t = 1 to 1e4)
+        # README high sweep (N = 100, t = 1 to 1e4), and from the root of the
+        # model without its terms linear in alpha 2.53 and 11, and 3.26 and 23
         calls = []
         for name in ("_level_sums", "_split_sums"):
             kernel = getattr(occupancy, name)
             monkeypatch.setattr(occupancy, name, lambda x, plan, kernel=kernel: calls.append(x.size) or kernel(x, plan))
-        for n_particles, t_max, points, mean_bound, calls_bound in ((10**4, 1e8, 100, 3.1, 15), (100, 1e4, 300, 3.4, 25)):
+        for n_particles, t_max, points, mean_bound, calls_bound in ((10**4, 1e8, 100, 2.15, 9), (100, 1e4, 300, 2.4, 18)):
             t = np.array(temperature_grid(SweepConfig(t_min=1.0, t_max=t_max, grid_points=points)))
             calls.clear()
             solved = solve_rows([P] * points + [M] * points, n_particles, 1.0 / np.concatenate((t, t)))
@@ -639,3 +642,41 @@ class TestSplitPlan:
         assert routed(levels).all() and split(1_000, t)
         pair = net_force(ThermoPoint(1_000, t))
         assert pair.delta_f == pytest.approx(float(mp_delta_f(1_000, t)), rel=1e-9)
+
+
+class TestStartModel:
+    def test_remainder_constants_match_mp_integrals(self):
+        # the pole model's C = R(0) = (sqrt(pi)/2) zeta(1/2) and R1 = R'(0), the
+        # remainder's lattice sum per sqrt(t) and its slope in alpha
+        limit = mp_remainder_integral(0)
+        assert float(limit) == occupancy.REMAINDER_LIMIT
+        assert float(mp.sqrt(mp.pi) / 2 * mp.zeta(0.5)) == occupancy.REMAINDER_LIMIT
+        assert abs(limit - mp.sqrt(mp.pi) / 2 * mp.zeta(0.5)) < 1e-30
+        assert float(mp_remainder_integral(1)) == occupancy.REMAINDER_SLOPE
+
+    def test_start_table_matches_lattice_between_knots(self):
+        # at the midpoints in log u between knots, where linear interpolation
+        # errs most: u within 1.1e-6 relative and the slope d log q / d log u
+        # within 1e-6 of _lattice's, whose slope matches mpmath's derivative
+        keys, values = occupancy._start_tables()
+        knots = occupancy._START_KNOTS
+        log_u = 2.0 * np.sinh(np.linspace(math.asinh(17.0), math.asinh(-10.0), 2 * knots - 1))[1::2]
+        u = np.exp(log_u)
+        with np.errstate(over="ignore"):  # as in _start_tables
+            phi, squares = occupancy._lattice(np.concatenate((4.0 * u, u + 0.75, u)))
+        four_a, a_plus, a_minus = phi.reshape(3, -1)
+        four_s, s_plus, s_minus = squares.reshape(3, -1)
+        wells = (
+            (False, 0.5 * a_minus, -0.5 * s_minus, -occupancy._START_SHIFT),
+            (True, 0.5 * (4.0 * four_a - a_plus), -0.5 * (16.0 * four_s - s_plus), 0.0),
+        )
+        for plus, q, dq, shift in wells:
+            fit = np.interp(np.log(q) + shift, keys, values)
+            slope = u * dq / q
+            np.testing.assert_allclose(np.exp(fit.real) / q, u, rtol=1.1e-6, atol=0.0)
+            np.testing.assert_allclose(fit.imag, slope, rtol=0.0, atol=1e-6)
+            assert ((slope >= -1.0) & (slope < -0.48)).all()
+            for i in range(0, u.size, 240):
+                exact_q, exact_slope = mp_pole_slope(plus, u[i])
+                assert q[i] == pytest.approx(float(exact_q), rel=1e-14)
+                assert slope[i] == pytest.approx(float(exact_slope), rel=1e-13)

@@ -255,7 +255,7 @@ def poisson_force_sum(side: WellSide, k: int, b: float) -> float:
 
 
 def _theta_exponent(k: int, b: float) -> float:
-    if not 1 <= k < math.inf:
+    if not (1 <= k < math.inf and k % 1 == 0):  # an integral float such as 2.0 passes
         raise ValueError(f"k must be a positive integer, got {k}")
     check_domain(t=b)
     return k * b

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .force import GridScale, Method, SweepRow, sweep
-from .occupancy import DEFAULT_TOL, check_domain, check_tolerance
+from .occupancy import DEFAULT_TOL, MIN_TOL, check_domain, check_tolerance
 
 __all__ = ["SweepConfig", "CSV_HEADER", "parse_config", "write_csv", "run", "main"]
 
-CSV_HEADER = "t,method,alpha_plus,alpha_minus,f_plus,f_minus,delta_f,status"
+CSV_HEADER = ",".join(SweepRow._fields)
 # A row whose five data fields are all set, t formatted already; '%.17g' % v
 # is format(v, ".17g").
 _FULL_ROW = "%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
@@ -64,7 +64,7 @@ def _parse_methods(text: str) -> frozenset[Method]:
     unknown = [name for name in names if name not in _METHOD_NAMES]
     if unknown:
         known = ", ".join(sorted(_METHOD_NAMES))
-        raise ValueError(f"unknown method(s) {', '.join(unknown)}; choose from: {known}")
+        raise argparse.ArgumentTypeError(f"unknown method(s) {', '.join(unknown)}; choose from: {known}")
     return frozenset(_METHOD_NAMES[name] for name in names)
 
 
@@ -76,19 +76,21 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     defaults = SweepConfig()
+    # each option's dest is its SweepConfig field, --n-particles, --t-min and --t-max by argparse's own rule
     parser.add_argument("--n-particles", type=int, default=defaults.n_particles, help="bosons per half well")
     parser.add_argument("--t-min", type=float, default=defaults.t_min, help="lowest temperature")
     parser.add_argument("--t-max", type=float, default=defaults.t_max, help="highest temperature")
-    parser.add_argument("--points", type=int, default=defaults.grid_points, help="grid points")
+    parser.add_argument("--points", dest="grid_points", type=int, default=defaults.grid_points, help="grid points")
     scales = [scale.value for scale in GridScale]
-    parser.add_argument("--scale", choices=scales, default=defaults.grid_scale.value, help="grid spacing")
-    parser.add_argument(
-        "--methods",
-        default=",".join(sorted(method.value for method in defaults.methods)),
-        help=f"comma-separated subset of {', '.join(_METHOD_NAMES)}",
-    )
-    parser.add_argument("--tol", type=float, default=defaults.tolerance, help="constraint-solver tolerance")
-    parser.add_argument("--output", default=defaults.output_path, help="output file, or - for standard output")
+    parser.add_argument("--scale", dest="grid_scale", choices=scales, default=defaults.grid_scale.value,
+                        help="grid spacing")
+    methods = ",".join(sorted(method.value for method in defaults.methods))  # argparse passes it through the type
+    parser.add_argument("--methods", type=_parse_methods, default=methods,
+                        help=f"comma-separated subset of {', '.join(_METHOD_NAMES)}")
+    parser.add_argument("--tol", dest="tolerance", type=float, default=defaults.tolerance,
+                        help=f"constraint-solver tolerance, at least {MIN_TOL}")
+    parser.add_argument("--output", dest="output_path", default=defaults.output_path,
+                        help="output file, or - for standard output")
     return parser
 
 
@@ -99,18 +101,9 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
     path.
     """
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
     try:
-        return SweepConfig(
-            n_particles=args.n_particles,
-            t_min=args.t_min,
-            t_max=args.t_max,
-            grid_points=args.points,
-            grid_scale=GridScale(args.scale),
-            methods=_parse_methods(args.methods),
-            tolerance=args.tol,
-            output_path=args.output,
-        )
+        return SweepConfig(**args | {"grid_scale": GridScale(args["grid_scale"])})
     except ValueError as exc:
         parser.error(str(exc))  # exits with status 2
 

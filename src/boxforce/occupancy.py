@@ -10,20 +10,18 @@ two numbers of order b, while x stays of order 1/N; solving for x keeps
 the ground-state occupation fully resolved at every temperature. A row's
 levels stay fixed during a solve, so solve_rows builds the level plan of
 each group of rows once and runs Newton on it to the end, stepping in
-w = log(expm1 x), where log S is nearly linear, from the root of a pole
-model of the sum (see REMAINDER_LIMIT) or, where that model is off by
-more than x0 = log1p(1/N), from x0. A plan lays its rows'
-levels end to end, each row a run of exactly its own levels, and sums each
-run pairwise, so a row's sums round the same in any group. A wide row sums
-its levels as one integral instead, on at most 100 fixed nodes, which
-Poisson summation makes exact up to a remainder far below rounding. Far
-from condensation the integrand is the occupation itself (see NODE_STEP).
-Near it, the occupation's pole at zero exponent is split off and summed in
-closed form, and only the analytic remainder is integrated (see
-_SPLIT_STEP). The level cutoff (TAIL_EXPONENT), both node rules, the
-start and the batched Newton iteration are choices of this
-implementation; only the occupation formula and the constraint itself
-are physics.
+w = log(expm1 x), where log S is nearly linear, from each row's start (see
+REMAINDER_LIMIT). A plan lays its rows' levels end to end, each row a run
+of exactly its own levels, and sums each run pairwise, so a row's sums
+round the same in any group. A wide row sums its levels as one integral
+instead, on at most 100 fixed nodes, which Poisson summation makes exact
+up to a remainder far below rounding. Far from condensation the integrand
+is the occupation itself (see NODE_STEP). Near it, the occupation's pole
+at zero exponent is split off and summed in closed form, and only the
+analytic remainder is integrated (see _SPLIT_STEP). The level cutoff
+(TAIL_EXPONENT), both node rules, the start and the batched Newton
+iteration are choices of this implementation; only the occupation formula
+and the constraint itself are physics.
 """
 
 from __future__ import annotations
@@ -57,6 +55,12 @@ OVERFLOW_EXPONENT = 700.0
 # exp(-TAIL_EXPONENT) ~ 3e-17 of the sum; the tail of sum_n N_n is smaller.
 TAIL_EXPONENT = 40.0
 DEFAULT_TOL = 1e-12
+# The smallest tolerance accepted. The float64 sums round to ~1e-15 N, so a
+# smaller tol asks for digits they do not hold: over N = 1 to 1e300 and t =
+# 1e-300 to 2e14 every row converged at 2e-15 but one (N = 1, MINUS, t = 2e14)
+# failed at 1e-15. The floor keeps a factor 5 above 2e-15, and at it every row
+# still converges within 6 evaluations (tests/test_occupancy.py).
+MIN_TOL = 1e-14
 MAX_ITER = 200
 # rows whose cutoff passes this many levels (t > ~2.5e14) are not attempted
 MAX_LEVELS = 100_000_000
@@ -109,20 +113,22 @@ _SPLIT_STEP = 0.04
 _SPLIT_NODES = 100
 # terms of the power series of _series, which reach rounding for |Y| <= 12
 _SERIES_TERMS = 18
-# Newton starts each row at the root of the pole model (_start). Split as for
-# _SPLIT_STEP, a row's sum is t q(A), A = alpha t, from the pole, with q =
-# Phi(A)/2 (MINUS) or (4 Phi(4A) - Phi(A))/2 (PLUS) (_split_sums), plus the
-# remainder's, sqrt(t) R(alpha) less r(alpha)/2 for MINUS, whose level n = 0
-# is no level; R(alpha) is the integral of r(alpha + v^2) over v >= 0. The
-# model takes the remainder to first order in alpha: t q(A) + sqrt(t) (C + R1
-# alpha) + 1/4 - alpha/24 (MINUS) = N, with C = R(0) = (sqrt(pi)/2) zeta(1/2)
-# (REMAINDER_LIMIT), R1 = R'(0) (REMAINDER_SLOPE) and -r(alpha)/2 = 1/4 -
-# alpha/24 + O(alpha^3). Its root in u = A + e_1 = x t is one Newton step from
-# the root of the model at alpha = 0, read from a table of q's inverse
-# (_start_tables) with np.interp. The model drops O(alpha^2) terms, sqrt(t)
-# R''(0) alpha^2/2 with R''(0) = -0.0225857. The window where it is used keeps
-# the edges derived from the model at alpha = 0, which drops sqrt(t) (R(alpha)
-# - C) ~ R1 alpha sqrt(t), R1 = 0.18423:
+# Newton starts each row (_start) at the root of a pole model of its sum,
+# clamped at the root's exact lower bound x0 = log1p(1/N), inside the model's
+# window, and at x0 outside it. Split as for _SPLIT_STEP, a row's sum is
+# t q(A), A = alpha t, from the pole, q being half its lattice sum
+# (_pole_sums), plus the remainder's, sqrt(t) R(alpha) less r(alpha)/2 for
+# MINUS, whose level n = 0 is no level; R(alpha) is the integral of
+# r(alpha + v^2) over v >= 0. The model takes the remainder to first order in
+# alpha: t q(A) + sqrt(t) (C + R1 alpha) + 1/4 - alpha/24 (MINUS) = N, with
+# C = R(0) = (sqrt(pi)/2) zeta(1/2) (REMAINDER_LIMIT), R1 = R'(0)
+# (REMAINDER_SLOPE) and -r(alpha)/2 = 1/4 - alpha/24 + O(alpha^3). Its root
+# in u = A + e_1 = x t is one Newton step from the root of the model at
+# alpha = 0, read from a table of q's inverse (_start_tables) with np.interp.
+# The model drops O(alpha^2) terms, sqrt(t) R''(0) alpha^2/2 with R''(0) =
+# -0.0225857. The window where it is used keeps the edges derived from the
+# model at alpha = 0, which drops sqrt(t) (R(alpha) - C) ~ R1 alpha sqrt(t),
+# R1 = 0.18423:
 # * near the ground state alpha -> -e_1/t, and the model is off by ~R1 e_1 /
 #   sqrt(t) particles; x0 is off by the population of level 2, ~1/expm1((e_2
 #   - e_1)/t). The model's error is the smaller for t > 0.68 (PLUS) and 1.48
@@ -135,8 +141,7 @@ _SERIES_TERMS = 18
 #   the row keeps x0.
 # Over N = 1 to 1e300 and t = 1e-300 to 2e14 every row converges within 6
 # evaluations, and within 4 from the model's root; the mean per row on the
-# large_n grid (N = 1e4, t = 1 to 1e8) is 2.13, against 4.25 from x0
-# (tests/test_occupancy.py).
+# large_n grid (N = 1e4, t = 1 to 1e8) is 2.13 (tests/test_occupancy.py).
 REMAINDER_LIMIT = -1.2942054864133927
 REMAINDER_SLOPE = 0.18423437000566129
 START_T = 1.48
@@ -162,9 +167,9 @@ def check_domain(n_particles: int = 1, t=1.0) -> None:
 
 
 def check_tolerance(tol: float) -> None:
-    """The solver tolerance rule, 0 < tol < 1 (a nan fails). Raises ValueError."""
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    """The solver tolerance rule, MIN_TOL <= tol < 1 (a nan fails). Raises ValueError."""
+    if not MIN_TOL <= tol < 1.0:
+        raise ValueError(f"tol must lie in [{MIN_TOL}, 1), got {tol}")
 
 
 @dataclass(frozen=True)
@@ -383,24 +388,35 @@ def _split_plan(ground, b):
     return weight, np.stack((t, ground), axis=1)
 
 
+def _pole_sums(xt, ground):
+    """The pole's lattice sum sum_{n != c} 1/(A + (n - c)^2) and that of its squares, A = xt - e_1, per row.
+
+    The lattice is the integers for MINUS (ground energy 1, c = 0), where
+    the sum is Phi(A), and the half-integers for PLUS (ground energy 1/4,
+    c = 1/2), where in units of 1/2 it is the odd half of the integers,
+    4 Phi(4A) - Phi(A); the sum of squares is -d/dA of either. Both wells'
+    Phi come from one _lattice call, the PLUS weight of Phi(A) being 1 and
+    the MINUS one 0.
+    """
+    scale = 1.0 / ground  # 4 for PLUS, 1 for MINUS
+    other = (scale - 1.0) / 3.0  # the weight of Phi(A): 1 for PLUS, 0 for MINUS
+    phi, squares = _lattice(np.concatenate((scale * xt, xt + (1.0 - ground))))
+    count = len(xt)
+    return scale * phi[:count] - other * phi[count:], scale * scale * squares[:count] - other * squares[count:]
+
+
 def _split_sums(x, plan):
     """The sums of _level_sums at x over a split plan (call under np.errstate).
 
     With A = alpha t = x t - e_1, the pole's sum over n >= 1 is (t/2) times
-    sum_{n != c} 1/(A + (n - c)^2): Phi(A) for MINUS (n = 0 is no level), and
-    4 Phi(4A) - Phi(A) for PLUS, its lattice being the odd half of the
-    integers in units of 1/2. The remainder r, r' and z/expm1(z) are summed
-    on the nodes, and sum_n (e_n - e_1) N_n = t (sum_n z_n N_n - x S).
+    its lattice sum (_pole_sums), n = 0 being no level for MINUS. The
+    remainder r, r' and z/expm1(z) are summed on the nodes, and
+    sum_n (e_n - e_1) N_n = t (sum_n z_n N_n - x S).
     """
     weight, rows = plan
     t, ground = rows.T
     xt = x * t
-    scale = 1.0 / ground  # 4 for PLUS, 1 for MINUS
-    other = (scale - 1.0) / 3.0  # the weight of Phi(A): 1 for PLUS, 0 for MINUS
-    phi, squares = _lattice(np.concatenate((scale * xt, xt + (1.0 - ground))))
-    count = len(x)
-    pole = scale * phi[:count] - other * phi[count:]
-    pole_squares = scale * scale * squares[:count] - other * squares[count:]
+    pole, pole_squares = _pole_sums(xt, ground)
     z = ((xt - ground) / t)[:, None] + _SPLIT_V2
     occ = 1.0 / np.expm1(np.minimum(z, OVERFLOW_EXPONENT))  # expm1 is slow where it overflows
     inverse = 1.0 / z
@@ -462,7 +478,7 @@ def _start_tables():
     is nearly linear in log q. A knot's key is log q, less _START_SHIFT for
     MINUS, whose knots come first; its value is log(u q) + i d log q / d log u,
     the slope running from -1 near u = 0 to about -1/2 far out, from q' =
-    -(lattice sums of squares)/2, which _lattice returns with Phi. Read by
+    -(the pole's sum of squares)/2, which _pole_sums returns with q. Read by
     linear interpolation, u is off by at most 1.0e-6 relative and the slope
     by 6.3e-7 (against _lattice at 200,001 points). u = e^34 lies past the
     model's root on every row it is used on under MAX_LEVELS (alpha <= 1.12
@@ -477,13 +493,11 @@ def _start_tables():
     """
     log_u = 2.0 * np.sinh(np.linspace(math.asinh(17.0), math.asinh(-10.0), _START_KNOTS))
     u = np.exp(log_u)
+    ground = np.repeat([WellSide.MINUS.ground_energy, WellSide.PLUS.ground_energy], _START_KNOTS)
     with np.errstate(over="ignore"):  # sinh overflows at large u, where its term in the sum of squares is 0
-        phi, squares = _lattice(np.concatenate((4.0 * u, u + 0.75, u)))  # at 4A (PLUS), at A (PLUS), at A (MINUS)
-    four_a, a_plus, a_minus = phi.reshape(3, -1)
-    four_s, s_plus, s_minus = squares.reshape(3, -1)
-    q = 0.5 * np.stack((a_minus, 4.0 * four_a - a_plus))  # MINUS, PLUS
-    # u q'/q, q' being -squares(A)/2 (MINUS) or -(16 squares(4A) - squares(A))/2 (PLUS)
-    slope = -0.5 * u * np.stack((s_minus, 16.0 * four_s - s_plus)) / q
+        pole, squares = (sums.reshape(2, -1) for sums in _pole_sums(np.tile(u, 2), ground))  # MINUS, PLUS
+    q = 0.5 * pole
+    slope = -0.5 * u * squares / q  # u q'/q
     log_q = np.log(q)
     keys = np.concatenate((log_q[0] - _START_SHIFT, [log_q[0, -1] - _START_SHIFT + 1.0, log_q[1, 0] - 1.0], log_q[1]))
     values = np.concatenate((log_u + log_q[0] + 1j * slope[0], [-1j, -1j], log_u + log_q[1] + 1j * slope[1]))
@@ -493,12 +507,11 @@ def _start_tables():
 def _start(plus, ground, b, target, x0):
     """Each row's first iterate: the pole model's root (see REMAINDER_LIMIT), clamped at x0.
 
-    A row keeps x0 unless START_T <= t <= (N / START_DEGENERACY)^2, where
-    the model's error is below x0's and below N. The table gives the root
-    u0 = x t of the model at alpha = 0, t q(u) = N - C sqrt(t) (- 1/4 for
-    MINUS), and the slope s = d log q / d log u there; one Newton step in x
-    adds the model's terms linear in alpha = x - b e_1, K alpha with K = R1
-    sqrt(t) (- 1/24 for MINUS). Call under np.errstate.
+    A row keeps x0 unless START_T <= t <= (N / START_DEGENERACY)^2. The
+    table gives the root u0 = x t of the model at alpha = 0, t q(u) = N -
+    C sqrt(t) (- 1/4 for MINUS), and the slope s = d log q / d log u there;
+    one Newton step in x adds the model's terms linear in alpha = x - b e_1,
+    K alpha with K = R1 sqrt(t) (- 1/24 for MINUS). Call under np.errstate.
     """
     inside = (b <= 1.0 / START_T) & (b >= (START_DEGENERACY / target) ** 2)
     if not np.count_nonzero(inside):
@@ -552,17 +565,13 @@ class RowSolutions(NamedTuple):
 
     def solution(self, row: int) -> AlphaSolution:
         """One row as an AlphaSolution; raises ConstraintSolverError, bracket [x0, last iterate], if it failed."""
-        x = float(self.shifted_alpha[row])
         if not self.converged[row]:
             raise ConstraintSolverError(
                 f"constraint solve failed after {self.iterations[row]} evaluations over "
                 f"{self.levels_used[row]} levels",
-                (math.log1p(1.0 / self.n_particles), x),
+                (math.log1p(1.0 / self.n_particles), self.shifted_alpha[row].item()),
             )
-        return AlphaSolution(
-            float(self.alpha[row]), x, float(self.residual[row]), int(self.levels_used[row]),
-            int(self.iterations[row]), float(self.force[row]),
-        )
+        return AlphaSolution(**{name: getattr(self, name)[row].item() for name in AlphaSolution.__dataclass_fields__})
 
 
 def solve_rows(
@@ -572,11 +581,8 @@ def solve_rows(
 
     Every row holds the same N = n_particles; b is an array, or a scalar
     broadcast over the rows. At x0 = log1p(1/N) level 1 alone holds N
-    particles, so S(x0) >= N: x0 is the root's exact lower bound. A row
-    starts at the root of the pole model t q(A) + sqrt(t) (C + R1 alpha)
-    (+ 1/4 - alpha/24 for MINUS) = N, clamped at x0, where 1.48 <= t <=
-    (N/0.19)^2, and at x0 elsewhere (see REMAINDER_LIMIT); the start
-    depends on the row's own (N, t, well) alone. Newton's step in x, log(S/N) S/(S + sum_n N_n^2),
+    particles, so S(x0) >= N: x0 is the root's exact lower bound. A row's
+    start (see REMAINDER_LIMIT) depends on its own (N, t, well) alone. Newton's step in x, log(S/N) S/(S + sum_n N_n^2),
     is taken in w = log(expm1 x), w += step/(1 - e^-x). There d log S/dw
     is minus a weighted mean of (1 - e^-x)/(1 - e^-z_n), z_n = x + b (e_n -
     e_1), in (0, 1], so log S is linear in w for one level and nearly so far
@@ -585,8 +591,8 @@ def solve_rows(
     right. Iterates are clamped at x0, which the node route rests on (see
     NODE_STEP). A row stops once |S - N| <= tol * N, or unconverged at
     max_iter evaluations or a non-finite step; over N = 1 to 1e300 and t =
-    1e-300 to 2e14 every row stopped converged within 6 evaluations, those
-    started at the model's root within 4, and the clamp never acted
+    1e-300 to 2e14 every row stopped converged within 6 evaluations, at
+    DEFAULT_TOL and at MIN_TOL, and the clamp never acted
     (tests/test_occupancy.py). The groups of _routes, which also picks each
     group's route by x0, are solved one by one on plans built once. A
     stopped row stays in its group's plan, frozen at its x, where each
@@ -631,8 +637,7 @@ def solve_alpha(
     """Solve sum_n N_n = N for the multiplier of one half well.
 
     A one-row solve_rows call: Newton on log sum_n N_n in w = log(expm1 x),
-    x = alpha + b e_1, from the row's start (the root of the pole model to
-    first order in alpha, or the exact lower bound x0 = log1p(1/N)) until
+    x = alpha + b e_1, from the row's start (see REMAINDER_LIMIT) until
     |sum_n N_n - N| <= tol * N.
     Raises ConstraintSolverError, carrying the bracket [x0, last iterate],
     when the solve fails.

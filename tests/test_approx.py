@@ -255,7 +255,7 @@ class TestThetaSums:
         value = theta_partition_sum(M, 1, 0.01, "poisson")
         assert value == pytest.approx(math.sqrt(math.pi / 0.04) - 0.5, rel=1e-12)
 
-    @pytest.mark.parametrize("side, k, b", [(M, 1, 710.0), (P, 1, 2970.0), (P, 2, 1500.0)])
+    @pytest.mark.parametrize("side, k, b", [(M, 1, 710.0), (P, 1, 2970.0), (P, 2, 1500.0), (P, 2.0, 1500.0)])
     def test_underflowing_terms_end_the_direct_sum(self, side, k, b):
         # past k b e_1 ~ 708 the relative cutoff underflows to 0; the zero tail still ends the sum
         assert theta_partition_sum(side, k, b, "direct") == math.exp(-k * b * side.ground_energy)
@@ -433,8 +433,9 @@ class TestInputRule:
         ],
         ids=["theta-direct", "theta-poisson", "poisson-force"],
     )
-    @pytest.mark.parametrize("k, b", [(k, 1.0) for k in BAD_N] + [(1, b) for b in BAD_T])
+    @pytest.mark.parametrize("k, b", [(k, 1.0) for k in BAD_N + [1.5]] + [(1, b) for b in BAD_T])
     def test_theta_sums_k_and_b(self, entry, k, b):
-        # unchecked, a nan or inf k or b keeps the sums from ever ending
+        # unchecked, a nan or inf k or b keeps the sums from ever ending; k is
+        # a power of the fugacity, so a non-integral k has no sum to return
         with pytest.raises(ValueError):
             entry(k, b)

@@ -60,6 +60,7 @@ class TestParseConfig:
             ["--scale", "cubic"],
             ["--tol", "nan"],
             ["--tol", "inf"],
+            ["--tol", "1e-15"],  # below the floor MIN_TOL
             ["--t-max", "inf"],
             ["--t-min", "1e-310"],
             ["--n-particles", str(10**400)],  # an int past the float range

@@ -18,7 +18,9 @@ from boxforce import (
     temperature_grid,
     total_number,
 )
-from boxforce.occupancy import _TILE, DEFAULT_TOL, MAX_LEVELS, NODE_LEVELS, POLE_DISTANCE, RowSolutions, solve_rows
+from boxforce.occupancy import (
+    _TILE, DEFAULT_TOL, MAX_LEVELS, MIN_TOL, NODE_LEVELS, POLE_DISTANCE, RowSolutions, solve_rows,
+)
 
 from _oracles import mp, mp_delta_f, mp_pole_slope, mp_remainder_integral
 
@@ -211,6 +213,10 @@ class TestSolveAlpha:
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
             solve_alpha(P, ThermoPoint(10, 1.0), tol=0.0)
+        # and one below the floor MIN_TOL: float64 sums cannot meet |S - N| <=
+        # 1e-16 N, so rows would run to max_iter and fail
+        with pytest.raises(ValueError, match="1e-14"):
+            solve_rows((P, M), 100, 1.0, tol=1e-16)
 
     def test_high_t_fugacity_consistency(self):
         # e^(-alpha) approaches the two-term fugacity expansion at a rate
@@ -425,7 +431,8 @@ class TestSolveRowGroups:
         # of 0 reports: the pole model's root, or x0 outside the model's
         # window. A stopped row stays frozen in its group's plan; so the clamp
         # at x0 never acts when, from a group's second evaluation on, its rows
-        # at x0 are exactly those that started there and stopped on the first
+        # at x0 are exactly those that started there and stopped on the first.
+        # The bounds hold at the default tolerance and at the floor MIN_TOL
         seen = {"nodes": 0, "split": 0}
         routes, level_sums, split_sums = occupancy._routes, occupancy._level_sums, occupancy._split_sums
 
@@ -461,16 +468,17 @@ class TestSolveRowGroups:
         frozen_at_x0 = modelled = 0
         for n_particles in (1, 10, 100, 10**4, 10**6, 10**9, 10**15, 10**30, 10**100, 10**300):
             x0 = seen["x0"] = math.log1p(1.0 / float(n_particles))
-            seen["later"] = []
             start = seen["start"] = solve_rows([P, M] * 400, n_particles, b, max_iter=0).shifted_alpha
-            solved = solve_rows([P, M] * 400, n_particles, b)
-            assert (solved.levels_used <= MAX_LEVELS).all()
-            assert solved.converged.all()
-            assert solved.iterations.max() <= 6
-            assert solved.iterations[start > x0].max(initial=0) <= 4  # the rows started at the model's root
-            for rows, at_x0 in seen["later"]:
-                np.testing.assert_array_equal(at_x0, (start[rows] == x0) & (solved.iterations[rows] == 1))
-                frozen_at_x0 += np.count_nonzero(at_x0)
+            for tol in (DEFAULT_TOL, MIN_TOL):
+                seen["later"] = []
+                solved = solve_rows([P, M] * 400, n_particles, b, tol)
+                assert (solved.levels_used <= MAX_LEVELS).all()
+                assert solved.converged.all()
+                assert solved.iterations.max() <= 6
+                assert solved.iterations[start > x0].max(initial=0) <= 4  # the rows started at the model's root
+                for rows, at_x0 in seen["later"]:
+                    np.testing.assert_array_equal(at_x0, (start[rows] == x0) & (solved.iterations[rows] == 1))
+                    frozen_at_x0 += np.count_nonzero(at_x0)
             modelled += np.count_nonzero(start > x0)
         assert frozen_at_x0 and modelled and seen["nodes"] and seen["split"]
 

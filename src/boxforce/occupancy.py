@@ -14,14 +14,15 @@ w = log(expm1 x), where log S is nearly linear, from each row's start (see
 REMAINDER_LIMIT). A plan lays its rows' levels end to end, each row a run
 of exactly its own levels, and sums each run pairwise, so a row's sums
 round the same in any group. A wide row sums its levels as one integral
-instead, on at most 100 fixed nodes, which Poisson summation makes exact
-up to a remainder far below rounding. Far from condensation the integrand
-is the occupation itself (see NODE_STEP). Near it, the occupation's pole
-at zero exponent is split off and summed in closed form, and only the
-analytic remainder is integrated (see _SPLIT_STEP). The level cutoff
-(TAIL_EXPONENT), both node rules, the start and the batched Newton
-iteration are choices of this implementation; only the occupation formula
-and the constraint itself are physics.
+instead, which Poisson summation makes exact up to a remainder far below
+rounding. Far from condensation the integrand is the occupation itself,
+integrated on at most 100 fixed nodes (see NODE_STEP). Near it, the
+occupation's pole at zero exponent is split off and summed in closed form,
+and the analytic remainder's integral is its power series in alpha, whose
+coefficients are values of the zeta function (see _SPLIT_TERMS). The level
+cutoff (TAIL_EXPONENT), the node rule, the series' length, the start and
+the batched Newton iteration are choices of this implementation; only the
+occupation formula and the constraint itself are physics.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ _TILE = 1 << 14
 # s = asinh(sqrt(TAIL_EXPONENT / x0)), the level cutoff, so the discarded tail
 # is the one TAIL_EXPONENT bounds. That is 24 nodes a row at N = 1, 61 at
 # N = 1e4 and 99 at N = 1e8, at any t. Any other wide row is near
-# condensation, and takes the pole split of _SPLIT_STEP.
+# condensation, and takes the pole split of _SPLIT_TERMS.
 NODE_STEP = 0.12
 POLE_DISTANCE = 10.0
 NODE_LEVELS = 1 << 10
@@ -94,41 +95,69 @@ NODE_LEVELS = 1 << 10
 # and the remainder r(z) = 1/expm1(z) - 1/z (_split_sums). The pole's lattice
 # sum is closed form in A = alpha t (_lattice). r is analytic at z = 0 and its
 # nearest poles, z = +-2 pi i, lie ~sqrt(pi t) >= 286 from the real n axis, so
-# its lattice sum is sqrt(t) times the integral of r(alpha + v^2) dv to far
-# below rounding; so are those of z/expm1(z), for the force, and of r', for
-# Newton's derivative. The integrals are the trapezoid rule of step
-# _SPLIT_STEP in s on the double-exponential map v = sinh((pi/2) sinh s),
-# s in [0, 4), _SPLIT_NODES nodes a row at any N and t: r decays only like
-# -1/v^2, which a sinh map cannot follow. The last node sits at v ~ 2e18, so
-# the discarded tail of r is ~5e-19. Against math.fsum direct sums the rule
-# measured, in the worst of sum N_n, sum N_n^2 and sum (e_n - e_1) N_n,
-# ~4e-11 relative at step 0.07, ~3e-14 at 0.05 and at most 1.5e-15, the
-# rounding floor, at 0.04 (N = 1e3 to 1e16, t from the NODE_LEVELS threshold
-# to x0 t = 100 or 1e10, both wells, at x0, the root and three times the root). Far
-# from condensation the split loses digits to cancellation between the pole
-# sum and the integral of r (at N = 1, t = 1e10, with the head series widened
-# to reach alpha ~ 11: ~7e-12 in sum N_n and ~1e-10 in the force sum), which
-# is why POLE_DISTANCE stays.
-_SPLIT_STEP = 0.04
-_SPLIT_NODES = 100
+# its sum over n >= 1 is sqrt(t) R(alpha) to far below rounding, less r(alpha)/2
+# for MINUS, whose level n = 0 is no level; R(alpha) is the integral of
+# r(alpha + v^2) over v >= 0. So are those of -r', for Newton's derivative, and
+# of z/expm1(z), for the force. R is the Bose integral less its pole,
+# (sqrt(pi)/2) Li_{1/2}(e^-alpha) - (pi/2)/sqrt(alpha), a power series in
+# alpha (Robinson, Phys. Rev. 83, 678, 1951): R = (sqrt(pi)/2) sum_j
+# zeta(1/2 - j) (-alpha)^j / j!, and -R' is the same series one zeta further
+# on. The force's integral of z/expm1(z) is (sqrt(pi)/2) (alpha Li_{1/2} +
+# Li_{3/2}/2), whose sqrt(alpha) terms cancel: (sqrt(pi)/2) sum_j (1/2 - j)
+# zeta(3/2 - j) (-alpha)^j / j!. The n = 0 terms -r(alpha)/2, r'(alpha)/2 and
+# -alpha/expm1(alpha)/2 are the Bernoulli series of 1/expm1. All six converge
+# for |alpha| < 2 pi. On the split route -1/26,214 < alpha < 0.31: alpha > -b e_1
+# and t >= 26,214 at NODE_LEVELS; x0 t < 100 there needs N > 1/expm1(100/t),
+# so N/sqrt(t) > 1.616, least at that t, where S = N puts the root of N = 262
+# (PLUS) at alpha = 0.302. Every row starts at the pole model's root (its window
+# holds the route), off the root by the model's dropped O(alpha^2 sqrt(t)), and
+# the largest alpha any iterate reached, over N = 262 to 1e12 across the route,
+# was 0.3024 (tests/test_occupancy.py bounds it by 1), so no clamp is needed.
+# _SPLIT_TERMS terms reach rounding on |alpha| <= 1, a margin of 3: the
+# discarded tail is below 3e-19 of each remainder sum there and below 2e-18 of
+# each n = 0 term. Against math.fsum direct sums the split measured at most
+# 1.1e-15 relative, the rounding floor, in sum N_n, sum N_n^2 and sum (e_n -
+# e_1) N_n (N = 1e3 to 1e16, t from the NODE_LEVELS threshold to x0 t = 100 or
+# 1e10, both wells, at x0, the root and three times the root), and 2.3e-15 at
+# the route's corner, N = 262 and 300, where three times the root is alpha =
+# 0.77 to 0.91 and the force sum's difference t (sum z_n N_n - x S) cancels.
+# Far from condensation the pole sum and sqrt(t) R cancel, and alpha leaves
+# the series' domain, which is why POLE_DISTANCE stays.
+_SPLIT_TERMS = 24
+# (sqrt(pi)/2) zeta(3/2 - j), j = 0 to _SPLIT_TERMS + 1, correctly rounded; R(0) and -R'(0) are
+# its second and third terms (REMAINDER_LIMIT, REMAINDER_SLOPE)
+_HALF_ZETA = (
+    2.315157373394117, -1.2942054864133927, -0.18423437000566129, -0.02258567211536955,
+    0.007547931605094415, 0.003935743821742784, -0.0027399205314769313, -0.0023675180274514026,
+    0.0024342597059879663, 0.002897110889608891, -0.003913607235741434, -0.005913058740388699,
+    0.009877993850802229, 0.018076351735955325, -0.03595862868120471, -0.0772570590173243,
+    0.1782858592666647, 0.4398089174133524, -1.1549568520124947, -3.2167904243727765,
+    9.471397009687397, 29.394663383471567, -95.90524020159963, -328.17149516208156,
+    1175.177502755837, 4395.329566221276,
+)
+# the Bernoulli numbers B_0 to B_(_SPLIT_TERMS + 1): 1/expm1(z) = sum_n B_n z^(n-1) / n!
+_BERNOULLI = (
+    1.0, -0.5, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66, 0.0, -691 / 2730, 0.0, 7 / 6, 0.0,
+    -3617 / 510, 0.0, 43867 / 798, 0.0, -174611 / 330, 0.0, 854513 / 138, 0.0, -236364091 / 2730, 0.0,
+)
 # terms of the power series of _series, which reach rounding for |Y| <= 12
 _SERIES_TERMS = 18
 # Newton starts each row (_start) at the root of a pole model of its sum,
 # clamped at the root's exact lower bound x0 = log1p(1/N), inside the model's
-# window, and at x0 outside it. Split as for _SPLIT_STEP, a row's sum is
+# window, and at x0 outside it. Split as for _SPLIT_TERMS, a row's sum is
 # t q(A), A = alpha t, from the pole, q being half its lattice sum
 # (_pole_sums), plus the remainder's, sqrt(t) R(alpha) less r(alpha)/2 for
-# MINUS, whose level n = 0 is no level; R(alpha) is the integral of
-# r(alpha + v^2) over v >= 0. The model takes the remainder to first order in
-# alpha: t q(A) + sqrt(t) (C + R1 alpha) + 1/4 - alpha/24 (MINUS) = N, with
-# C = R(0) = (sqrt(pi)/2) zeta(1/2) (REMAINDER_LIMIT), R1 = R'(0)
-# (REMAINDER_SLOPE) and -r(alpha)/2 = 1/4 - alpha/24 + O(alpha^3). Its root
-# in u = A + e_1 = x t is one Newton step from the root of the model at
-# alpha = 0, read from a table of q's inverse (_start_tables) with np.interp.
-# The model drops O(alpha^2) terms, sqrt(t) R''(0) alpha^2/2 with R''(0) =
-# -0.0225857. The window where it is used keeps the edges derived from the
-# model at alpha = 0, which drops sqrt(t) (R(alpha) - C) ~ R1 alpha sqrt(t),
-# R1 = 0.18423:
+# MINUS. The model takes the remainder to first order in alpha: t q(A) +
+# sqrt(t) (C + R1 alpha) + 1/4 - alpha/24 (MINUS) = N, with C = R(0) =
+# (sqrt(pi)/2) zeta(1/2) (REMAINDER_LIMIT) and R1 = R'(0) = -(sqrt(pi)/2)
+# zeta(-1/2) (REMAINDER_SLOPE), the first two terms of R's series
+# (_HALF_ZETA), and -r(alpha)/2 = 1/4 - alpha/24 + O(alpha^3). Its root in
+# u = A + e_1 = x t is one Newton step from the root of the model at alpha =
+# 0, read from a table of q's inverse (_start_tables) with np.interp. The
+# model drops O(alpha^2) terms, sqrt(t) R''(0) alpha^2/2 with R''(0) =
+# (sqrt(pi)/2) zeta(-3/2) = -0.0225857. The window where it is used keeps the
+# edges derived from the model at alpha = 0, which drops sqrt(t) (R(alpha) -
+# C) ~ R1 alpha sqrt(t), R1 = 0.18423:
 # * near the ground state alpha -> -e_1/t, and the model is off by ~R1 e_1 /
 #   sqrt(t) particles; x0 is off by the population of level 2, ~1/expm1((e_2
 #   - e_1)/t). The model's error is the smaller for t > 0.68 (PLUS) and 1.48
@@ -142,8 +171,8 @@ _SERIES_TERMS = 18
 # Over N = 1 to 1e300 and t = 1e-300 to 2e14 every row converges within 6
 # evaluations, and within 4 from the model's root; the mean per row on the
 # large_n grid (N = 1e4, t = 1 to 1e8) is 2.13 (tests/test_occupancy.py).
-REMAINDER_LIMIT = -1.2942054864133927
-REMAINDER_SLOPE = 0.18423437000566129
+REMAINDER_LIMIT = _HALF_ZETA[1]
+REMAINDER_SLOPE = -_HALF_ZETA[2]
 START_T = 1.48
 START_DEGENERACY = 0.19
 _START_KNOTS = 2161
@@ -315,29 +344,36 @@ def _series_matrix(terms: int) -> np.ndarray:
     return np.array([s, e, *([k * c for k, c in enumerate(f)][1:] + [0.0] for f in (s, e))])
 
 
+def _split_matrix(terms: int) -> np.ndarray:
+    """The power series in alpha of R, -R' and the force moment, then of the n = 0 terms (see _SPLIT_TERMS)."""
+    z, bernoulli, fact = _HALF_ZETA, _BERNOULLI, [math.factorial(j) for j in range(terms + 2)]
+    return np.array([
+        [
+            [(-1) ** j * z[j + 1] / fact[j] for j in range(terms)],  # R
+            [(-1) ** j * z[j + 2] / fact[j] for j in range(terms)],  # -R'
+            [(-1) ** j * (0.5 - j) * z[j] / fact[j] for j in range(terms)],  # integral of z/expm1(z)
+        ],
+        [
+            [-bernoulli[j + 1] / (2 * fact[j + 1]) for j in range(terms)],  # -r/2
+            [(j + 1) * bernoulli[j + 2] / (2 * fact[j + 2]) for j in range(terms)],  # r'/2
+            [-bernoulli[j] / (2 * fact[j]) for j in range(terms)],  # -alpha/expm1(alpha)/2
+        ],
+    ])
+
+
 # Module constants are built with math, not numpy ufuncs, which would page in
 # their code at import time.
 _SERIES = _series_matrix(_SERIES_TERMS)
-# the nodes of the split rule (see _SPLIT_STEP): v^2 and the folded trapezoid weights dv, centre halved
-_SPLIT_V2 = np.array([math.sinh(0.5 * math.pi * math.sinh(k * _SPLIT_STEP)) ** 2 for k in range(_SPLIT_NODES)])
-_SPLIT_WEIGHT = np.array([
-    (0.5 if k == 0 else 1.0) * _SPLIT_STEP * 0.5 * math.pi * math.cosh(k * _SPLIT_STEP)
-    * math.cosh(0.5 * math.pi * math.sinh(k * _SPLIT_STEP))
-    for k in range(_SPLIT_NODES)
-])
-# The head, the nodes with v^2 <= 1/4, takes r from its series, as z = alpha + v^2
-# may come near 0 there. Elsewhere z > 1/4 - b e_1 and the direct 1/expm1(z) - 1/z
-# loses at most ~8 ulp, on nodes whose share of the sum is small. On the split
-# route alpha < 3.75 at the root (S(3.75) < N there) and at every iterate tested
-# (peak 0.46, tests/test_occupancy.py), so the head's Y = (z/2)^2 stays below 4.
-_SPLIT_HEAD = int(np.count_nonzero(_SPLIT_V2 <= 0.25))
+_SPLIT_SERIES = _split_matrix(_SPLIT_TERMS)
+_SPLIT_POWERS = np.array([[float(j)] for j in range(_SPLIT_TERMS)])
 
 
 def _series(y2):
     """rho(Y) = (y coth y - 1)/y^2 = E/S and d rho/dY at Y = y2 from _SERIES (Y < 0 continues y to i y)."""
     powers = np.empty((_SERIES_TERMS - 1,) + y2.shape)
-    powers[:] = y2
-    np.cumprod(powers, axis=0, out=powers)  # Y, Y^2, ...
+    powers[0] = y2
+    for k in range(1, _SERIES_TERMS - 1):  # Y, Y^2, ...: 4x np.cumprod's speed on the start table's 1,668 points
+        np.multiply(powers[k - 1], y2, out=powers[k])
     # einsum, not @: a BLAS call pages in ~0.25 MB of library code for this small product
     sums = _SERIES[:, :1] + np.einsum("ck,kr->cr", _SERIES[:, 1:], powers.reshape(_SERIES_TERMS - 1, -1))
     s, e, ds, de = sums.reshape((4,) + y2.shape)
@@ -359,17 +395,17 @@ def _lattice(p):
     phi, squares = np.empty_like(p), np.empty_like(p)
     hyperbolic, trigonometric = a2 >= 1.0, a2 < -0.5
     series = ~(hyperbolic | trigonometric)
-    if hyperbolic.any():
+    if np.count_nonzero(hyperbolic):
         A = a2[hyperbolic]
         a = np.sqrt(A)
         value = math.pi / (a * np.tanh(math.pi * a)) - 1.0 / A
         phi[hyperbolic] = value
         squares[hyperbolic] = (value + (math.pi / np.sinh(math.pi * a)) ** 2 - 1.0 / A) / (2.0 * A)
-    if series.any():
+    if np.count_nonzero(series):
         rho, slope = _series(math.pi**2 * a2[series])
         phi[series] = math.pi**2 * rho
         squares[series] = -(math.pi**4) * slope
-    if trigonometric.any():
+    if np.count_nonzero(trigonometric):
         A = a2[trigonometric]
         a = np.sqrt(-A)
         angle = math.pi * p[trigonometric] / (1.0 + a)
@@ -381,11 +417,9 @@ def _lattice(p):
 
 
 def _split_plan(ground, b):
-    """A split plan (see _SPLIT_STEP): node weights sqrt(t) dv per row, less half of n = 0 for MINUS, and (t, e_1)."""
+    """A split plan (see _SPLIT_TERMS): rows t, e_1, sqrt(t) and the n = 0 image's weight, 1 for MINUS, 0 for PLUS."""
     t = 1.0 / b
-    weight = np.sqrt(t)[:, None] * _SPLIT_WEIGHT
-    weight[:, 0] -= 0.5 * (ground == WellSide.MINUS.ground_energy)
-    return weight, np.stack((t, ground), axis=1)
+    return np.stack((t, ground, np.sqrt(t), ground == WellSide.MINUS.ground_energy))
 
 
 def _pole_sums(xt, ground):
@@ -410,27 +444,15 @@ def _split_sums(x, plan):
 
     With A = alpha t = x t - e_1, the pole's sum over n >= 1 is (t/2) times
     its lattice sum (_pole_sums), n = 0 being no level for MINUS. The
-    remainder r, r' and z/expm1(z) are summed on the nodes, and
+    remainder's sums of r, -r' and z/expm1(z) are sqrt(t) times the series
+    of _SPLIT_TERMS in alpha, plus the n = 0 image's for MINUS, and
     sum_n (e_n - e_1) N_n = t (sum_n z_n N_n - x S).
     """
-    weight, rows = plan
-    t, ground = rows.T
+    t, ground = plan[:2]
     xt = x * t
     pole, pole_squares = _pole_sums(xt, ground)
-    z = ((xt - ground) / t)[:, None] + _SPLIT_V2
-    occ = 1.0 / np.expm1(np.minimum(z, OVERFLOW_EXPONENT))  # expm1 is slow where it overflows
-    inverse = 1.0 / z
-    terms = np.empty((3,) + z.shape)  # r(z), -r'(z) = N (N + 1) - 1/z^2 = r (N + 1/z) + N and z N at each node
-    np.subtract(occ, inverse, out=terms[0])
-    np.multiply(terms[0], occ + inverse, out=terms[1])
-    terms[1] += occ
-    np.multiply(z, occ, out=terms[2])
-    u = 0.5 * z[:, :_SPLIT_HEAD]  # r(z) = (coth(z/2) - 1)/2 - 1/z = (u rho(u^2) - 1)/2
-    rho, slope = _series(u * u)
-    terms[0, :, :_SPLIT_HEAD] = 0.5 * (u * rho - 1.0)
-    terms[1, :, :_SPLIT_HEAD] = -0.25 * (rho + 2.0 * u * u * slope)
-    terms[2, :, :_SPLIT_HEAD] = 1.0 + 2.0 * u * terms[0, :, :_SPLIT_HEAD]
-    remainder, derivative, moment = np.einsum("krn,rn->kr", terms, weight)
+    powers = np.power((xt - ground) / t, _SPLIT_POWERS)  # 1, alpha, alpha^2, ...
+    remainder, derivative, moment = np.einsum("wck,kr,wr->cr", _SPLIT_SERIES, powers, plan[2:])
     number = 0.5 * t * pole + remainder
     squares = 0.5 * t * t * pole_squares + derivative - number  # sum N^2 = sum N (N + 1) - S
     return number, squares, t * (moment - x * number)
@@ -440,13 +462,13 @@ def _routes(plus, ground, b, levels, x0):
     """Yield (kernel, plan, rows) per group (_groups) of rows started at x0, rows being the group's indices.
 
     A row of at most NODE_LEVELS levels sums its levels. A wider row sums
-    them as one integral on at most 100 nodes, whose sums match the direct
-    ones to rounding: the occupation's own where x0 t >= POLE_DISTANCE**2
-    (see NODE_STEP), the pole split's nearer condensation (see _SPLIT_STEP).
-    A row past MAX_LEVELS is in no group. Each plan is built when its group
-    is taken, and none holds more than _TILE levels or nodes unless
-    NODE_LEVELS is raised past _TILE, a row wider than that being a group
-    alone.
+    them as one integral, whose sums match the direct ones to rounding: on
+    at most 100 nodes of the occupation where x0 t >= POLE_DISTANCE**2 (see
+    NODE_STEP), by the pole split's closed form and series nearer
+    condensation (see _SPLIT_TERMS). A row past MAX_LEVELS is in no group.
+    Each plan is built when its group is taken, and none holds more than
+    _TILE levels, nodes or series terms unless NODE_LEVELS is raised past
+    _TILE, a row wider than that being a group alone.
     """
     order = np.argsort(levels, kind="stable")
     ordered = levels[order]
@@ -459,7 +481,7 @@ def _routes(plus, ground, b, levels, x0):
         for group in _groups(np.full(on_nodes.size, nodes)):
             on = on_nodes[group]
             yield _level_sums, _node_plan(ground[on], b[on], x0, nodes), on
-        for group in _groups(np.full(on_split.size, _SPLIT_NODES)):
+        for group in _groups(np.full(on_split.size, _SPLIT_TERMS)):
             on = on_split[group]
             yield _split_sums, _split_plan(ground[on], b[on]), on
     for group in _groups(ordered):
@@ -618,8 +640,10 @@ def solve_rows(
                 evaluations += moving  # a row counts the evaluations up to the one it stopped on
                 s, squares, w = kernel(xs, plan)
                 excess = s - target
-                step = np.log1p(excess / target) * s / (squares + s)  # S' = -sum_n N_n (N_n + 1)
-                moving = (np.abs(excess) > tol * target) & np.isfinite(step)
+                moving = np.abs(excess) > tol * target
+                if count < max_iter and np.count_nonzero(moving):  # no step on the group's last evaluation
+                    step = np.log1p(excess / target) * s / (squares + s)  # S' = -sum_n N_n (N_n + 1)
+                    moving &= np.isfinite(step)
                 if count == max_iter or np.count_nonzero(moving) == 0:
                     x[group], number[group], weighted[group], iterations[group] = xs, s, w, evaluations
                     break

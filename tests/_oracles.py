@@ -122,14 +122,14 @@ def _bose_remainder(z, derivative: int):
     return 1 / (z * z) - mp.exp(z) / mp.expm1(z) ** 2
 
 
-def mp_remainder_integral(derivative: int = 0):
-    """integral_0^inf r^(derivative)(v^2) dv by mpmath quadrature (r as in _bose_remainder).
+def mp_remainder_integral(derivative: int = 0, alpha=0):
+    """integral_0^inf r^(derivative)(alpha + v^2) dv by mpmath quadrature (r as in _bose_remainder).
 
-    At derivative 0 this is R(0), the pole-split remainder's lattice sum per
-    sqrt(t) as alpha -> 0, equal to (sqrt(pi)/2) zeta(1/2); at 1 it is
-    R'(0), the slope in alpha of that sum.
+    This is R(alpha), the pole-split remainder's lattice sum per sqrt(t), at
+    derivative 0, and R'(alpha) at 1. R(0) = (sqrt(pi)/2) zeta(1/2).
     """
-    return mp.quad(lambda v: _bose_remainder(v * v, derivative), [0, 1, 10, mp.inf])
+    a = mpf(alpha)
+    return mp.quad(lambda v: _bose_remainder(a + v * v, derivative), [0, 1, 10, mp.inf])
 
 
 def _mp_lattice(a2):

@@ -22,7 +22,9 @@ from boxforce.occupancy import (
     _TILE, DEFAULT_TOL, MAX_LEVELS, MIN_TOL, NODE_LEVELS, POLE_DISTANCE, RowSolutions, solve_rows,
 )
 
-from _oracles import mp, mp_delta_f, mp_pole_slope, mp_remainder_integral
+from _oracles import (
+    _bose_remainder, bose_integral_quadrature, mp, mp_delta_f, mp_pole_slope, mp_remainder_integral,
+)
 
 P = WellSide.PLUS
 M = WellSide.MINUS
@@ -57,7 +59,7 @@ def routed(levels):
 
 
 def split(n_particles, t):
-    """Whether a node-routed row integrates the pole split (x0 t < POLE_DISTANCE**2) rather than the occupation."""
+    """Whether a node-routed row takes the pole split (x0 t < POLE_DISTANCE**2) rather than the occupation's nodes."""
     return math.log1p(1.0 / n_particles) * t < POLE_DISTANCE**2
 
 
@@ -114,8 +116,8 @@ class TestTotalNumber:
 
     @pytest.mark.parametrize("xt, unused", [(10.0, "_node_plan"), (1_000.0, "_split_plan")])
     def test_wide_b_sums_on_nodes(self, monkeypatch, xt, unused):
-        # t = 1e7: 20,001 levels, summed on the nodes of the pole split at
-        # x t = 10 and of the occupation at x t = 1,000 (x t >= POLE_DISTANCE**2)
+        # t = 1e7: 20,001 levels, summed by the pole split at x t = 10 and on
+        # the nodes of the occupation at x t = 1,000 (x t >= POLE_DISTANCE**2)
         monkeypatch.setattr(occupancy, "_level_plan", None)  # a level plan would fail
         monkeypatch.setattr(occupancy, unused, None)  # so would the other node plan
         b = 1e-7
@@ -345,7 +347,7 @@ class TestSolveRowGroups:
             (100, (M, P, P, M, P, M), (0.05, 0.2, 1.0, 3.0, 1e3, 5e3), occupancy._level_sums, [1, 2, 3, 3, 2, 3]),
             # on the occupation's nodes (x0 t >= POLE_DISTANCE**2)
             (100, (P, M, P, M, P), (3e4, 3e4, 1e7, 1e11, 1e11), occupancy._level_sums, [4, 4, 5, 4, 4]),
-            # on the pole split's nodes (x0 t < POLE_DISTANCE**2); at N = 1e4 every
+            # by the pole split (x0 t < POLE_DISTANCE**2); at N = 1e4 every
             # such row stops on evaluation 2, while at t ~ 3e-9 N the start
             # already lies within tol of the root
             (10**14, (M, P, P, M, M), (3e5, 3e5, 1e8, 1e8, 1e9), occupancy._split_sums, [1, 1, 2, 2, 2]),
@@ -399,8 +401,8 @@ class TestSolveRowGroups:
 
     def test_wide_rows_near_condensation_build_one_split_plan(self, monkeypatch):
         # N = 1e6 at t = 1e7: ~2e4 levels, more than _TILE, and x0 t = 10 is
-        # short of POLE_DISTANCE**2, so both rows sum on the pole split's
-        # nodes, one group whose plan is built once for all its evaluations
+        # short of POLE_DISTANCE**2, so both rows take the pole split, one
+        # group whose plan is built once for all its evaluations
         built = []
         split_plan = occupancy._split_plan
 
@@ -426,13 +428,14 @@ class TestSolveRowGroups:
         # the step bound over the accepted domain: N from 1 to 1e300, t from
         # 1e-300 to 2e14 (under MAX_LEVELS), both wells, all three routes. At
         # every evaluation x >= x0, which the node route's pole distance rests
-        # on, and alpha < 3.75 on split rows, which bounds _SPLIT_HEAD's series
-        # argument. The first evaluation sits at each row's start, the x a cap
-        # of 0 reports: the pole model's root, or x0 outside the model's
-        # window. A stopped row stays frozen in its group's plan; so the clamp
-        # at x0 never acts when, from a group's second evaluation on, its rows
-        # at x0 are exactly those that started there and stopped on the first.
-        # The bounds hold at the default tolerance and at the floor MIN_TOL
+        # on, and |alpha| <= 1 on split rows, the domain where the split's
+        # series reach rounding (_SPLIT_TERMS). The first evaluation sits at
+        # each row's start, the x a cap of 0 reports: the pole model's root,
+        # or x0 outside the model's window. A stopped row stays frozen in its
+        # group's plan; so the clamp at x0 never acts when, from a group's
+        # second evaluation on, its rows at x0 are exactly those that started
+        # there and stopped on the first. The bounds hold at the default
+        # tolerance and at the floor MIN_TOL
         seen = {"nodes": 0, "split": 0}
         routes, level_sums, split_sums = occupancy._routes, occupancy._level_sums, occupancy._split_sums
 
@@ -456,8 +459,8 @@ class TestSolveRowGroups:
 
         def split_checked(x, plan):
             checked(x)
-            t, ground = plan[1].T
-            assert (x - ground / t < 3.75).all()
+            t, ground = plan[:2]
+            assert (np.abs(x - ground / t) <= 1.0).all()
             seen["split"] += x.size
             return split_sums(x, plan)
 
@@ -611,8 +614,8 @@ class TestNodePlan:
 class TestSplitPlan:
     @pytest.mark.parametrize("n_particles", [1_000, 10_000, 10**6, 10**8, 10**12, 10**16])
     def test_split_sums_match_direct_sums(self, n_particles):
-        # the split rule's error budget (_SPLIT_STEP): closed-form pole sum,
-        # double-exponential integral of the remainder and the force moment all
+        # the split's error budget (_SPLIT_TERMS): closed-form pole sum and
+        # series of the remainder, its derivative and the force moment all
         # lie at rounding, from the NODE_LEVELS threshold to just under x0 t =
         # 100 (capped at t = 1e10, 6.3e5 levels, for the direct sums), at the
         # start, the root and three times the root
@@ -650,6 +653,56 @@ class TestSplitPlan:
         assert routed(levels).all() and split(1_000, t)
         pair = net_force(ThermoPoint(1_000, t))
         assert pair.delta_f == pytest.approx(float(mp_delta_f(1_000, t)), rel=1e-9)
+
+    def test_series_tables_match_mpmath(self):
+        # the hard-coded (sqrt(pi)/2) zeta(3/2 - j) and Bernoulli numbers, correctly rounded
+        assert len(occupancy._HALF_ZETA) == len(occupancy._BERNOULLI) == occupancy._SPLIT_TERMS + 2
+        for j, value in enumerate(occupancy._HALF_ZETA):
+            assert value == float(mp.sqrt(mp.pi) / 2 * mp.zeta(mp.mpf(3) / 2 - j))
+        for n, value in enumerate(occupancy._BERNOULLI):
+            assert value == float(mp.bernoulli(n))
+
+    def test_series_match_mp_integrals(self):
+        # the six series of _split_sums on |alpha| <= 1, the domain their
+        # length is chosen for (_SPLIT_TERMS): R, -R' and the integral of
+        # z/expm1(z) against quadrature, and the n = 0 image terms -r/2, r'/2
+        # and -alpha/expm1(alpha)/2 against mpmath; -1/26,214.4 and 0.302 are
+        # the split route's extreme roots
+        alphas = np.array([-0.999, -0.5, -1 / 26_214.4, 0.0, 1e-9, 0.01, 0.1, 0.302, 0.5, 0.75, 1.0])
+        powers = np.power(alphas, occupancy._SPLIT_POWERS)
+        series = np.einsum("wck,kr->wcr", occupancy._SPLIT_SERIES, powers).reshape(6, -1)
+        for a, got in zip(alphas, series.T):
+            z = mp.mpf(a)
+            image = mp.mpf(1) if a == 0.0 else z / mp.expm1(z)
+            expected = [
+                mp_remainder_integral(0, a), -mp_remainder_integral(1, a), bose_integral_quadrature(a),
+                -_bose_remainder(z, 0) / 2, _bose_remainder(z, 1) / 2, -image / 2,
+            ]
+            np.testing.assert_allclose(got, [float(e) for e in expected], rtol=1e-15, atol=0.0)
+
+    def test_split_rows_stay_inside_the_series_domain(self, monkeypatch):
+        # every iterate of a split row has -b e_1 < alpha < 0.31 (_SPLIT_TERMS):
+        # the largest at the route's corner, t at the NODE_LEVELS threshold and
+        # N = 262, the smallest N with x0 t < POLE_DISTANCE**2 there
+        seen = []
+        split_sums = occupancy._split_sums
+
+        def recorded(x, plan):
+            t, ground = plan[:2]
+            seen.append(x - ground / t)
+            return split_sums(x, plan)
+
+        monkeypatch.setattr(occupancy, "_split_sums", recorded)
+        threshold = NODE_LEVELS**2 / occupancy.TAIL_EXPONENT
+        assert split(262, threshold * 1.001) and not split(261, threshold * 1.001)
+        for n_particles in (262, 300, 1_000, 10**4, 10**6, 10**12):
+            t = np.geomspace(threshold * 1.000001, 0.999999 * POLE_DISTANCE**2 / math.log1p(1.0 / n_particles), 40)
+            assert all(split(n_particles, ti) for ti in t)
+            for tol in (DEFAULT_TOL, MIN_TOL):
+                assert solve_rows([P, M] * 40, n_particles, 1.0 / np.repeat(t, 2), tol).converged.all()
+        alpha = np.concatenate(seen)
+        assert alpha.min() > -1.0 / threshold
+        assert 0.302 < alpha.max() < 0.31
 
 
 class TestStartModel:

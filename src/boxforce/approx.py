@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .occupancy import ConstraintSolverError, check_domain
-from .spectrum import WellSide, energy_level
+from .spectrum import WellSide, energy_level, plus_mask
 
 __all__ = [
     "LinearForce",
@@ -148,8 +148,9 @@ def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exc
     Returns alpha (nan where a row failed) and each row's error or None:
     MethodOutOfRangeError if S > N at alpha = 2, else ConstraintSolverError.
     """
-    levels = {side: (side.ground_energy, energy_level(side, 2)) for side in WellSide}
-    e1, e2 = np.array([levels[side] for side in sides]).T
+    plus = plus_mask(sides)
+    e1 = np.where(plus, WellSide.PLUS.ground_energy, WellSide.MINUS.ground_energy)
+    e2 = np.where(plus, energy_level(WellSide.PLUS, 2), energy_level(WellSide.MINUS, 2))
     b = 1.0 / np.broadcast_to(t, e1.shape)
     pole = b * e1
     ends = np.stack((-pole + 1e-10 * np.maximum(1.0, pole), np.full(len(e1), 2.0 - 1e-12)))
@@ -176,12 +177,13 @@ def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exc
             hi = np.where(down, x, hi)
             moved_lo, moved_hi = up, down
     converged = hi - lo <= tol
-    errors = [
-        None if good
-        else MethodOutOfRangeError(f"constraint still above N = {n_particles} at alpha = 2") if high
-        else ConstraintSolverError("no sign change, a non-finite value or no convergence", (left, right))
-        for good, high, left, right in zip(converged, out_of_range.tolist(), lo.tolist(), hi.tolist())
-    ]
+    errors: list[Exception | None] = [None] * len(e1)
+    for row in np.flatnonzero(~converged).tolist():
+        if out_of_range[row]:
+            errors[row] = MethodOutOfRangeError(f"constraint still above N = {n_particles} at alpha = 2")
+        else:
+            bracket = (lo[row].item(), hi[row].item())
+            errors[row] = ConstraintSolverError("no sign change, a non-finite value or no convergence", bracket)
     return np.where(converged, 0.5 * (lo + hi), np.nan), errors
 
 

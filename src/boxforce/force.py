@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -141,19 +141,22 @@ def _column(method: Method, n_particles: int, grid: np.ndarray, tol: float):
         solved = solve_rows(wells, n_particles, 1.0 / t_rows, tol)
         alpha, force, ok = solved.alpha.reshape(2, -1), solved.force.reshape(2, -1), solved.converged
     else:
-        alpha, errors = approx.semi_analytic_rows(wells, n_particles, t_rows)
-        alpha, ok = alpha.reshape(2, -1), np.array([error is None for error in errors])
+        alpha = approx.semi_analytic_rows(wells, n_particles, t_rows)[0]
+        alpha, ok = alpha.reshape(2, -1), np.isfinite(alpha)
         force = np.array([approx.semi_analytic_force(side, a, grid, n_particles) for side, a in zip(WellSide, alpha)])
     return alpha, force, force[1] - force[0], np.where(ok.reshape(2, -1).all(axis=0), "ok", "error")
 
 
 def _rows(method: Method, grid: list[float], alpha, force, delta_f, status) -> list[SweepRow]:
     """The SweepRows of one column; an error row keeps only t, method and status."""
-    fields = np.full((5, len(grid)), None)  # alpha_plus, alpha_minus, f_plus, f_minus, delta_f
-    fields[:4] = None if alpha is None else np.concatenate((alpha, force))
-    fields[4] = delta_f
-    fields[:, status == "error"] = None
-    return list(map(SweepRow, grid, repeat(method), *fields.tolist(), status.tolist()))
+    columns = [] if alpha is None else [*alpha.tolist(), *force.tolist()]  # alpha_plus, alpha_minus, f_plus, f_minus
+    columns.append(delta_f.tolist())
+    for row in np.flatnonzero(status == "error").tolist():
+        for column in columns:
+            column[row] = None
+    fields = columns if alpha is not None else [repeat(None)] * 4 + columns
+    # tuple.__new__, not SweepRow(...): a NamedTuple's own __new__ is a Python-level call per row
+    return list(map(tuple.__new__, repeat(SweepRow), zip(grid, repeat(method), *fields, status.tolist())))
 
 
 def sweep(config: "SweepConfig") -> list[SweepRow]:
@@ -171,4 +174,4 @@ def sweep(config: "SweepConfig") -> list[SweepRow]:
         _rows(method, grid, *_column(method, config.n_particles, np.array(grid), config.tolerance))
         for method in sorted(config.methods, key=lambda m: m.value)
     ]
-    return [row for rows_at_t in zip(*columns) for row in rows_at_t]
+    return list(chain.from_iterable(zip(*columns)))

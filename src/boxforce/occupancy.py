@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .spectrum import WellSide, level_gap
+from .spectrum import WellSide, level_gap, plus_mask
 
 __all__ = [
     "ThermoPoint",
@@ -63,6 +63,14 @@ DEFAULT_TOL = 1e-12
 # still converges within 6 evaluations (tests/test_occupancy.py).
 MIN_TOL = 1e-14
 MAX_ITER = 200
+# Past N ~ 1.3e154 a level row's sum_n N_n^2, ~N^2, overflows, and Newton's
+# step with it. From N = SCALE_FROM on, a level plan therefore sums the
+# occupations times an exact power of two, c = 2^-e with e the binary exponent
+# of N (c N in [1/2, 1)), and _level_sums unscales S and the force moment;
+# Newton's step S / (sum_n N_n^2 + S) is formed as c S / (c sum_n N_n^2 + c S),
+# whose terms stay of order 1 and N.
+# Below SCALE_FROM, c = 1 and the arithmetic is the unscaled one, bit for bit.
+SCALE_FROM = 2.0**500
 # rows whose cutoff passes this many levels (t > ~2.5e14) are not attempted
 MAX_LEVELS = 100_000_000
 # largest plan or level-sum temporary, in float64 elements: the levels (or
@@ -274,14 +282,15 @@ def _groups(levels: np.ndarray):
         start, taken = end, ends[end - 1]
 
 
-def _level_plan(plus, b, levels):
+def _level_plan(plus, b, levels, scale):
     """A level plan: exponent bases b (e_n - e_1) and gaps of n = 1..levels[r] for each row r, no weights.
 
     The rows, sorted by levels, lay their levels end to end, row r's run
-    beginning at starts[r]. A plan is (base, gap, weight, counts, starts),
-    counts being each row's run length. Every row has at least one level
-    (_cutoff), and np.add.reduceat in _level_sums needs that: it returns
-    the next element, not 0, for an empty run.
+    beginning at starts[r]. A plan is (base, gap, weight, counts, starts,
+    scale), counts being each row's run length and scale the power of two c
+    its occupations are summed at (SCALE_FROM). Every row has at least one
+    level (_cutoff), and np.add.reduceat in _level_sums needs that: it
+    returns the next element, not 0, for an empty run.
     """
     ends = np.add.accumulate(levels)
     starts = ends - levels
@@ -289,7 +298,7 @@ def _level_plan(plus, b, levels):
     n = np.arange(1.0, widest + 1.0)
     gaps = np.concatenate((level_gap(WellSide.MINUS, n), level_gap(WellSide.PLUS, n)))
     gap = gaps[np.arange(int(ends[-1])) - np.repeat(starts - widest * plus, levels)]  # a PLUS row reads the second half
-    return np.repeat(b, levels) * gap, gap, None, levels, starts
+    return np.repeat(b, levels) * gap, gap, None, levels, starts, scale
 
 
 def _node_count(x0: float) -> int:
@@ -306,7 +315,8 @@ def _node_plan(ground, b, x0, nodes):
     counts half, and a MINUS row (ground energy 1) drops half of N(0) there
     as well, n = 0 being no level. The plan has the form of _level_plan's,
     each row a run of its nodes in place of its levels; no run is empty,
-    a row taking at least 24 nodes (x0 <= log 2).
+    a row taking at least 24 nodes (x0 <= log 2). Its scale is 1: x0 t >=
+    POLE_DISTANCE**2 needs N < t/100, far below SCALE_FROM under MAX_LEVELS.
     """
     s = np.arange(nodes) * NODE_STEP
     c = np.sqrt(x0 / b)[:, None]
@@ -315,25 +325,35 @@ def _node_plan(ground, b, x0, nodes):
     weight = (NODE_STEP * c) * np.cosh(s)
     weight[:, 0] = 0.5 * (weight[:, 0] - (ground == WellSide.MINUS.ground_energy))
     counts = np.full(len(b), nodes)
-    return (b[:, None] * gap).ravel(), gap.ravel(), weight.ravel(), counts, np.arange(0, gap.size, nodes)
+    return (b[:, None] * gap).ravel(), gap.ravel(), weight.ravel(), counts, np.arange(0, gap.size, nodes), 1.0
 
 
 def _level_sums(x, plan):
-    """sum_n N_n, sum_n N_n^2 and sum_n (e_n - e_1) N_n per row at x over a plan (call under np.errstate).
+    """S = sum_n N_n per row at x over a plan, and its other two sums on demand (call under np.errstate).
 
-    A plan is (base, gap, weight, counts, starts) (_level_plan): levels carry
-    no weight, nodes the weights of _node_plan. np.add.reduceat sums each
-    row's run pairwise, the same wherever the run lies in the plan.
+    Returns (S, squares, moment): squares() gives c S and c sum_n N_n^2,
+    the factors of Newton's step in the plan's scale c (SCALE_FROM), and
+    moment() gives sum_n (e_n - e_1) N_n. Each forms its sums only when
+    called, from the evaluation's occupations, which neither alters, so
+    either may be called after the other. A plan is (base, gap, weight,
+    counts, starts, scale) (_level_plan): levels carry no weight, nodes the
+    weights of _node_plan. np.add.reduceat sums each row's run pairwise,
+    the same wherever the run lies in the plan.
     """
-    base, gap, weight, counts, starts = plan
+    base, gap, weight, counts, starts, scale = plan
     occ = np.repeat(x, counts)
     occ += base
     np.expm1(occ, out=occ)
-    np.divide(1.0, occ, out=occ)
+    np.divide(scale, occ, out=occ)  # c N_n
     mass = occ if weight is None else occ * weight
-    number, weighted = np.add.reduceat(mass, starts), np.add.reduceat(mass * gap, starts)
-    mass *= occ
-    return number, np.add.reduceat(mass, starts), weighted
+    scaled = np.add.reduceat(mass, starts)
+
+    def unscaled(sums):  # at c = 1, no division
+        return sums if scale == 1.0 else sums / scale
+
+    # squares() forms mass * occ out of place, so that moment() may still read mass
+    return (unscaled(scaled), lambda: (scaled, unscaled(np.add.reduceat(mass * occ, starts))),
+            lambda: unscaled(np.add.reduceat(mass * gap, starts)))
 
 
 def _series_matrix(terms: int) -> np.ndarray:
@@ -440,13 +460,14 @@ def _pole_sums(xt, ground):
 
 
 def _split_sums(x, plan):
-    """The sums of _level_sums at x over a split plan (call under np.errstate).
+    """S at x over a split plan and its other two sums on demand, as _level_sums returns them, c = 1.
 
     With A = alpha t = x t - e_1, the pole's sum over n >= 1 is (t/2) times
     its lattice sum (_pole_sums), n = 0 being no level for MINUS. The
     remainder's sums of r, -r' and z/expm1(z) are sqrt(t) times the series
-    of _SPLIT_TERMS in alpha, plus the n = 0 image's for MINUS, and
-    sum_n (e_n - e_1) N_n = t (sum_n z_n N_n - x S).
+    of _SPLIT_TERMS in alpha, plus the n = 0 image's for MINUS, all three
+    from one product, and sum_n (e_n - e_1) N_n = t (sum_n z_n N_n - x S).
+    Call under np.errstate.
     """
     t, ground = plan[:2]
     xt = x * t
@@ -454,11 +475,11 @@ def _split_sums(x, plan):
     powers = np.power((xt - ground) / t, _SPLIT_POWERS)  # 1, alpha, alpha^2, ...
     remainder, derivative, moment = np.einsum("wck,kr,wr->cr", _SPLIT_SERIES, powers, plan[2:])
     number = 0.5 * t * pole + remainder
-    squares = 0.5 * t * t * pole_squares + derivative - number  # sum N^2 = sum N (N + 1) - S
-    return number, squares, t * (moment - x * number)
+    # sum N^2 = sum N (N + 1) - S
+    return number, lambda: (number, 0.5 * t * t * pole_squares + derivative - number), lambda: t * (moment - x * number)
 
 
-def _routes(plus, ground, b, levels, x0):
+def _routes(plus, ground, b, levels, x0, scale=1.0):
     """Yield (kernel, plan, rows) per group (_groups) of rows started at x0, rows being the group's indices.
 
     A row of at most NODE_LEVELS levels sums its levels. A wider row sums
@@ -468,7 +489,8 @@ def _routes(plus, ground, b, levels, x0):
     condensation (see _SPLIT_TERMS). A row past MAX_LEVELS is in no group.
     Each plan is built when its group is taken, and none holds more than
     _TILE levels, nodes or series terms unless NODE_LEVELS is raised past
-    _TILE, a row wider than that being a group alone.
+    _TILE, a row wider than that being a group alone. Level plans sum at
+    scale (SCALE_FROM).
     """
     order = np.argsort(levels, kind="stable")
     ordered = levels[order]
@@ -486,7 +508,7 @@ def _routes(plus, ground, b, levels, x0):
             yield _split_sums, _split_plan(ground[on], b[on]), on
     for group in _groups(ordered):
         on = order[group]
-        yield _level_sums, _level_plan(plus[on], b[on], ordered[group]), on
+        yield _level_sums, _level_plan(plus[on], b[on], ordered[group], scale), on
 
 
 @functools.cache
@@ -510,8 +532,9 @@ def _start_tables():
     right value, and past the last MINUS knot as two more knots, one a unit
     further and one a unit before the first PLUS key. On a row it is used on
     log q < log(1.8e308) < 710, so a MINUS key stays below the PLUS knots.
-    That value must be exact: above N ~ 1e154 sum_n N_n^2 overflows, Newton
-    cannot step, and only a start within tol of the root converges.
+    That value must be exact: above N ~ 1e154 a split row's sum_n N_n^2
+    overflows in _lattice, Newton cannot step, and only a start within tol
+    of the root converges (level rows are scaled, see SCALE_FROM).
     """
     log_u = 2.0 * np.sinh(np.linspace(math.asinh(17.0), math.asinh(-10.0), _START_KNOTS))
     u = np.exp(log_u)
@@ -555,13 +578,14 @@ def total_number(side: WellSide, alpha: float, b: float) -> float:
     """Total occupation sum over the levels of one half well, cut off at TAIL_EXPONENT.
 
     The sum takes the route _routes gives a solve_rows row, the integrand
-    picked by this call's x t in place of x0 t.
+    picked by this call's x t in place of x0 t. It reads S alone, so the
+    kernel forms neither of its other sums.
     """
     check_domain(t=b)
     x = alpha + b * side.ground_energy
     if not x > 0.0:
         raise ValueError(f"alpha + b*e_1 must be positive, got {x}")
-    plus, ground, row = np.array([side is WellSide.PLUS]), np.array([side.ground_energy]), np.array([b])
+    plus, ground, row = plus_mask((side,)), np.array([side.ground_energy]), np.array([b])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for kernel, plan, _ in _routes(plus, ground, row, _cutoff(row), x):
             return float(kernel(np.array([x]), plan)[0][0])
@@ -616,17 +640,21 @@ def solve_rows(
     1e-300 to 2e14 every row stopped converged within 6 evaluations, at
     DEFAULT_TOL and at MIN_TOL, and the clamp never acted
     (tests/test_occupancy.py). The groups of _routes, which also picks each
-    group's route by x0, are solved one by one on plans built once. A
-    stopped row stays in its group's plan, frozen at its x, where each
-    kernel keeps its sums its own; the group writes its results once, when
-    its last row stops or at max_iter (at max_iter = 0 each row reports its
-    start).
+    group's route by x0, are solved one by one on plans built once, level
+    plans at the scale of SCALE_FROM. A stopped row stays in its group's
+    plan, frozen at its x, where each kernel keeps its sums its own. An
+    evaluation forms S; sum_n N_n^2 only where a step may follow, and the
+    force moment sum_n (e_n - e_1) N_n once per group, on the evaluation
+    where it stops: when its last row stops (by tol or a non-finite step) or
+    at max_iter. The group then writes its results (at max_iter = 0 each row
+    reports its start).
     """
     check_tolerance(tol)
     rows = len(sides)
-    plus = np.fromiter((side is WellSide.PLUS for side in sides), dtype=bool, count=rows)
+    plus = plus_mask(sides)
     ground = np.where(plus, WellSide.PLUS.ground_energy, WellSide.MINUS.ground_energy)
     target = float(n_particles)
+    scale = 1.0 if target < SCALE_FROM else math.ldexp(1.0, -math.frexp(target)[1])
     b = np.full(rows, b, dtype=np.float64)
     levels = _cutoff(b)
     x0 = math.log1p(1.0 / target)
@@ -634,18 +662,19 @@ def solve_rows(
     iterations = np.zeros(rows, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = _start(plus, ground, b, target, x0)
-        for kernel, plan, group in _routes(plus, ground, b, levels, x0):
+        for kernel, plan, group in _routes(plus, ground, b, levels, x0, scale):
             xs, moving, evaluations = x[group], True, 0
             for count in range(1, max_iter + 1):
                 evaluations += moving  # a row counts the evaluations up to the one it stopped on
-                s, squares, w = kernel(xs, plan)
+                s, squares, moment = kernel(xs, plan)
                 excess = s - target
                 moving = np.abs(excess) > tol * target
                 if count < max_iter and np.count_nonzero(moving):  # no step on the group's last evaluation
-                    step = np.log1p(excess / target) * s / (squares + s)  # S' = -sum_n N_n (N_n + 1)
+                    scaled, squared = squares()  # c S and c sum_n N_n^2
+                    step = np.log1p(excess / target) * scaled / (squared + scaled)  # S' = -sum_n N_n (N_n + 1)
                     moving &= np.isfinite(step)
                 if count == max_iter or np.count_nonzero(moving) == 0:
-                    x[group], number[group], weighted[group], iterations[group] = xs, s, w, evaluations
+                    x[group], number[group], weighted[group], iterations[group] = xs, s, moment(), evaluations
                     break
                 moved = np.maximum(np.log1p(np.expm1(xs) * np.exp(step / -np.expm1(-xs))), x0)  # w += step dw/dx
                 xs = np.where(moving, moved, xs)  # a stopped row keeps its x

@@ -11,7 +11,12 @@ Levels are exact closed forms evaluated on demand; nothing is tabulated.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
+from itertools import repeat
+from typing import Sequence
+
+import numpy as np
 
 __all__ = ["WellSide", "energy_level", "energy_level_extended", "level_gap"]
 
@@ -69,3 +74,8 @@ def level_gap(side: WellSide, n):
     if side is WellSide.PLUS:
         return n * (n - 1.0)
     return (n - 1.0) * (n + 1.0)
+
+
+def plus_mask(sides: Sequence[WellSide]) -> np.ndarray:
+    """A bool array, True where sides[i] is WellSide.PLUS, built with no Python-level call per side."""
+    return np.fromiter(map(operator.is_, sides, repeat(WellSide.PLUS)), dtype=bool, count=len(sides))

@@ -21,7 +21,8 @@ from boxforce import (
     solve_alpha,
     theta_partition_sum,
 )
-from boxforce.approx import semi_analytic_rows
+from boxforce.approx import MethodOutOfRangeError, semi_analytic_rows
+from boxforce.occupancy import ConstraintSolverError
 
 from _oracles import bose_integral_quadrature, direct_force_theta
 
@@ -173,6 +174,17 @@ class TestSemiAnalyticConstraint:
         assert errors == [None] * len(sides)
         scalar = np.array([semi_analytic_alpha(side, 100, float(tt)) for side, tt in zip(sides, t)])
         assert np.all(np.abs(alpha - scalar) <= 1e-13 * np.maximum(1.0, np.abs(scalar)))
+
+    def test_failed_rows_carry_their_errors_alone(self):
+        # an error only on a row that failed, where alpha is nan, and nowhere
+        # else (force._column reads the failures off alpha): no sign change at
+        # t = 1e-300, where the error holds the bracket it stopped on, and
+        # S > N still at alpha = 2 at t = 1e300
+        alpha, errors = semi_analytic_rows((P, M, P, M), 1, np.array([1e-300, 10.0, 1e300, 1e7]))
+        assert isinstance(errors[0], ConstraintSolverError) and isinstance(errors[2], MethodOutOfRangeError)
+        assert errors[1] is None and errors[3] is None
+        np.testing.assert_array_equal(np.isnan(alpha), [True, False, True, False])
+        assert errors[0].bracket == (-2.49999999975e299, 1.999999999999)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -53,6 +53,12 @@ def direct_sums(plus, x, b, levels, chunk=1 << 16):
     return np.array([[math.fsum(col) for col in zip(*parts)] for parts in (numbers, weighted, squares)])
 
 
+def kernel_sums(kernel, x, plan):
+    """A kernel's S, sum_n N_n^2 and sum_n (e_n - e_1) N_n at x, both lazy sums formed, on a plan of scale 1."""
+    number, squares, moment = kernel(x, plan)
+    return number, squares()[1], moment()
+
+
 def routed(levels):
     """The rows solve_rows sums on nodes: every row wider than NODE_LEVELS, up to MAX_LEVELS."""
     return (levels > NODE_LEVELS) & (levels <= MAX_LEVELS)
@@ -286,7 +292,7 @@ class TestSolveRowGroups:
         for kernel, plan, rows in occupancy._routes(plus, ground, b, levels, math.log1p(1e-4)):
             if kernel is occupancy._split_sums:
                 continue
-            base, gap, weight, counts, starts = plan
+            base, gap, weight, counts, starts, _ = plan
             assert base.size == gap.size == counts.sum() <= _TILE or len(rows) == 1
             np.testing.assert_array_equal(starts, np.cumsum(counts) - counts)
             assert np.isfinite(base).all()
@@ -308,7 +314,7 @@ class TestSolveRowGroups:
         assert kernel is occupancy._level_sums and sorted(rows.tolist()) == list(range(len(t)))
         x = np.array([0.01, 0.05, 0.2, 1.0, 0.02, 3.0])
         with np.errstate(over="ignore"):
-            sums = occupancy._level_sums(x[rows], plan)
+            sums = kernel_sums(occupancy._level_sums, x[rows], plan)
         for row, number, squares, weighted in zip(rows, *sums):
             n = np.arange(1.0, levels[row] + 1.0)
             gap = (n - 1.0) * (n + (0.0 if plus[row] else 1.0))
@@ -334,6 +340,109 @@ class TestSolveRowGroups:
         assert np.isnan(none.residual).all() and np.isfinite(first.residual).all()
         assert none.iterations.tolist() == [0, 0]
         assert not none.converged.any()
+
+    def test_lazy_sums_formed_only_when_read(self, monkeypatch):
+        # per group, sum_n N_n^2 is formed on each evaluation a step follows,
+        # every one but the last, and the force moment once, on the last: on
+        # the README mid sweep and the large_n grid (level, node and split
+        # groups), converged and stopped at max_iter = 1 and 2
+        groups = []
+        routes = occupancy._routes
+
+        def grouped(*args):
+            for kernel, plan, rows in routes(*args):
+                route = "split" if isinstance(plan, np.ndarray) else "levels" if plan[2] is None else "nodes"
+                groups.append((route, rows, []))
+                yield kernel, plan, rows
+
+        def spied(kernel):
+            def evaluated(x, plan):
+                number, squares, moment = kernel(x, plan)
+                formed = {"squares": 0, "moment": 0}
+                groups[-1][2].append(formed)
+
+                def counted(name, sums):
+                    formed[name] += 1
+                    return sums()
+
+                return number, lambda: counted("squares", squares), lambda: counted("moment", moment)
+
+            return evaluated
+
+        monkeypatch.setattr(occupancy, "_routes", grouped)
+        for name in ("_level_sums", "_split_sums"):
+            monkeypatch.setattr(occupancy, name, spied(getattr(occupancy, name)))
+        routes_seen = set()
+        for n_particles, t in ((100, np.geomspace(0.01, 160, 400)), (10**4, np.geomspace(1.0, 1e8, 100))):
+            b = 1.0 / np.repeat(t, 2)
+            for max_iter in (1, 2, occupancy.MAX_ITER):
+                groups.clear()
+                solved = solve_rows([P, M] * len(t), n_particles, b, max_iter=max_iter)
+                assert solved.converged.all() or max_iter < 3
+                for route, rows, evaluations in groups:
+                    routes_seen.add(route)
+                    count = len(evaluations)
+                    assert count == solved.iterations[rows].max()
+                    assert [formed["squares"] for formed in evaluations] == [1] * (count - 1) + [0]
+                    assert [formed["moment"] for formed in evaluations] == [0] * (count - 1) + [1]
+        assert routes_seen == {"levels", "nodes", "split"}
+
+    def test_stopped_rows_carry_the_force_where_they_stopped(self, monkeypatch):
+        # the force moment is formed once per group, on its last evaluation; a
+        # row stopped earlier is frozen at its x, so every row carries the
+        # force at its returned x: rows stopped by the cap (N = 100, t = 1e4,
+        # 633 levels, 3 evaluations to converge) and a row whose step is
+        # non-finite, started at x = 700, where S rounds to nothing against N
+        # and log1p(-1) = -inf, alone and beside a row that goes on stepping
+        def check_forces(solved):
+            for side, x, f in zip((P, M), solved.shifted_alpha, solved.force):
+                n = np.arange(1.0, solved.levels_used[0] + 1.0)
+                energy = (n - 0.5) ** 2 if side is P else n * n
+                with np.errstate(over="ignore"):  # past x + b (e_n - e_1) ~ 709, where N_n is 0
+                    occ = 1.0 / np.expm1(x + 1e-4 * (energy - side.ground_energy))
+                assert f == pytest.approx(math.fsum(energy * occ), rel=1e-14, abs=0.0)
+
+        for max_iter in (1, 2):
+            capped = solve_rows((P, M), 100, 1e-4, max_iter=max_iter)
+            assert capped.iterations.tolist() == [max_iter] * 2 and not capped.converged.any()
+            check_forces(capped)
+        start = occupancy._start
+        for far in ([True, True], [True, False]):
+            far = np.array(far)
+            monkeypatch.setattr(occupancy, "_start", lambda *args, far=far: np.where(far, 700.0, start(*args)))
+            solved = solve_rows((P, M), 100, 1e-4)
+            assert (solved.shifted_alpha[far] == 700.0).all() and (solved.iterations[far] == 1).all()
+            np.testing.assert_array_equal(solved.converged, ~far)
+            check_forces(solved)
+
+    @pytest.mark.parametrize("n_particles", [10**160, 10**200, 10**300], ids=["1e160", "1e200", "1e300"])
+    def test_level_rows_past_the_square_overflow_converge(self, monkeypatch, n_particles):
+        # above N ~ 1.3e154 sum_n N_n^2 overflows unscaled, so Newton could
+        # not step (SCALE_FROM); started off their roots, level rows (t up to
+        # 2e4, both wells) still converge within 6 evaluations
+        start = occupancy._start
+        t = np.geomspace(1e-3, 2e4, 100)
+        for factor in (1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-3):
+            monkeypatch.setattr(occupancy, "_start", lambda *args, factor=factor: start(*args) * factor)
+            solved = solve_rows([P, M] * 100, n_particles, 1.0 / np.repeat(t, 2))
+            assert (solved.levels_used <= NODE_LEVELS).all()
+            assert solved.converged.all()
+            assert solved.iterations.max() <= 6
+
+    def test_scaled_sums_match_unscaled_ones_bit_for_bit(self, monkeypatch):
+        # at N = 1e150, below SCALE_FROM, the scaled path forced on gives the
+        # unscaled path's results bit for bit: c is a power of two
+        start = occupancy._start
+        t = np.geomspace(1e-3, 2e4, 100)
+        for factor in (1.0, 1.0 + 1e-9, 1.0 + 1e-3):
+            monkeypatch.setattr(occupancy, "_start", lambda *args, factor=factor: start(*args) * factor)
+            plain = solve_rows([P, M] * 100, 10**150, 1.0 / np.repeat(t, 2))
+            with monkeypatch.context() as scaled:
+                scaled.setattr(occupancy, "SCALE_FROM", 1.0)
+                forced = solve_rows([P, M] * 100, 10**150, 1.0 / np.repeat(t, 2))
+            assert plain.converged.all()
+            for field in RowSolutions._fields[:-1]:
+                np.testing.assert_array_equal(getattr(forced, field), getattr(plain, field))
 
     def test_rows_stopping_apart_match_one_row_solves(self):
         # in each group the rows stop on different evaluations, each staying
@@ -555,8 +664,8 @@ class TestNodePlan:
                 plus = side is P
                 ground = np.full(3, side.ground_energy)
                 with np.errstate(over="ignore"):
-                    number, _, weighted = occupancy._level_sums(
-                        x, occupancy._node_plan(ground, np.full(3, b), x0, nodes)
+                    number, _, weighted = kernel_sums(
+                        occupancy._level_sums, x, occupancy._node_plan(ground, np.full(3, b), x0, nodes)
                     )
                 expected = direct_sums(plus, x, b, int(levels[0]))
                 np.testing.assert_allclose(number, expected[0], rtol=1e-14, atol=0.0)
@@ -632,8 +741,8 @@ class TestSplitPlan:
                 x = np.array([x0, root, 3.0 * root])
                 below_ground += np.count_nonzero(x * t < side.ground_energy)  # alpha < 0
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    number, squares, weighted = occupancy._split_sums(
-                        x, occupancy._split_plan(np.full(3, side.ground_energy), np.full(3, b))
+                    number, squares, weighted = kernel_sums(
+                        occupancy._split_sums, x, occupancy._split_plan(np.full(3, side.ground_energy), np.full(3, b))
                     )
                 expected = direct_sums(side is P, x, b, int(levels[0]))
                 np.testing.assert_allclose(number, expected[0], rtol=1e-14, atol=0.0)

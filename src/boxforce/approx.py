@@ -177,7 +177,7 @@ def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exc
             hi = np.where(down, x, hi)
             moved_lo, moved_hi = up, down
     converged = hi - lo <= tol
-    errors: list[Exception | None] = [None] * len(e1)
+    errors = [None] * len(e1)
     for row in np.flatnonzero(~converged).tolist():
         if out_of_range[row]:
             errors[row] = MethodOutOfRangeError(f"constraint still above N = {n_particles} at alpha = 2")

@@ -63,14 +63,6 @@ DEFAULT_TOL = 1e-12
 # still converges within 6 evaluations (tests/test_occupancy.py).
 MIN_TOL = 1e-14
 MAX_ITER = 200
-# Past N ~ 1.3e154 a level row's sum_n N_n^2, ~N^2, overflows, and Newton's
-# step with it. From N = SCALE_FROM on, a level plan therefore sums the
-# occupations times an exact power of two, c = 2^-e with e the binary exponent
-# of N (c N in [1/2, 1)), and _level_sums unscales S and the force moment;
-# Newton's step S / (sum_n N_n^2 + S) is formed as c S / (c sum_n N_n^2 + c S),
-# whose terms stay of order 1 and N.
-# Below SCALE_FROM, c = 1 and the arithmetic is the unscaled one, bit for bit.
-SCALE_FROM = 2.0**500
 # rows whose cutoff passes this many levels (t > ~2.5e14) are not attempted
 MAX_LEVELS = 100_000_000
 # largest plan or level-sum temporary, in float64 elements: the levels (or
@@ -287,10 +279,10 @@ def _level_plan(plus, b, levels, scale):
 
     The rows, sorted by levels, lay their levels end to end, row r's run
     beginning at starts[r]. A plan is (base, gap, weight, counts, starts,
-    scale), counts being each row's run length and scale the power of two c
-    its occupations are summed at (SCALE_FROM). Every row has at least one
-    level (_cutoff), and np.add.reduceat in _level_sums needs that: it
-    returns the next element, not 0, for an empty run.
+    scale), counts being each row's run length and scale its sums' power of
+    two c (_routes). Every row has at least one level (_cutoff), and
+    np.add.reduceat in _level_sums needs that: it returns the next element,
+    not 0, for an empty run.
     """
     ends = np.add.accumulate(levels)
     starts = ends - levels
@@ -306,7 +298,7 @@ def _node_count(x0: float) -> int:
     return int(math.asinh(math.sqrt(TAIL_EXPONENT / x0)) / NODE_STEP) + 2
 
 
-def _node_plan(ground, b, x0, nodes):
+def _node_plan(ground, b, x0, nodes, scale):
     """A node plan (see NODE_STEP): exponent bases, gaps e(n) - e_1 and weights at each row's nodes.
 
     Node k of a row sits at n = centre + c sinh(k NODE_STEP), c = sqrt(x0 t),
@@ -315,8 +307,7 @@ def _node_plan(ground, b, x0, nodes):
     counts half, and a MINUS row (ground energy 1) drops half of N(0) there
     as well, n = 0 being no level. The plan has the form of _level_plan's,
     each row a run of its nodes in place of its levels; no run is empty,
-    a row taking at least 24 nodes (x0 <= log 2). Its scale is 1: x0 t >=
-    POLE_DISTANCE**2 needs N < t/100, far below SCALE_FROM under MAX_LEVELS.
+    a row taking at least 24 nodes (x0 <= log 2).
     """
     s = np.arange(nodes) * NODE_STEP
     c = np.sqrt(x0 / b)[:, None]
@@ -325,16 +316,15 @@ def _node_plan(ground, b, x0, nodes):
     weight = (NODE_STEP * c) * np.cosh(s)
     weight[:, 0] = 0.5 * (weight[:, 0] - (ground == WellSide.MINUS.ground_energy))
     counts = np.full(len(b), nodes)
-    return (b[:, None] * gap).ravel(), gap.ravel(), weight.ravel(), counts, np.arange(0, gap.size, nodes), 1.0
+    return (b[:, None] * gap).ravel(), gap.ravel(), weight.ravel(), counts, np.arange(0, gap.size, nodes), scale
 
 
 def _level_sums(x, plan):
-    """S = sum_n N_n per row at x over a plan, and its other two sums on demand (call under np.errstate).
+    """c S = c sum_n N_n per row at x over a plan of scale c, and its other two sums on demand (call under np.errstate).
 
-    Returns (S, squares, moment): squares() gives c S and c sum_n N_n^2,
-    the factors of Newton's step in the plan's scale c (SCALE_FROM), and
-    moment() gives sum_n (e_n - e_1) N_n. Each forms its sums only when
-    called, from the evaluation's occupations, which neither alters, so
+    Returns (c S, squares, moment): squares() gives c sum_n N_n^2 and
+    moment() c sum_n (e_n - e_1) N_n. Each forms its sum only when called,
+    from the evaluation's occupations c N_n, which neither alters, so
     either may be called after the other. A plan is (base, gap, weight,
     counts, starts, scale) (_level_plan): levels carry no weight, nodes the
     weights of _node_plan. np.add.reduceat sums each row's run pairwise,
@@ -346,14 +336,9 @@ def _level_sums(x, plan):
     np.expm1(occ, out=occ)
     np.divide(scale, occ, out=occ)  # c N_n
     mass = occ if weight is None else occ * weight
-    scaled = np.add.reduceat(mass, starts)
-
-    def unscaled(sums):  # at c = 1, no division
-        return sums if scale == 1.0 else sums / scale
-
-    # squares() forms mass * occ out of place, so that moment() may still read mass
-    return (unscaled(scaled), lambda: (scaled, unscaled(np.add.reduceat(mass * occ, starts))),
-            lambda: unscaled(np.add.reduceat(mass * gap, starts)))
+    # squares() forms mass * occ (c^2 N_n^2) out of place, so that moment() may still read mass
+    return (np.add.reduceat(mass, starts), lambda: np.add.reduceat(mass * occ, starts) / scale,
+            lambda: np.add.reduceat(mass * gap, starts))
 
 
 def _series_matrix(terms: int) -> np.ndarray:
@@ -436,10 +421,14 @@ def _lattice(p):
     return phi, squares
 
 
-def _split_plan(ground, b):
-    """A split plan (see _SPLIT_TERMS): rows t, e_1, sqrt(t) and the n = 0 image's weight, 1 for MINUS, 0 for PLUS."""
+def _split_plan(ground, b, scale):
+    """A split plan (see _SPLIT_TERMS): rows t, e_1, c/2, c sqrt(t) and c times the n = 0 image's weight (1 for MINUS).
+
+    c is the plan's scale (_routes).
+    """
     t = 1.0 / b
-    return np.stack((t, ground, np.sqrt(t), ground == WellSide.MINUS.ground_energy))
+    image = ground == WellSide.MINUS.ground_energy
+    return np.stack((t, ground, np.full(len(t), 0.5 * scale), scale * np.sqrt(t), scale * image))
 
 
 def _pole_sums(xt, ground):
@@ -460,7 +449,7 @@ def _pole_sums(xt, ground):
 
 
 def _split_sums(x, plan):
-    """S at x over a split plan and its other two sums on demand, as _level_sums returns them, c = 1.
+    """c S at x over a split plan of scale c and its other two sums on demand, as _level_sums returns them.
 
     With A = alpha t = x t - e_1, the pole's sum over n >= 1 is (t/2) times
     its lattice sum (_pole_sums), n = 0 being no level for MINUS. The
@@ -469,18 +458,28 @@ def _split_sums(x, plan):
     from one product, and sum_n (e_n - e_1) N_n = t (sum_n z_n N_n - x S).
     Call under np.errstate.
     """
-    t, ground = plan[:2]
+    t, ground, half_scale = plan[:3]
     xt = x * t
     pole, pole_squares = _pole_sums(xt, ground)
     powers = np.power((xt - ground) / t, _SPLIT_POWERS)  # 1, alpha, alpha^2, ...
-    remainder, derivative, moment = np.einsum("wck,kr,wr->cr", _SPLIT_SERIES, powers, plan[2:])
-    number = 0.5 * t * pole + remainder
+    remainder, derivative, moment = np.einsum("wck,kr,wr->cr", _SPLIT_SERIES, powers, plan[3:])
+    number = half_scale * t * pole + remainder
     # sum N^2 = sum N (N + 1) - S
-    return number, lambda: (number, 0.5 * t * t * pole_squares + derivative - number), lambda: t * (moment - x * number)
+    return number, lambda: half_scale * t * t * pole_squares + derivative - number, lambda: t * (moment - x * number)
 
 
-def _routes(plus, ground, b, levels, x0, scale=1.0):
+def _routes(plus, ground, b, levels, x0, scale):
     """Yield (kernel, plan, rows) per group (_groups) of rows started at x0, rows being the group's indices.
+
+    Every plan sums at scale c, a power of two: its kernel returns c times
+    S, sum_n N_n^2 and sum_n (e_n - e_1) N_n. solve_rows takes c = 2^-e, e
+    the binary exponent of N (c N in [1/2, 1)), so that on level and node
+    plans, which sum c N_n, sum_n (c N_n)^2 stays finite where sum_n N_n^2,
+    ~N^2, overflows (past N ~ 1.3e154; a split plan's lattice sum of squares
+    overflows before c applies). Scaling by a power of two is exact while
+    the scaled terms stay normal, as they do up to N = 1e150 at least
+    (tests/test_occupancy.py), so there each sum is c times the unscaled
+    one, bit for bit.
 
     A row of at most NODE_LEVELS levels sums its levels. A wider row sums
     them as one integral, whose sums match the direct ones to rounding: on
@@ -489,8 +488,7 @@ def _routes(plus, ground, b, levels, x0, scale=1.0):
     condensation (see _SPLIT_TERMS). A row past MAX_LEVELS is in no group.
     Each plan is built when its group is taken, and none holds more than
     _TILE levels, nodes or series terms unless NODE_LEVELS is raised past
-    _TILE, a row wider than that being a group alone. Level plans sum at
-    scale (SCALE_FROM).
+    _TILE, a row wider than that being a group alone.
     """
     order = np.argsort(levels, kind="stable")
     ordered = levels[order]
@@ -502,10 +500,10 @@ def _routes(plus, ground, b, levels, x0, scale=1.0):
         nodes = _node_count(x0) if on_nodes.size else 0  # x0 t >= 100 on the node route, so 40 / x0 is finite there
         for group in _groups(np.full(on_nodes.size, nodes)):
             on = on_nodes[group]
-            yield _level_sums, _node_plan(ground[on], b[on], x0, nodes), on
+            yield _level_sums, _node_plan(ground[on], b[on], x0, nodes, scale), on
         for group in _groups(np.full(on_split.size, _SPLIT_TERMS)):
             on = on_split[group]
-            yield _split_sums, _split_plan(ground[on], b[on]), on
+            yield _split_sums, _split_plan(ground[on], b[on], scale), on
     for group in _groups(ordered):
         on = order[group]
         yield _level_sums, _level_plan(plus[on], b[on], ordered[group], scale), on
@@ -534,7 +532,7 @@ def _start_tables():
     log q < log(1.8e308) < 710, so a MINUS key stays below the PLUS knots.
     That value must be exact: above N ~ 1e154 a split row's sum_n N_n^2
     overflows in _lattice, Newton cannot step, and only a start within tol
-    of the root converges (level rows are scaled, see SCALE_FROM).
+    of the root converges (level rows are scaled, see _routes).
     """
     log_u = 2.0 * np.sinh(np.linspace(math.asinh(17.0), math.asinh(-10.0), _START_KNOTS))
     u = np.exp(log_u)
@@ -579,7 +577,8 @@ def total_number(side: WellSide, alpha: float, b: float) -> float:
 
     The sum takes the route _routes gives a solve_rows row, the integrand
     picked by this call's x t in place of x0 t. It reads S alone, so the
-    kernel forms neither of its other sums.
+    kernel forms neither of its other sums, and sums at scale 1, with no
+    sum of squares to overflow.
     """
     check_domain(t=b)
     x = alpha + b * side.ground_energy
@@ -587,7 +586,7 @@ def total_number(side: WellSide, alpha: float, b: float) -> float:
         raise ValueError(f"alpha + b*e_1 must be positive, got {x}")
     plus, ground, row = plus_mask((side,)), np.array([side.ground_energy]), np.array([b])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for kernel, plan, _ in _routes(plus, ground, row, _cutoff(row), x):
+        for kernel, plan, _ in _routes(plus, ground, row, _cutoff(row), x, 1.0):
             return float(kernel(np.array([x]), plan)[0][0])
     raise ValueError(f"inverse temperature {b} needs more than {MAX_LEVELS} levels")
 
@@ -640,8 +639,9 @@ def solve_rows(
     1e-300 to 2e14 every row stopped converged within 6 evaluations, at
     DEFAULT_TOL and at MIN_TOL, and the clamp never acted
     (tests/test_occupancy.py). The groups of _routes, which also picks each
-    group's route by x0, are solved one by one on plans built once, level
-    plans at the scale of SCALE_FROM. A stopped row stays in its group's
+    group's route by x0, are solved one by one on plans built once, at the
+    scale c of _routes: the solve runs on c S against c N, and the sums are
+    unscaled once all groups are solved. A stopped row stays in its group's
     plan, frozen at its x, where each kernel keeps its sums its own. An
     evaluation forms S; sum_n N_n^2 only where a step may follow, and the
     force moment sum_n (e_n - e_1) N_n once per group, on the evaluation
@@ -654,11 +654,13 @@ def solve_rows(
     plus = plus_mask(sides)
     ground = np.where(plus, WellSide.PLUS.ground_energy, WellSide.MINUS.ground_energy)
     target = float(n_particles)
-    scale = 1.0 if target < SCALE_FROM else math.ldexp(1.0, -math.frexp(target)[1])
+    scale = math.ldexp(1.0, -math.frexp(target)[1])
+    scaled_target = scale * target
     b = np.full(rows, b, dtype=np.float64)
     levels = _cutoff(b)
     x0 = math.log1p(1.0 / target)
-    number, weighted = np.full((2, rows), np.nan)  # weighted is sum_n (e_n - e_1) N_n
+    sums = np.full((2, rows), np.nan)
+    number, weighted = sums  # weighted is sum_n (e_n - e_1) N_n; both at scale c until the groups are solved
     iterations = np.zeros(rows, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = _start(plus, ground, b, target, x0)
@@ -667,17 +669,17 @@ def solve_rows(
             for count in range(1, max_iter + 1):
                 evaluations += moving  # a row counts the evaluations up to the one it stopped on
                 s, squares, moment = kernel(xs, plan)
-                excess = s - target
-                moving = np.abs(excess) > tol * target
+                excess = s - scaled_target
+                moving = np.abs(excess) > tol * scaled_target
                 if count < max_iter and np.count_nonzero(moving):  # no step on the group's last evaluation
-                    scaled, squared = squares()  # c S and c sum_n N_n^2
-                    step = np.log1p(excess / target) * scaled / (squared + scaled)  # S' = -sum_n N_n (N_n + 1)
+                    step = np.log1p(excess / scaled_target) * s / (squares() + s)  # S' = -sum_n N_n (N_n + 1)
                     moving &= np.isfinite(step)
                 if count == max_iter or np.count_nonzero(moving) == 0:
                     x[group], number[group], weighted[group], iterations[group] = xs, s, moment(), evaluations
                     break
                 moved = np.maximum(np.log1p(np.expm1(xs) * np.exp(step / -np.expm1(-xs))), x0)  # w += step dw/dx
                 xs = np.where(moving, moved, xs)  # a stopped row keeps its x
+    sums /= scale
     residual = np.abs(number - target)
     converged = residual <= tol * target  # false where a row stopped early or was not attempted
     force = weighted + ground * number

@@ -56,7 +56,7 @@ def direct_sums(plus, x, b, levels, chunk=1 << 16):
 def kernel_sums(kernel, x, plan):
     """A kernel's S, sum_n N_n^2 and sum_n (e_n - e_1) N_n at x, both lazy sums formed, on a plan of scale 1."""
     number, squares, moment = kernel(x, plan)
-    return number, squares()[1], moment()
+    return number, squares(), moment()
 
 
 def routed(levels):
@@ -289,7 +289,7 @@ class TestSolveRowGroups:
         ground = np.where(plus, P.ground_energy, M.ground_energy)
         levels = occupancy._cutoff(b)
         seen = 0
-        for kernel, plan, rows in occupancy._routes(plus, ground, b, levels, math.log1p(1e-4)):
+        for kernel, plan, rows in occupancy._routes(plus, ground, b, levels, math.log1p(1e-4), 1.0):
             if kernel is occupancy._split_sums:
                 continue
             base, gap, weight, counts, starts, _ = plan
@@ -310,7 +310,7 @@ class TestSolveRowGroups:
         ground = np.array([side.ground_energy for side in sides])
         levels = occupancy._cutoff(1.0 / t)
         assert sorted(levels.tolist()) == [1, 1, 1, 1, 1000, 1020]
-        (kernel, plan, rows), = occupancy._routes(plus, ground, 1.0 / t, levels, 0.01)
+        (kernel, plan, rows), = occupancy._routes(plus, ground, 1.0 / t, levels, 0.01, 1.0)
         assert kernel is occupancy._level_sums and sorted(rows.tolist()) == list(range(len(t)))
         x = np.array([0.01, 0.05, 0.2, 1.0, 0.02, 3.0])
         with np.errstate(over="ignore"):
@@ -418,7 +418,7 @@ class TestSolveRowGroups:
     @pytest.mark.parametrize("n_particles", [10**160, 10**200, 10**300], ids=["1e160", "1e200", "1e300"])
     def test_level_rows_past_the_square_overflow_converge(self, monkeypatch, n_particles):
         # above N ~ 1.3e154 sum_n N_n^2 overflows unscaled, so Newton could
-        # not step (SCALE_FROM); started off their roots, level rows (t up to
+        # not step (_routes); started off their roots, level rows (t up to
         # 2e4, both wells) still converge within 6 evaluations
         start = occupancy._start
         t = np.geomspace(1e-3, 2e4, 100)
@@ -429,20 +429,34 @@ class TestSolveRowGroups:
             assert solved.converged.all()
             assert solved.iterations.max() <= 6
 
-    def test_scaled_sums_match_unscaled_ones_bit_for_bit(self, monkeypatch):
-        # at N = 1e150, below SCALE_FROM, the scaled path forced on gives the
-        # unscaled path's results bit for bit: c is a power of two
-        start = occupancy._start
-        t = np.geomspace(1e-3, 2e4, 100)
-        for factor in (1.0, 1.0 + 1e-9, 1.0 + 1e-3):
-            monkeypatch.setattr(occupancy, "_start", lambda *args, factor=factor: start(*args) * factor)
-            plain = solve_rows([P, M] * 100, 10**150, 1.0 / np.repeat(t, 2))
-            with monkeypatch.context() as scaled:
-                scaled.setattr(occupancy, "SCALE_FROM", 1.0)
-                forced = solve_rows([P, M] * 100, 10**150, 1.0 / np.repeat(t, 2))
-            assert plain.converged.all()
-            for field in RowSolutions._fields[:-1]:
-                np.testing.assert_array_equal(getattr(forced, field), getattr(plain, field))
+    def test_scaled_sums_are_the_unscaled_ones_times_c(self):
+        # a plan at solve_rows' scale c = 2^-e, e the binary exponent of N,
+        # gives c times the sums of the same plan at scale 1, bit for bit, on
+        # all three routes, up to N = 1e150 where sum_n N_n^2 is still finite
+        # unscaled (c ~ 2^-499 there), at the rows' roots and off them; so
+        # Newton's step c S / (c sum_n N_n^2 + c S) is the unscaled one
+        t = np.geomspace(1e-3, 1e8, 120)
+        b = np.repeat(1.0 / t, 2)
+        plus = np.tile([True, False], len(t))
+        ground = np.where(plus, P.ground_energy, M.ground_energy)
+        levels = occupancy._cutoff(b)
+        routes_seen = set()
+        for n_particles in (1, 100, 10**4, 10**150):
+            scale = math.ldexp(1.0, -math.frexp(n_particles)[1])
+            x0 = math.log1p(1.0 / n_particles)
+            roots = solve_rows([P, M] * len(t), n_particles, b).shifted_alpha
+            routes = zip(occupancy._routes(plus, ground, b, levels, x0, scale),
+                         occupancy._routes(plus, ground, b, levels, x0, 1.0))
+            for (kernel, plan, rows), (_, plain, _) in routes:
+                routes_seen.add("split" if kernel is occupancy._split_sums else "levels" if plan[2] is None else "nodes")
+                for x in (roots[rows], roots[rows] * (1.0 + 1e-3)):
+                    with np.errstate(over="ignore"):
+                        number, squares, moment = kernel(x, plan)
+                        unscaled, unscaled_squares, unscaled_moment = kernel(x, plain)
+                        np.testing.assert_array_equal(number, scale * unscaled)
+                        np.testing.assert_array_equal(squares(), scale * unscaled_squares())
+                        np.testing.assert_array_equal(moment(), scale * unscaled_moment())
+        assert routes_seen == {"levels", "nodes", "split"}
 
     def test_rows_stopping_apart_match_one_row_solves(self):
         # in each group the rows stop on different evaluations, each staying
@@ -466,7 +480,7 @@ class TestSolveRowGroups:
             plus = np.array([side is P for side in sides])
             ground = np.array([side.ground_energy for side in sides])
             x0 = math.log1p(1.0 / n_particles)
-            (routed_kernel, _, _), = occupancy._routes(plus, ground, b, occupancy._cutoff(b), x0)  # one group
+            (routed_kernel, _, _), = occupancy._routes(plus, ground, b, occupancy._cutoff(b), x0, 1.0)  # one group
             assert routed_kernel is kernel
             modelled = (np.array(t) >= occupancy.START_T) & (n_particles >= occupancy.START_DEGENERACY * np.sqrt(t))
             np.testing.assert_array_equal(solve_rows(sides, n_particles, b, max_iter=0).shifted_alpha > x0, modelled)
@@ -515,9 +529,9 @@ class TestSolveRowGroups:
         built = []
         split_plan = occupancy._split_plan
 
-        def counted(ground, b):
+        def counted(ground, b, scale):
             built.append(len(b))
-            return split_plan(ground, b)
+            return split_plan(ground, b, scale)
 
         monkeypatch.setattr(occupancy, "_split_plan", counted)
         monkeypatch.setattr(occupancy, "_level_plan", None)  # a level plan would fail
@@ -665,7 +679,7 @@ class TestNodePlan:
                 ground = np.full(3, side.ground_energy)
                 with np.errstate(over="ignore"):
                     number, _, weighted = kernel_sums(
-                        occupancy._level_sums, x, occupancy._node_plan(ground, np.full(3, b), x0, nodes)
+                        occupancy._level_sums, x, occupancy._node_plan(ground, np.full(3, b), x0, nodes, 1.0)
                     )
                 expected = direct_sums(plus, x, b, int(levels[0]))
                 np.testing.assert_allclose(number, expected[0], rtol=1e-14, atol=0.0)
@@ -742,7 +756,7 @@ class TestSplitPlan:
                 below_ground += np.count_nonzero(x * t < side.ground_energy)  # alpha < 0
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     number, squares, weighted = kernel_sums(
-                        occupancy._split_sums, x, occupancy._split_plan(np.full(3, side.ground_energy), np.full(3, b))
+                        occupancy._split_sums, x, occupancy._split_plan(np.full(3, side.ground_energy), np.full(3, b), 1.0)
                     )
                 expected = direct_sums(side is P, x, b, int(levels[0]))
                 np.testing.assert_allclose(number, expected[0], rtol=1e-14, atol=0.0)

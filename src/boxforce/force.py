@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import approx
-from .occupancy import DEFAULT_TOL, ThermoPoint, check_domain, solve_alpha, solve_rows
+from .occupancy import DEFAULT_TOL, ThermoPoint, check_domain, force_difference, solve_alpha, solve_rows
 from .spectrum import WellSide
 
 if TYPE_CHECKING:
@@ -99,7 +99,7 @@ def net_force(point: ThermoPoint, tol: float = DEFAULT_TOL) -> ForcePair:
     if not all(converged):
         solved.solution(converged.index(False))  # raises the failed well's ConstraintSolverError
     f_plus, f_minus = solved.force.tolist()
-    return ForcePair(f_plus, f_minus, f_minus - f_plus)
+    return ForcePair(f_plus, f_minus, force_difference(solved, point.b).item())
 
 
 def net_force_zero_t(n_particles: int) -> float:
@@ -140,11 +140,13 @@ def _column(method: Method, n_particles: int, grid: np.ndarray, tol: float):
     if method is Method.NUMERIC:
         solved = solve_rows(wells, n_particles, 1.0 / t_rows, tol)
         alpha, force, ok = solved.alpha.reshape(2, -1), solved.force.reshape(2, -1), solved.converged
+        delta_f = force_difference(solved, 1.0 / grid)
     else:
         alpha = approx.semi_analytic_rows(wells, n_particles, t_rows)[0]
         alpha, ok = alpha.reshape(2, -1), np.isfinite(alpha)
         force = np.array([approx.semi_analytic_force(side, a, grid, n_particles) for side, a in zip(WellSide, alpha)])
-    return alpha, force, force[1] - force[0], np.where(ok.reshape(2, -1).all(axis=0), "ok", "error")
+        delta_f = force[1] - force[0]
+    return alpha, force, delta_f, np.where(ok.reshape(2, -1).all(axis=0), "ok", "error")
 
 
 def _rows(method: Method, grid: list[float], alpha, force, delta_f, status) -> list[SweepRow]:

@@ -14,14 +14,12 @@ w = log(expm1 x), where log S is nearly linear, from each row's start (see
 REMAINDER_LIMIT). A plan lays its rows' levels end to end, each row a run
 of exactly its own levels, and sums each run pairwise, so a row's sums
 round the same in any group. A wide row sums its levels as one integral
-instead, which Poisson summation makes exact up to a remainder far below
-rounding. Far from condensation the integrand is the occupation itself,
-integrated on at most 100 fixed nodes (see NODE_STEP). Near it, the
-occupation's pole at zero exponent is split off and summed in closed form,
-and the analytic remainder's integral is its power series in alpha, whose
-coefficients are values of the zeta function (see _SPLIT_TERMS). The level
-cutoff (TAIL_EXPONENT), the node rule, the series' length, the start and
-the batched Newton iteration are choices of this implementation; only the
+instead, exact by Poisson summation up to a remainder far below rounding
+(see NODE_LEVELS): a power series in the fugacity e^-alpha for alpha > 1;
+for |alpha| <= 1 the occupation's pole, summed in closed form, plus the
+remainder's power series in alpha, with zeta values for coefficients. The
+level cutoff (TAIL_EXPONENT), the series' lengths, the start and the
+batched Newton iteration are choices of this implementation; only the
 occupation formula and the constraint itself are physics.
 """
 
@@ -66,63 +64,46 @@ MAX_ITER = 200
 # rows whose cutoff passes this many levels (t > ~2.5e14) are not attempted
 MAX_LEVELS = 100_000_000
 # largest plan or level-sum temporary, in float64 elements: the levels (or
-# nodes) of a group's rows, laid end to end
+# series terms) of a group's rows, laid end to end
 _TILE = 1 << 14
 # A row of more than NODE_LEVELS levels (t > ~26,200) sums its levels as one
-# integral. The levels are symmetric about n = 1/2 (PLUS) or n = 0 (MINUS), so
-# the sum over n >= 1 is half the sum over all integers n, less N(0)/2 for
-# MINUS, and by Poisson summation that sum is the integral of N(n) up to
-# ~2 pi (t / d) exp(-2 pi d), d being the distance from the real n axis of the
-# integrand's nearest pole. POLE_DISTANCE picks the integrand. A row whose
-# lower bound x0 = log1p(1/N) has x0 t >= POLE_DISTANCE**2 integrates the
-# occupation itself (_node_plan): its nearest pole lies d = sqrt(alpha t)
-# away, and solve_rows keeps every iterate, its start too, at x >= x0, so
-# d >= sqrt(99) and the remainder is below ~1e-26 of the sum. The integral
-# is the trapezoid rule of step NODE_STEP in s, n - centre = sqrt(x0 t)
-# sinh(s), whose error falls like
-# exp(-pi^2 / (2 NODE_STEP)), the mapped integrand being analytic for
-# |Im s| < ~pi/4. Against math.fsum direct sums it measured ~2e-9 relative at
-# step 0.2 and at most 4.4e-16, the rounding floor, at 0.12. The nodes reach
-# s = asinh(sqrt(TAIL_EXPONENT / x0)), the level cutoff, so the discarded tail
-# is the one TAIL_EXPONENT bounds. That is 24 nodes a row at N = 1, 61 at
-# N = 1e4 and 99 at N = 1e8, at any t. Any other wide row is near
-# condensation, and takes the pole split of _SPLIT_TERMS.
-NODE_STEP = 0.12
-POLE_DISTANCE = 10.0
+# integral (_split_sums). The levels are symmetric about n = c, c = 1/2 (PLUS)
+# or 0 (MINUS), so the sum over n >= 1 is half that over all integers, less
+# N(0)/2 for MINUS (n = 0 is no level), and by Poisson summation sqrt(t) times
+# the integral over v = (n - c)/sqrt(t) of the integrand in z = alpha + v^2,
+# up to ~2 pi (t / d) exp(-2 pi d), d the distance of its nearest pole from
+# the real n axis. Each evaluation picks the integrand row by row, by alpha:
+# * alpha > _FUGACITY_ALPHA = 1 (_fugacity_sums): the occupation 1/expm1(z),
+#   its nearest pole d = sqrt(alpha t) > 161 away. Its integrals are Bose
+#   functions of z = e^-alpha: S = (sqrt(pi t)/2) Li_{1/2}(z), less 1/(2 expm1
+#   alpha) for MINUS; Newton's sum of squares, sum_n N_n (N_n + 1) - S, is
+#   (sqrt(pi t)/2) sum_k (k - 1) z^k / sqrt(k), summed so and not as that
+#   difference, less N(0)^2/2 for MINUS; the force sum_n e_n N_n is t (sqrt(pi
+#   t)/4) Li_{3/2}(z) (e_0 = 0). _FUGACITY_TERMS terms reach rounding at z <= e^-1.
+# * alpha <= 1 (_series_sums): the pole split. The pole 1/z has a closed-form
+#   lattice sum in A = alpha t (_lattice). The remainder r(z) = 1/expm1(z) -
+#   1/z is analytic, its poles z = +-2 pi i lying ~sqrt(pi t) >= 286 from the
+#   axis, so its sum is sqrt(t) R(alpha), less r(alpha)/2 for MINUS, R(alpha)
+#   the integral of r(alpha + v^2) over v >= 0; so are those of -r' (Newton's
+#   derivative) and of z/expm1(z) (the force). R is the Bose integral less its
+#   pole, a power series in alpha (Robinson, Phys. Rev. 83, 678, 1951): R =
+#   (sqrt(pi)/2) sum_j zeta(1/2 - j) (-alpha)^j / j!, -R' is the same series
+#   one zeta further on, and the force's integral (sqrt(pi)/2) (alpha Li_{1/2}
+#   + Li_{3/2}/2) is (sqrt(pi)/2) sum_j (1/2 - j) zeta(3/2 - j) (-alpha)^j / j!.
+#   The n = 0 terms -r(alpha)/2, r'(alpha)/2 and -alpha/expm1(alpha)/2 are the
+#   Bernoulli series of 1/expm1. All six converge for |alpha| < 2 pi, and
+#   _SPLIT_TERMS terms reach rounding on |alpha| <= 1: the tail is below 3e-19
+#   of each remainder sum and 2e-18 of each n = 0 term. solve_rows keeps x >=
+#   x0 > 0, so alpha > -b e_1 >= -1/26,214.
+# Against math.fsum direct sums (N = 1 to 1e9, t from the NODE_LEVELS
+# threshold to 1e10, both wells, at x0, the root, three times the root, x = 5
+# and alpha = 1, 1 +- 1e-12) the fugacity series measured at most 6.7e-16
+# relative in sum N_n, sum N_n^2 and sum (e_n - e_1) N_n, and the pole split
+# 1.2e-15, 3.1e-15 and 4.8e-15, the last at the seam alpha = 1, where the force
+# sum's difference t (sum z_n N_n - x S) cancels.
 NODE_LEVELS = 1 << 10
-# A wide row with x0 t < POLE_DISTANCE**2 splits its occupation 1/expm1(z),
-# z = alpha + b (n - c)^2 with c = 1/2 (PLUS) or 0 (MINUS), into the pole 1/z
-# and the remainder r(z) = 1/expm1(z) - 1/z (_split_sums). The pole's lattice
-# sum is closed form in A = alpha t (_lattice). r is analytic at z = 0 and its
-# nearest poles, z = +-2 pi i, lie ~sqrt(pi t) >= 286 from the real n axis, so
-# its sum over n >= 1 is sqrt(t) R(alpha) to far below rounding, less r(alpha)/2
-# for MINUS, whose level n = 0 is no level; R(alpha) is the integral of
-# r(alpha + v^2) over v >= 0. So are those of -r', for Newton's derivative, and
-# of z/expm1(z), for the force. R is the Bose integral less its pole,
-# (sqrt(pi)/2) Li_{1/2}(e^-alpha) - (pi/2)/sqrt(alpha), a power series in
-# alpha (Robinson, Phys. Rev. 83, 678, 1951): R = (sqrt(pi)/2) sum_j
-# zeta(1/2 - j) (-alpha)^j / j!, and -R' is the same series one zeta further
-# on. The force's integral of z/expm1(z) is (sqrt(pi)/2) (alpha Li_{1/2} +
-# Li_{3/2}/2), whose sqrt(alpha) terms cancel: (sqrt(pi)/2) sum_j (1/2 - j)
-# zeta(3/2 - j) (-alpha)^j / j!. The n = 0 terms -r(alpha)/2, r'(alpha)/2 and
-# -alpha/expm1(alpha)/2 are the Bernoulli series of 1/expm1. All six converge
-# for |alpha| < 2 pi. On the split route -1/26,214 < alpha < 0.31: alpha > -b e_1
-# and t >= 26,214 at NODE_LEVELS; x0 t < 100 there needs N > 1/expm1(100/t),
-# so N/sqrt(t) > 1.616, least at that t, where S = N puts the root of N = 262
-# (PLUS) at alpha = 0.302. Every row starts at the pole model's root (its window
-# holds the route), off the root by the model's dropped O(alpha^2 sqrt(t)), and
-# the largest alpha any iterate reached, over N = 262 to 1e12 across the route,
-# was 0.3024 (tests/test_occupancy.py bounds it by 1), so no clamp is needed.
-# _SPLIT_TERMS terms reach rounding on |alpha| <= 1, a margin of 3: the
-# discarded tail is below 3e-19 of each remainder sum there and below 2e-18 of
-# each n = 0 term. Against math.fsum direct sums the split measured at most
-# 1.1e-15 relative, the rounding floor, in sum N_n, sum N_n^2 and sum (e_n -
-# e_1) N_n (N = 1e3 to 1e16, t from the NODE_LEVELS threshold to x0 t = 100 or
-# 1e10, both wells, at x0, the root and three times the root), and 2.3e-15 at
-# the route's corner, N = 262 and 300, where three times the root is alpha =
-# 0.77 to 0.91 and the force sum's difference t (sum z_n N_n - x S) cancels.
-# Far from condensation the pole sum and sqrt(t) R cancel, and alpha leaves
-# the series' domain, which is why POLE_DISTANCE stays.
+_FUGACITY_ALPHA = 1.0
+_FUGACITY_TERMS = 40
 _SPLIT_TERMS = 24
 # (sqrt(pi)/2) zeta(3/2 - j), j = 0 to _SPLIT_TERMS + 1, correctly rounded; R(0) and -R'(0) are
 # its second and third terms (REMAINDER_LIMIT, REMAINDER_SLOPE)
@@ -144,7 +125,7 @@ _BERNOULLI = (
 _SERIES_TERMS = 18
 # Newton starts each row (_start) at the root of a pole model of its sum,
 # clamped at the root's exact lower bound x0 = log1p(1/N), inside the model's
-# window, and at x0 outside it. Split as for _SPLIT_TERMS, a row's sum is
+# window, and at x0 outside it. Split as for NODE_LEVELS, a row's sum is
 # t q(A), A = alpha t, from the pole, q being half its lattice sum
 # (_pole_sums), plus the remainder's, sqrt(t) R(alpha) less r(alpha)/2 for
 # MINUS. The model takes the remainder to first order in alpha: t q(A) +
@@ -275,12 +256,12 @@ def _groups(levels: np.ndarray):
 
 
 def _level_plan(plus, b, levels, scale):
-    """A level plan: exponent bases b (e_n - e_1) and gaps of n = 1..levels[r] for each row r, no weights.
+    """A level plan: exponent bases b (e_n - e_1) and gaps of n = 1..levels[r] for each row r.
 
     The rows, sorted by levels, lay their levels end to end, row r's run
-    beginning at starts[r]. A plan is (base, gap, weight, counts, starts,
-    scale), counts being each row's run length and scale its sums' power of
-    two c (_routes). Every row has at least one level (_cutoff), and
+    beginning at starts[r]. A plan is (base, gap, counts, starts, scale),
+    counts being each row's run length and scale its sums' power of two c
+    (_routes). Every row has at least one level (_cutoff), and
     np.add.reduceat in _level_sums needs that: it returns the next element,
     not 0, for an empty run.
     """
@@ -290,33 +271,7 @@ def _level_plan(plus, b, levels, scale):
     n = np.arange(1.0, widest + 1.0)
     gaps = np.concatenate((level_gap(WellSide.MINUS, n), level_gap(WellSide.PLUS, n)))
     gap = gaps[np.arange(int(ends[-1])) - np.repeat(starts - widest * plus, levels)]  # a PLUS row reads the second half
-    return np.repeat(b, levels) * gap, gap, None, levels, starts, scale
-
-
-def _node_count(x0: float) -> int:
-    """Nodes a row takes in a call starting at x0: the last passes the level cutoff (see NODE_STEP)."""
-    return int(math.asinh(math.sqrt(TAIL_EXPONENT / x0)) / NODE_STEP) + 2
-
-
-def _node_plan(ground, b, x0, nodes, scale):
-    """A node plan (see NODE_STEP): exponent bases, gaps e(n) - e_1 and weights at each row's nodes.
-
-    Node k of a row sits at n = centre + c sinh(k NODE_STEP), c = sqrt(x0 t),
-    with weight NODE_STEP c cosh(k NODE_STEP): the trapezoid rule over the
-    whole line, halved for n >= 1, folded onto k >= 0. The centre node
-    counts half, and a MINUS row (ground energy 1) drops half of N(0) there
-    as well, n = 0 being no level. The plan has the form of _level_plan's,
-    each row a run of its nodes in place of its levels; no run is empty,
-    a row taking at least 24 nodes (x0 <= log 2).
-    """
-    s = np.arange(nodes) * NODE_STEP
-    c = np.sqrt(x0 / b)[:, None]
-    u = c * np.sinh(s)
-    gap = u * u - ground[:, None]
-    weight = (NODE_STEP * c) * np.cosh(s)
-    weight[:, 0] = 0.5 * (weight[:, 0] - (ground == WellSide.MINUS.ground_energy))
-    counts = np.full(len(b), nodes)
-    return (b[:, None] * gap).ravel(), gap.ravel(), weight.ravel(), counts, np.arange(0, gap.size, nodes), scale
+    return np.repeat(b, levels) * gap, gap, levels, starts, scale
 
 
 def _level_sums(x, plan):
@@ -325,20 +280,16 @@ def _level_sums(x, plan):
     Returns (c S, squares, moment): squares() gives c sum_n N_n^2 and
     moment() c sum_n (e_n - e_1) N_n. Each forms its sum only when called,
     from the evaluation's occupations c N_n, which neither alters, so
-    either may be called after the other. A plan is (base, gap, weight,
-    counts, starts, scale) (_level_plan): levels carry no weight, nodes the
-    weights of _node_plan. np.add.reduceat sums each row's run pairwise,
-    the same wherever the run lies in the plan.
+    either may be called after the other. np.add.reduceat sums each row's
+    run (_level_plan) pairwise, the same wherever the run lies in the plan.
     """
-    base, gap, weight, counts, starts, scale = plan
+    base, gap, counts, starts, scale = plan
     occ = np.repeat(x, counts)
     occ += base
     np.expm1(occ, out=occ)
     np.divide(scale, occ, out=occ)  # c N_n
-    mass = occ if weight is None else occ * weight
-    # squares() forms mass * occ (c^2 N_n^2) out of place, so that moment() may still read mass
-    return (np.add.reduceat(mass, starts), lambda: np.add.reduceat(mass * occ, starts) / scale,
-            lambda: np.add.reduceat(mass * gap, starts))
+    return (np.add.reduceat(occ, starts), lambda: np.add.reduceat(occ * occ, starts) / scale,
+            lambda: np.add.reduceat(occ * gap, starts))
 
 
 def _series_matrix(terms: int) -> np.ndarray:
@@ -350,7 +301,7 @@ def _series_matrix(terms: int) -> np.ndarray:
 
 
 def _split_matrix(terms: int) -> np.ndarray:
-    """The power series in alpha of R, -R' and the force moment, then of the n = 0 terms (see _SPLIT_TERMS)."""
+    """The power series in alpha of R, -R' and the force moment, then of the n = 0 terms (see NODE_LEVELS)."""
     z, bernoulli, fact = _HALF_ZETA, _BERNOULLI, [math.factorial(j) for j in range(terms + 2)]
     return np.array([
         [
@@ -371,6 +322,11 @@ def _split_matrix(terms: int) -> np.ndarray:
 _SERIES = _series_matrix(_SERIES_TERMS)
 _SPLIT_SERIES = _split_matrix(_SPLIT_TERMS)
 _SPLIT_POWERS = np.array([[float(j)] for j in range(_SPLIT_TERMS)])
+_FUGACITY_POWERS = np.array([[float(k)] for k in range(1, _FUGACITY_TERMS + 1)])
+# the power series in z = e^-alpha, from z, of S, sum_n N_n^2 and the force, over sqrt(t) (see NODE_LEVELS):
+# (sqrt(pi)/2) k^-1/2 times 1 (Li_{1/2}), k - 1 (Li_{-1/2} - Li_{1/2}) and 1/(2k) (Li_{3/2}/2)
+_FUGACITY_SERIES = np.array([[math.sqrt(math.pi / k) / 2.0 * w(k) for k in range(1, _FUGACITY_TERMS + 1)]
+                             for w in (lambda k: 1.0, lambda k: k - 1.0, lambda k: 0.5 / k)])
 
 
 def _series(y2):
@@ -385,8 +341,8 @@ def _series(y2):
     return e / s, (de * s - e * ds) / (s * s)
 
 
-def _lattice(p):
-    """Phi(A) = sum_{n != 0} 1/(A + n^2) and -Phi'(A) = sum_{n != 0} 1/(A + n^2)^2 at A = p - 1 > -1.
+def _lattice(p, scale=1.0):
+    """Phi(A) = sum_{n != 0} 1/(A + n^2) and c times -Phi'(A) = sum_{n != 0} 1/(A + n^2)^2 at A = p - 1 > -1.
 
     p = 1 + A, the distance from the pole at A = -1 (level n = +-1), comes in
     without cancellation. The closed form Phi = (pi/a) coth(pi a) - 1/A,
@@ -394,8 +350,10 @@ def _lattice(p):
     pi^2 rho(pi^2 A) comes from the series of _series. For A < -1/2 it
     continues to -(pi/a) cot(pi a) - 1/A, a = sqrt(-A), taken through the
     complement 1 - a = p / (1 + a) so that the pole stays resolved. Measured
-    against mpmath: <= 1.7e-15 relative from p = 1e-14 to 1e8.
+    against mpmath: <= 1.7e-15 relative from p = 1e-14 to 1e8. -Phi' ~ 2/p^2
+    overflows below p ~ 1e-154; the power of two c = scale enters before squaring.
     """
+    low = math.ldexp(1.0, (math.frexp(scale)[1] - 1) // 2)  # and high = scale / low
     a2 = p - 1.0
     phi, squares = np.empty_like(p), np.empty_like(p)
     hyperbolic, trigonometric = a2 >= 1.0, a2 < -0.5
@@ -405,11 +363,11 @@ def _lattice(p):
         a = np.sqrt(A)
         value = math.pi / (a * np.tanh(math.pi * a)) - 1.0 / A
         phi[hyperbolic] = value
-        squares[hyperbolic] = (value + (math.pi / np.sinh(math.pi * a)) ** 2 - 1.0 / A) / (2.0 * A)
+        squares[hyperbolic] = scale * ((value + (math.pi / np.sinh(math.pi * a)) ** 2 - 1.0 / A) / (2.0 * A))
     if np.count_nonzero(series):
         rho, slope = _series(math.pi**2 * a2[series])
         phi[series] = math.pi**2 * rho
-        squares[series] = -(math.pi**4) * slope
+        squares[series] = -(math.pi**4 * scale) * slope
     if np.count_nonzero(trigonometric):
         A = a2[trigonometric]
         a = np.sqrt(-A)
@@ -417,94 +375,112 @@ def _lattice(p):
         sine = np.sin(angle)
         cot = np.cos(angle) / sine
         phi[trigonometric] = math.pi * cot / a - 1.0 / A
-        squares[trigonometric] = 0.5 * (math.pi / (a * sine)) ** 2 - math.pi * cot / (2.0 * a**3) - 1.0 / (A * A)
+        pole, twist = math.pi / (a * sine), math.pi * cot / (2.0 * a**3)
+        squares[trigonometric] = 0.5 * ((low * pole) * (scale / low * pole)) - scale * twist - scale / (A * A)
     return phi, squares
 
 
 def _split_plan(ground, b, scale):
-    """A split plan (see _SPLIT_TERMS): rows t, e_1, c/2, c sqrt(t) and c times the n = 0 image's weight (1 for MINUS).
-
-    c is the plan's scale (_routes).
-    """
+    """A split plan (see NODE_LEVELS): (rows, c), c its scale (_routes), rows t, e_1, c sqrt(t) and c for MINUS."""
     t = 1.0 / b
     image = ground == WellSide.MINUS.ground_energy
-    return np.stack((t, ground, np.full(len(t), 0.5 * scale), scale * np.sqrt(t), scale * image))
+    return np.stack((t, ground, scale * np.sqrt(t), scale * image)), scale
 
 
-def _pole_sums(xt, ground):
-    """The pole's lattice sum sum_{n != c} 1/(A + (n - c)^2) and that of its squares, A = xt - e_1, per row.
+def _pole_sums(xt, ground, scale=1.0):
+    """The pole's lattice sum sum_{n != c} 1/(A + (n - c)^2) and c times that of its squares, A = xt - e_1, per row.
 
     The lattice is the integers for MINUS (ground energy 1, c = 0), where
     the sum is Phi(A), and the half-integers for PLUS (ground energy 1/4,
     c = 1/2), where in units of 1/2 it is the odd half of the integers,
-    4 Phi(4A) - Phi(A); the sum of squares is -d/dA of either. Both wells'
-    Phi come from one _lattice call, the PLUS weight of Phi(A) being 1 and
-    the MINUS one 0.
+    4 Phi(4A) - Phi(A); the sum of squares is -d/dA of either, scaled by the
+    power of two c = scale inside _lattice. Both wells' Phi come from one
+    _lattice call, Phi(A) at the PLUS rows alone.
     """
-    scale = 1.0 / ground  # 4 for PLUS, 1 for MINUS
-    other = (scale - 1.0) / 3.0  # the weight of Phi(A): 1 for PLUS, 0 for MINUS
-    phi, squares = _lattice(np.concatenate((scale * xt, xt + (1.0 - ground))))
+    weight = 1.0 / ground  # 4 for PLUS, 1 for MINUS
+    plus = np.flatnonzero(weight > 1.0)
+    phi, squares = _lattice(np.concatenate((weight * xt, xt[plus] + 0.75)), scale)
     count = len(xt)
-    return scale * phi[:count] - other * phi[count:], scale * scale * squares[:count] - other * squares[count:]
+    pole, pole_squares = weight * phi[:count], weight * weight * squares[:count]
+    pole[plus] -= phi[count:]
+    pole_squares[plus] -= squares[count:]
+    return pole, pole_squares
+
+
+def _series_sums(x, alpha, rows, scale):
+    """_split_sums' three sums on rows with |alpha| <= 1, by the pole split (see NODE_LEVELS).
+
+    The pole's sum over n >= 1 is (t/2) times its lattice sum (_pole_sums); the remainder's sums of
+    r, -r' and z/expm1(z), with MINUS's n = 0 image, one product; sum_n (e_n - e_1) N_n = t (sum_n z_n N_n - x S).
+    """
+    t, ground = rows[:2]
+    pole, pole_squares = _pole_sums(x * t, ground, scale)
+    powers = np.power(alpha, _SPLIT_POWERS)  # 1, alpha, alpha^2, ...
+    remainder, derivative, moment = np.einsum("wck,kr,wr->cr", _SPLIT_SERIES, powers, rows[2:])
+    number = 0.5 * scale * t * pole + remainder
+    # sum N^2 = sum N (N + 1) - S
+    return number, 0.5 * t * t * pole_squares + derivative - number, t * (moment - x * number)
+
+
+def _fugacity_sums(x, alpha, rows, scale):
+    """_split_sums' three sums on rows with alpha > 1, in z = e^-alpha (see NODE_LEVELS); the moment is f - e_1 S."""
+    t, ground, root_t, image = rows
+    # z = e^-x e^(b e_1): alpha = x - b e_1 would carry its own rounding, ~1e-15 at alpha ~ 10, into z
+    powers = np.power(np.exp(-x) * np.exp(ground / t), _FUGACITY_POWERS)  # z, z^2, ...
+    number, squares, force = root_t * np.einsum("ck,kr->cr", _FUGACITY_SERIES, powers)
+    ground_occupation = 1.0 / np.expm1(alpha)
+    image = image * (0.5 * ground_occupation)  # c N(0)/2 for MINUS, 0 for PLUS
+    number -= image
+    return number, squares - image * ground_occupation, t * force - ground * number
 
 
 def _split_sums(x, plan):
     """c S at x over a split plan of scale c and its other two sums on demand, as _level_sums returns them.
 
-    With A = alpha t = x t - e_1, the pole's sum over n >= 1 is (t/2) times
-    its lattice sum (_pole_sums), n = 0 being no level for MINUS. The
-    remainder's sums of r, -r' and z/expm1(z) are sqrt(t) times the series
-    of _SPLIT_TERMS in alpha, plus the n = 0 image's for MINUS, all three
-    from one product, and sum_n (e_n - e_1) N_n = t (sum_n z_n N_n - x S).
-    Call under np.errstate.
+    Each row takes the branch of its alpha = x - b e_1 (see NODE_LEVELS): the
+    pole split up to _FUGACITY_ALPHA, the fugacity series past it. Call under np.errstate.
     """
-    t, ground, half_scale = plan[:3]
-    xt = x * t
-    pole, pole_squares = _pole_sums(xt, ground)
-    powers = np.power((xt - ground) / t, _SPLIT_POWERS)  # 1, alpha, alpha^2, ...
-    remainder, derivative, moment = np.einsum("wck,kr,wr->cr", _SPLIT_SERIES, powers, plan[3:])
-    number = half_scale * t * pole + remainder
-    # sum N^2 = sum N (N + 1) - S
-    return number, lambda: half_scale * t * t * pole_squares + derivative - number, lambda: t * (moment - x * number)
+    rows, scale = plan
+    t, ground = rows[:2]
+    alpha = (x * t - ground) / t
+    sums = np.empty((3, x.size))
+    series = alpha <= _FUGACITY_ALPHA
+    for branch, on in ((_series_sums, series), (_fugacity_sums, ~series)):
+        count = np.count_nonzero(on)
+        if count == x.size:  # every row on one branch: no gather or scatter
+            sums = branch(x, alpha, rows, scale)
+        elif count:
+            sums[:, on] = branch(x[on], alpha[on], rows[:, on], scale)
+    number, squares, moment = sums
+    return number, lambda: squares, lambda: moment
 
 
-def _routes(plus, ground, b, levels, x0, scale):
-    """Yield (kernel, plan, rows) per group (_groups) of rows started at x0, rows being the group's indices.
+def _routes(plus, ground, b, levels, scale):
+    """Yield (kernel, plan, rows) per group (_groups) of rows, rows being the group's indices.
 
     Every plan sums at scale c, a power of two: its kernel returns c times
     S, sum_n N_n^2 and sum_n (e_n - e_1) N_n. solve_rows takes c = 2^-e, e
-    the binary exponent of N (c N in [1/2, 1)), so that on level and node
-    plans, which sum c N_n, sum_n (c N_n)^2 stays finite where sum_n N_n^2,
-    ~N^2, overflows (past N ~ 1.3e154; a split plan's lattice sum of squares
-    overflows before c applies). Scaling by a power of two is exact while
-    the scaled terms stay normal, as they do up to N = 1e150 at least
+    the binary exponent of N (c N in [1/2, 1)), so that c sum_n N_n^2 stays
+    finite where sum_n N_n^2, ~N^2, overflows (past N ~ 1.3e154): a level
+    plan sums c N_n, and a split plan takes c into its lattice sum of squares
+    before squaring (_lattice). Scaling by a power of two is exact while the
+    scaled terms stay normal, as they do up to N = 1e150 at least
     (tests/test_occupancy.py), so there each sum is c times the unscaled
     one, bit for bit.
 
-    A row of at most NODE_LEVELS levels sums its levels. A wider row sums
-    them as one integral, whose sums match the direct ones to rounding: on
-    at most 100 nodes of the occupation where x0 t >= POLE_DISTANCE**2 (see
-    NODE_STEP), by the pole split's closed form and series nearer
-    condensation (see _SPLIT_TERMS). A row past MAX_LEVELS is in no group.
-    Each plan is built when its group is taken, and none holds more than
-    _TILE levels, nodes or series terms unless NODE_LEVELS is raised past
-    _TILE, a row wider than that being a group alone.
+    A row of at most NODE_LEVELS levels sums its levels, a wider one sums
+    them as one integral (_split_sums), and a row past MAX_LEVELS is in no
+    group. Each plan is built when its group is taken and holds at most
+    _TILE levels or series terms, a row wider than that being a group alone.
     """
     order = np.argsort(levels, kind="stable")
     ordered = levels[order]
     narrow, attempted = ordered.searchsorted((NODE_LEVELS, MAX_LEVELS), side="right")
-    routed, order, ordered = order[narrow:attempted], order[:narrow], ordered[:narrow]
-    if routed.size:
-        split = x0 < POLE_DISTANCE**2 * b[routed]
-        on_nodes, on_split = routed[~split], routed[split]
-        nodes = _node_count(x0) if on_nodes.size else 0  # x0 t >= 100 on the node route, so 40 / x0 is finite there
-        for group in _groups(np.full(on_nodes.size, nodes)):
-            on = on_nodes[group]
-            yield _level_sums, _node_plan(ground[on], b[on], x0, nodes, scale), on
-        for group in _groups(np.full(on_split.size, _SPLIT_TERMS)):
-            on = on_split[group]
-            yield _split_sums, _split_plan(ground[on], b[on], scale), on
-    for group in _groups(ordered):
+    wide = order[narrow:attempted]
+    for group in _groups(np.full(wide.size, max(_SPLIT_TERMS, _FUGACITY_TERMS))) if wide.size else ():
+        on = wide[group]
+        yield _split_sums, _split_plan(ground[on], b[on], scale), on
+    for group in _groups(ordered[:narrow]):
         on = order[group]
         yield _level_sums, _level_plan(plus[on], b[on], ordered[group], scale), on
 
@@ -530,9 +506,6 @@ def _start_tables():
     right value, and past the last MINUS knot as two more knots, one a unit
     further and one a unit before the first PLUS key. On a row it is used on
     log q < log(1.8e308) < 710, so a MINUS key stays below the PLUS knots.
-    That value must be exact: above N ~ 1e154 a split row's sum_n N_n^2
-    overflows in _lattice, Newton cannot step, and only a start within tol
-    of the root converges (level rows are scaled, see _routes).
     """
     log_u = 2.0 * np.sinh(np.linspace(math.asinh(17.0), math.asinh(-10.0), _START_KNOTS))
     u = np.exp(log_u)
@@ -569,16 +542,15 @@ def _start(plus, ground, b, target, x0):
     # x - K alpha / (t q s / x + K) = x (scaled + b e_1) / (scaled + x), scaled = t q s / K; K > 0 on every row inside
     scaled = pole / (REMAINDER_SLOPE / root_b - image / 6.0) * fit.imag
     x *= (scaled + b * ground) / (scaled + x)
-    return np.maximum(np.where(inside, x, x0), x0)  # where, not a product: a row outside may hold a nan
+    return np.fmax(np.where(inside, x, x0), x0)  # fmax: a nan root (past N ~ 5e307, scaled overflows) keeps x0
 
 
 def total_number(side: WellSide, alpha: float, b: float) -> float:
     """Total occupation sum over the levels of one half well, cut off at TAIL_EXPONENT.
 
-    The sum takes the route _routes gives a solve_rows row, the integrand
-    picked by this call's x t in place of x0 t. It reads S alone, so the
-    kernel forms neither of its other sums, and sums at scale 1, with no
-    sum of squares to overflow.
+    The sum takes the route _routes gives a solve_rows row. It reads S
+    alone, so a level kernel forms neither of its other sums, and sums at
+    scale 1.
     """
     check_domain(t=b)
     x = alpha + b * side.ground_energy
@@ -586,7 +558,7 @@ def total_number(side: WellSide, alpha: float, b: float) -> float:
         raise ValueError(f"alpha + b*e_1 must be positive, got {x}")
     plus, ground, row = plus_mask((side,)), np.array([side.ground_energy]), np.array([b])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for kernel, plan, _ in _routes(plus, ground, row, _cutoff(row), x, 1.0):
+        for kernel, plan, _ in _routes(plus, ground, row, _cutoff(row), 1.0):
             return float(kernel(np.array([x]), plan)[0][0])
     raise ValueError(f"inverse temperature {b} needs more than {MAX_LEVELS} levels")
 
@@ -596,7 +568,7 @@ class RowSolutions(NamedTuple):
 
     A row with converged False failed (see solve_rows), or its cutoff passed
     MAX_LEVELS; its shifted_alpha is then the last iterate. levels_used is
-    the row's level cutoff, also where its sums ran on nodes.
+    the row's level cutoff, a wide row's too (its sums ran as one integral).
     """
 
     alpha: np.ndarray
@@ -633,17 +605,17 @@ def solve_rows(
     e_1), in (0, 1], so log S is linear in w for one level and nearly so far
     from condensation (w ~ x) and in degenerate rows (w ~ log x, S a power
     of x). A step may overshoot the root, the next ones returning from the
-    right. Iterates are clamped at x0, which the node route rests on (see
-    NODE_STEP). A row stops once |S - N| <= tol * N, or unconverged at
-    max_iter evaluations or a non-finite step; over N = 1 to 1e300 and t =
-    1e-300 to 2e14 every row stopped converged within 6 evaluations, at
-    DEFAULT_TOL and at MIN_TOL, and the clamp never acted
-    (tests/test_occupancy.py). The groups of _routes, which also picks each
-    group's route by x0, are solved one by one on plans built once, at the
-    scale c of _routes: the solve runs on c S against c N, and the sums are
-    unscaled once all groups are solved. A stopped row stays in its group's
-    plan, frozen at its x, where each kernel keeps its sums its own. An
-    evaluation forms S; sum_n N_n^2 only where a step may follow, and the
+    right. Iterates are clamped at x0, which keeps a wide row's alpha above
+    -b e_1, inside the pole split's domain (see NODE_LEVELS). A row stops
+    once |S - N| <= tol * N, or unconverged at max_iter evaluations or a
+    non-finite step; over N = 1 to 1e300 and t = 1e-300 to 2e14 every row
+    stopped converged within 6 evaluations, at DEFAULT_TOL and at MIN_TOL,
+    and the clamp never acted (tests/test_occupancy.py). The groups of
+    _routes are solved one by one on plans built once, at the scale c of
+    _routes: the solve runs on c S against c N, and the sums are unscaled
+    once all groups are solved. A stopped row stays in its group's plan,
+    frozen at its x, where each kernel keeps its sums its own. An
+    evaluation reads S; sum_n N_n^2 only where a step may follow, and the
     force moment sum_n (e_n - e_1) N_n once per group, on the evaluation
     where it stops: when its last row stops (by tol or a non-finite step) or
     at max_iter. The group then writes its results (at max_iter = 0 each row
@@ -664,7 +636,7 @@ def solve_rows(
     iterations = np.zeros(rows, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = _start(plus, ground, b, target, x0)
-        for kernel, plan, group in _routes(plus, ground, b, levels, x0, scale):
+        for kernel, plan, group in _routes(plus, ground, b, levels, scale):
             xs, moving, evaluations = x[group], True, 0
             for count in range(1, max_iter + 1):
                 evaluations += moving  # a row counts the evaluations up to the one it stopped on
@@ -684,6 +656,31 @@ def solve_rows(
     converged = residual <= tol * target  # false where a row stopped early or was not attempted
     force = weighted + ground * number
     return RowSolutions(x - b * ground, x, residual, levels, iterations, force, converged, n_particles)
+
+
+def force_difference(solved: RowSolutions, b) -> np.ndarray:
+    """f_minus - f_plus at each b[i] of a solve_rows call whose rows are the PLUS wells, then the MINUS ones.
+
+    Where both roots lie on the fugacity series (alpha > 1, wide rows; see
+    NODE_LEVELS) the forces, ~N t/2, differ by ~(N/2) sqrt(t/pi), below their
+    rounding. There MINUS's alpha is PLUS's plus d, the root of sqrt(t) sum_k
+    c_k z^k expm1(-k d) = 1/(2 expm1(alpha + d)) (c_k: S's series in z =
+    e^-alpha), one Newton step from the roots' difference, and the difference
+    is t sqrt(t) sum_k (sqrt(pi)/4) k^-3/2 z^k expm1(-k d), which cancels nothing.
+    """
+    count = len(solved.force) // 2
+    difference = solved.force[count:] - solved.force[:count]
+    on = (solved.levels_used[:count] > NODE_LEVELS) & (solved.alpha[count:] > _FUGACITY_ALPHA)  # alpha- < alpha+
+    if np.count_nonzero(on):
+        t, plus = 1.0 / np.broadcast_to(b, on.shape)[on], solved.alpha[:count][on]
+        d = solved.alpha[count:][on] - plus
+        powers, image = np.power(np.exp(-plus), _FUGACITY_POWERS), np.expm1(plus + d)
+        series, k = _FUGACITY_SERIES, _FUGACITY_POWERS  # c_k k is the sum of the first two rows
+        excess = np.sqrt(t) * np.einsum("k,kr->r", series[0], powers * np.expm1(-k * d))
+        slope = np.sqrt(t) * np.einsum("k,kr->r", series[0] + series[1], powers * np.exp(-k * d))
+        d += (excess - 0.5 / image) / (slope - 0.5 * (image + 1.0) / image**2)
+        difference[on] = t * np.sqrt(t) * np.einsum("k,kr->r", series[2], powers * np.expm1(-k * d))
+    return difference
 
 
 def solve_alpha(

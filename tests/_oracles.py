@@ -147,3 +147,25 @@ def mp_pole_slope(plus: bool, u):
 
     u = mpf(u)
     return q(u), u * mp.diff(q, u) / q(u)
+
+
+def mp_delta_f_polylog(n_particles: int, t):
+    """delta_f from the Bose functions: per well N = Li_{1/2}(z)/e - (sigma/2) z/(1 - z), f = (t/(2e)) Li_{3/2}(z).
+
+    e = 2/sqrt(pi t), z = e^-alpha and sigma = 1 for MINUS, whose level n =
+    0 is no level. This is Poisson summation of the level sums, exact up to
+    ~exp(-2 pi sqrt(alpha t)) and the level cutoff's ~1e-17; it holds only
+    for alpha > 0, where the polylogs' series converge.
+    """
+    t = mpf(t)
+    e = 2 / mp.sqrt(mp.pi * t)
+
+    def force(sigma):
+        def excess(alpha):
+            z = mp.exp(-alpha)
+            return mp.polylog(mpf(1) / 2, z) / e - sigma * z / (2 * (1 - z)) - n_particles
+
+        alpha = mp.findroot(excess, mp.log(1 / (e * n_particles)))
+        return t / (2 * e) * mp.polylog(mpf(3) / 2, mp.exp(-alpha))
+
+    return force(1) - force(0)

@@ -24,9 +24,9 @@ from boxforce import (
     sweep,
     temperature_grid,
 )
-from boxforce.occupancy import solve_rows
+from boxforce.occupancy import DEFAULT_TOL, solve_rows
 
-from _oracles import mp_delta_f, mp_half_force
+from _oracles import mp_delta_f, mp_delta_f_polylog, mp_half_force
 
 P = WellSide.PLUS
 M = WellSide.MINUS
@@ -61,14 +61,27 @@ class TestNetForce:
         assert pair.f_minus > 0.0
 
     def test_largest_particle_numbers_on_wide_rows(self):
-        # past N ~ 4.5e306, 40 / x0 overflows, so a call must not ask for the
-        # node count unless a row takes the node route, which at such N would
-        # need x0 t >= 100, t > 1e308: these wide rows all take the pole
-        # split. Level 1 holds N in both wells, f = e_1 N
+        # wide rows at the top of the N range, near condensation on the pole
+        # split, whose lattice sum of squares (~N^2) is scaled before it is
+        # squared. Level 1 holds N in both wells, f = e_1 N
         pair = net_force(ThermoPoint(10**307, 1e5))
         assert (pair.f_plus, pair.f_minus, pair.delta_f) == pytest.approx((2.5e306, 1e307, 7.5e306), rel=1e-12)
         solved = solve_rows((P, M), int(1.7e308), 1e-9)
         assert solved.converged.all()
+
+    def test_fugacity_rows_keep_the_net_force_digits(self):
+        # where both wells' roots lie on the fugacity series (alpha > 1 on a
+        # wide row), f_minus - f_plus misses delta_f by 5e-11 to 2e-8 (the
+        # forces being 1e5 to 1e7 times larger) and force_difference's
+        # difference route by no more than the stop rule's tol. The polylog
+        # oracle agrees with the level oracle at N = 1, t = 26,300
+        for n_particles, t in ((10, 1e11), (100, 1e12), (1_000, 1e12), (1, 2e14)):
+            solved = solve_rows((P, M), n_particles, 1.0 / t)
+            assert (solved.alpha > 1.0).all() and (solved.levels_used > 1024).all()
+            exact = float(mp_delta_f_polylog(n_particles, t))
+            assert net_force(ThermoPoint(n_particles, t)).delta_f == pytest.approx(exact, rel=DEFAULT_TOL)
+            assert abs(solved.force[1] - solved.force[0] - exact) > DEFAULT_TOL * exact
+        assert float(mp_delta_f_polylog(1, 26_300.0)) == pytest.approx(float(mp_delta_f(1, 26_300.0)), rel=1e-15)
 
     def test_low_t_plateau_value(self):
         assert net_force(ThermoPoint(100, 0.01)).delta_f == pytest.approx(75.0, abs=1e-3)

@@ -19,7 +19,7 @@ from boxforce import (
     total_number,
 )
 from boxforce.occupancy import (
-    _TILE, DEFAULT_TOL, MAX_LEVELS, MIN_TOL, NODE_LEVELS, POLE_DISTANCE, RowSolutions, solve_rows,
+    _TILE, DEFAULT_TOL, MAX_LEVELS, MIN_TOL, NODE_LEVELS, RowSolutions, solve_rows,
 )
 
 from _oracles import (
@@ -60,13 +60,8 @@ def kernel_sums(kernel, x, plan):
 
 
 def routed(levels):
-    """The rows solve_rows sums on nodes: every row wider than NODE_LEVELS, up to MAX_LEVELS."""
+    """The rows solve_rows sums as one integral (_split_sums): every row wider than NODE_LEVELS, up to MAX_LEVELS."""
     return (levels > NODE_LEVELS) & (levels <= MAX_LEVELS)
-
-
-def split(n_particles, t):
-    """Whether a node-routed row takes the pole split (x0 t < POLE_DISTANCE**2) rather than the occupation's nodes."""
-    return math.log1p(1.0 / n_particles) * t < POLE_DISTANCE**2
 
 
 class TestThermoPoint:
@@ -120,12 +115,12 @@ class TestTotalNumber:
         value = total_number(M, math.log1p(0.01) - 100.0, 100.0)
         assert value == pytest.approx(100.0, rel=1e-10)
 
-    @pytest.mark.parametrize("xt, unused", [(10.0, "_node_plan"), (1_000.0, "_split_plan")])
-    def test_wide_b_sums_on_nodes(self, monkeypatch, xt, unused):
-        # t = 1e7: 20,001 levels, summed by the pole split at x t = 10 and on
-        # the nodes of the occupation at x t = 1,000 (x t >= POLE_DISTANCE**2)
+    @pytest.mark.parametrize("xt", [10.0, 3e7])
+    def test_wide_b_sums_as_one_integral(self, monkeypatch, xt):
+        # t = 1e7: 20,001 levels, summed as one integral, by the pole split at
+        # x t = 10 (alpha ~ 1e-6) and by the fugacity series at x t = 3e7
+        # (alpha ~ 3)
         monkeypatch.setattr(occupancy, "_level_plan", None)  # a level plan would fail
-        monkeypatch.setattr(occupancy, unused, None)  # so would the other node plan
         b = 1e-7
         levels = int(occupancy._cutoff(np.array([b]))[0])
         for side in (P, M):
@@ -183,16 +178,15 @@ class TestSolveAlpha:
                 )
 
     def test_solution_reproduces_total_number(self):
-        # one solve per route: levels (18), the occupation's nodes (2,000
-        # levels, x0 t ~ 6.9e4) and the pole split (20,001 levels, x0 t ~ 10).
-        # total_number routes by the root's own x t, ~240 at the last point,
-        # so there it checks the split's root on the occupation's nodes
-        for n, t, route in ((250, 7.5, "levels"), (1, 1e5, "nodes"), (10**6, 1e7, "split")):
+        # one solve per route and branch: levels (18), the fugacity series
+        # (2,000 levels, alpha ~ 5.6) and the pole split (20,001 levels, alpha
+        # ~ 2.4e-5)
+        for n, t, route in ((250, 7.5, "levels"), (1, 1e5, "fugacity"), (10**6, 1e7, "split")):
             point = ThermoPoint(n, t)
             for side in (P, M):
                 solution = solve_alpha(side, point)
-                on_nodes = routed(solution.levels_used)
-                assert (("split" if split(n, t) else "nodes") if on_nodes else "levels") == route
+                wide = routed(solution.levels_used)
+                assert (("fugacity" if solution.alpha > 1.0 else "split") if wide else "levels") == route
                 assert abs(total_number(side, solution.alpha, point.b) - n) <= DEFAULT_TOL * n
 
     def test_plus_multiplier_exceeds_minus(self):
@@ -244,8 +238,8 @@ class TestSolveRowGroups:
     def test_batch_rows_match_one_row_solves(self):
         # both wells, from 1 level (t = 1e-3) past _TILE levels (t = 1e7) and
         # one row past MAX_LEVELS (t = 1e15), in an order that mixes them; at
-        # N = 100 the wide rows sum on the occupation's nodes, at N = 1e6 on
-        # the pole split's
+        # N = 100 the wide rows' roots lie on the fugacity series, at N = 1e6
+        # on the pole split
         t = np.repeat([1e-3, 0.3, 10.0, 1e3, 1e5, 1e7, 1e15], 2)
         sides = [P, M] * (len(t) // 2)
         order = np.random.default_rng(3).permutation(len(t))
@@ -256,8 +250,8 @@ class TestSolveRowGroups:
             assert batch.levels_used.min() == 1
             assert np.any((batch.levels_used > _TILE) & (batch.levels_used <= MAX_LEVELS))
             assert batch.levels_used.max() > MAX_LEVELS
-            on_split = routed(batch.levels_used) & np.array([split(n_particles, ti) for ti in t])
-            assert on_split.any() == (n_particles > 100)
+            on_split = routed(batch.levels_used)
+            assert ((batch.alpha[on_split] > 1.0).all() if n_particles == 100 else (batch.alpha[on_split] < 1.0).all())
             for i, (side, ti) in enumerate(zip(sides, t)):
                 one = solve_rows((side,), n_particles, 1.0 / ti)
                 if on_split[i]:  # the split kernel sums a group's rows in one einsum
@@ -265,7 +259,7 @@ class TestSolveRowGroups:
                     np.testing.assert_allclose(batch.force[i], one.force[0], rtol=1e-13, atol=0.0)
                     assert batch.iterations[i] == one.iterations[0]
                     assert batch.converged[i] == one.converged[0]
-                else:  # a run of levels or nodes sums the same wherever it lies in its plan
+                else:  # a run of levels sums the same wherever it lies in its plan
                     for field in RowSolutions._fields[:-1]:  # the per-row arrays; nan past MAX_LEVELS
                         np.testing.assert_array_equal(getattr(batch, field)[i], getattr(one, field)[0])
 
@@ -289,16 +283,15 @@ class TestSolveRowGroups:
         ground = np.where(plus, P.ground_energy, M.ground_energy)
         levels = occupancy._cutoff(b)
         seen = 0
-        for kernel, plan, rows in occupancy._routes(plus, ground, b, levels, math.log1p(1e-4), 1.0):
+        for kernel, plan, rows in occupancy._routes(plus, ground, b, levels, 1.0):
             if kernel is occupancy._split_sums:
                 continue
-            base, gap, weight, counts, starts, _ = plan
+            base, gap, counts, starts, _ = plan
             assert base.size == gap.size == counts.sum() <= _TILE or len(rows) == 1
             np.testing.assert_array_equal(starts, np.cumsum(counts) - counts)
             assert np.isfinite(base).all()
-            if weight is None:
-                np.testing.assert_array_equal(counts, levels[rows])
-                seen += len(rows)
+            np.testing.assert_array_equal(counts, levels[rows])
+            seen += len(rows)
         assert seen == np.count_nonzero(levels <= NODE_LEVELS)
 
     def test_mixed_group_sums_match_direct_sums(self):
@@ -310,7 +303,7 @@ class TestSolveRowGroups:
         ground = np.array([side.ground_energy for side in sides])
         levels = occupancy._cutoff(1.0 / t)
         assert sorted(levels.tolist()) == [1, 1, 1, 1, 1000, 1020]
-        (kernel, plan, rows), = occupancy._routes(plus, ground, 1.0 / t, levels, 0.01, 1.0)
+        (kernel, plan, rows), = occupancy._routes(plus, ground, 1.0 / t, levels, 1.0)
         assert kernel is occupancy._level_sums and sorted(rows.tolist()) == list(range(len(t)))
         x = np.array([0.01, 0.05, 0.2, 1.0, 0.02, 3.0])
         with np.errstate(over="ignore"):
@@ -344,14 +337,14 @@ class TestSolveRowGroups:
     def test_lazy_sums_formed_only_when_read(self, monkeypatch):
         # per group, sum_n N_n^2 is formed on each evaluation a step follows,
         # every one but the last, and the force moment once, on the last: on
-        # the README mid sweep and the large_n grid (level, node and split
-        # groups), converged and stopped at max_iter = 1 and 2
+        # the README mid sweep and the large_n grid (level and split groups),
+        # converged and stopped at max_iter = 1 and 2
         groups = []
         routes = occupancy._routes
 
         def grouped(*args):
             for kernel, plan, rows in routes(*args):
-                route = "split" if isinstance(plan, np.ndarray) else "levels" if plan[2] is None else "nodes"
+                route = "split" if kernel is occupancy._split_sums else "levels"
                 groups.append((route, rows, []))
                 yield kernel, plan, rows
 
@@ -385,7 +378,7 @@ class TestSolveRowGroups:
                     assert count == solved.iterations[rows].max()
                     assert [formed["squares"] for formed in evaluations] == [1] * (count - 1) + [0]
                     assert [formed["moment"] for formed in evaluations] == [0] * (count - 1) + [1]
-        assert routes_seen == {"levels", "nodes", "split"}
+        assert routes_seen == {"levels", "split"}
 
     def test_stopped_rows_carry_the_force_where_they_stopped(self, monkeypatch):
         # the force moment is formed once per group, on its last evaluation; a
@@ -429,10 +422,23 @@ class TestSolveRowGroups:
             assert solved.converged.all()
             assert solved.iterations.max() <= 6
 
+    @pytest.mark.parametrize("n_particles", [10**160, 10**200, 10**300], ids=["1e160", "1e200", "1e300"])
+    def test_split_rows_past_the_square_overflow_converge(self, monkeypatch, n_particles):
+        # the same for wide rows (t from 3e4 to 2e14), whose lattice sum of
+        # squares, ~1/p^2, takes the scale c before squaring (_lattice)
+        start = occupancy._start
+        t = np.geomspace(3e4, 2e14, 100)
+        for factor in (1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-3):
+            monkeypatch.setattr(occupancy, "_start", lambda *args, factor=factor: start(*args) * factor)
+            solved = solve_rows([P, M] * 100, n_particles, 1.0 / np.repeat(t, 2))
+            assert routed(solved.levels_used).all()
+            assert solved.converged.all()
+            assert solved.iterations.max() <= 6
+
     def test_scaled_sums_are_the_unscaled_ones_times_c(self):
         # a plan at solve_rows' scale c = 2^-e, e the binary exponent of N,
         # gives c times the sums of the same plan at scale 1, bit for bit, on
-        # all three routes, up to N = 1e150 where sum_n N_n^2 is still finite
+        # both routes and both wide branches, up to N = 1e150 where sum_n N_n^2 is still finite
         # unscaled (c ~ 2^-499 there), at the rows' roots and off them; so
         # Newton's step c S / (c sum_n N_n^2 + c S) is the unscaled one
         t = np.geomspace(1e-3, 1e8, 120)
@@ -443,12 +449,12 @@ class TestSolveRowGroups:
         routes_seen = set()
         for n_particles in (1, 100, 10**4, 10**150):
             scale = math.ldexp(1.0, -math.frexp(n_particles)[1])
-            x0 = math.log1p(1.0 / n_particles)
-            roots = solve_rows([P, M] * len(t), n_particles, b).shifted_alpha
-            routes = zip(occupancy._routes(plus, ground, b, levels, x0, scale),
-                         occupancy._routes(plus, ground, b, levels, x0, 1.0))
+            solved = solve_rows([P, M] * len(t), n_particles, b)
+            roots = solved.shifted_alpha
+            routes = zip(*(occupancy._routes(plus, ground, b, levels, c) for c in (scale, 1.0)))
             for (kernel, plan, rows), (_, plain, _) in routes:
-                routes_seen.add("split" if kernel is occupancy._split_sums else "levels" if plan[2] is None else "nodes")
+                wide = kernel is occupancy._split_sums
+                routes_seen.update(np.where(solved.alpha[rows] > 1.0, "fugacity", "split") if wide else ["levels"])
                 for x in (roots[rows], roots[rows] * (1.0 + 1e-3)):
                     with np.errstate(over="ignore"):
                         number, squares, moment = kernel(x, plan)
@@ -456,23 +462,24 @@ class TestSolveRowGroups:
                         np.testing.assert_array_equal(number, scale * unscaled)
                         np.testing.assert_array_equal(squares(), scale * unscaled_squares())
                         np.testing.assert_array_equal(moment(), scale * unscaled_moment())
-        assert routes_seen == {"levels", "nodes", "split"}
+        assert routes_seen == {"levels", "split", "fugacity"}
 
     def test_rows_stopping_apart_match_one_row_solves(self):
         # in each group the rows stop on different evaluations, each staying
         # frozen in the plan until the last stops; a cap one short of the
         # slowest row stops the slower ones unconverged. Each group holds rows
         # started at x0 and rows started at the pole model's root (t >= 1.48,
-        # N >= 0.19 sqrt(t)), except the split group, all of whose rows start
-        # at the model's root
+        # N >= 0.19 sqrt(t)), except the wide groups, all of whose rows start
+        # at x0 (N = 100) or all at the model's root (N = 1e14)
         groups = [
             # 2 to 448 levels a row, each row's run its own
             (100, (M, P, P, M, P, M), (0.05, 0.2, 1.0, 3.0, 1e3, 5e3), occupancy._level_sums, [1, 2, 3, 3, 2, 3]),
-            # on the occupation's nodes (x0 t >= POLE_DISTANCE**2)
-            (100, (P, M, P, M, P), (3e4, 3e4, 1e7, 1e11, 1e11), occupancy._level_sums, [4, 4, 5, 4, 4]),
-            # by the pole split (x0 t < POLE_DISTANCE**2); at N = 1e4 every
-            # such row stops on evaluation 2, while at t ~ 3e-9 N the start
-            # already lies within tol of the root
+            # wide rows started by the pole split (alpha < 1 at x0), whose
+            # roots lie on the fugacity series (alpha > 1)
+            (100, (P, M, P, M, P), (3e4, 3e4, 1e7, 1e11, 1e11), occupancy._split_sums, [4, 4, 5, 4, 4]),
+            # wide rows by the pole split alone; at N = 1e4 every such row
+            # stops on evaluation 2, while at t ~ 3e-9 N the start already
+            # lies within tol of the root
             (10**14, (M, P, P, M, M), (3e5, 3e5, 1e8, 1e8, 1e9), occupancy._split_sums, [1, 1, 2, 2, 2]),
         ]
         for n_particles, sides, t, kernel, iterations in groups:
@@ -480,7 +487,7 @@ class TestSolveRowGroups:
             plus = np.array([side is P for side in sides])
             ground = np.array([side.ground_energy for side in sides])
             x0 = math.log1p(1.0 / n_particles)
-            (routed_kernel, _, _), = occupancy._routes(plus, ground, b, occupancy._cutoff(b), x0, 1.0)  # one group
+            (routed_kernel, _, _), = occupancy._routes(plus, ground, b, occupancy._cutoff(b), 1.0)  # one group
             assert routed_kernel is kernel
             modelled = (np.array(t) >= occupancy.START_T) & (n_particles >= occupancy.START_DEGENERACY * np.sqrt(t))
             np.testing.assert_array_equal(solve_rows(sides, n_particles, b, max_iter=0).shifted_alpha > x0, modelled)
@@ -494,7 +501,7 @@ class TestSolveRowGroups:
                     np.testing.assert_allclose(batch.force[i], one.force[0], rtol=1e-13, atol=0.0)
                     for field in ("levels_used", "iterations", "converged"):
                         assert getattr(batch, field)[i] == getattr(one, field)[0]
-                else:  # a run of levels or nodes sums the same wherever it lies in its plan
+                else:  # a run of levels sums the same wherever it lies in its plan
                     for field in RowSolutions._fields[:-1]:  # the per-row arrays
                         np.testing.assert_array_equal(getattr(batch, field)[i], getattr(one, field)[0])
             cap = max(iterations) - 1
@@ -523,9 +530,9 @@ class TestSolveRowGroups:
         assert len(calls) == full > 0
 
     def test_wide_rows_near_condensation_build_one_split_plan(self, monkeypatch):
-        # N = 1e6 at t = 1e7: ~2e4 levels, more than _TILE, and x0 t = 10 is
-        # short of POLE_DISTANCE**2, so both rows take the pole split, one
-        # group whose plan is built once for all its evaluations
+        # N = 1e6 at t = 1e7: ~2e4 levels, more than _TILE, so both rows take
+        # the split kernel, one group whose plan is built once for all its
+        # evaluations
         built = []
         split_plan = occupancy._split_plan
 
@@ -535,11 +542,10 @@ class TestSolveRowGroups:
 
         monkeypatch.setattr(occupancy, "_split_plan", counted)
         monkeypatch.setattr(occupancy, "_level_plan", None)  # a level plan would fail
-        monkeypatch.setattr(occupancy, "_node_plan", None)  # so would a node plan of the occupation
         t = 1e7
         solved = solve_rows((P, M), 1_000_000, 1.0 / t)
         assert (solved.levels_used > _TILE).all()
-        assert routed(solved.levels_used).all() and split(1_000_000, t)
+        assert routed(solved.levels_used).all()
         assert solved.converged.all()
         assert solved.iterations.min() > 1
         assert built == [2]  # one group of both rows, one build
@@ -549,17 +555,18 @@ class TestSolveRowGroups:
 
     def test_every_row_converges_within_six_evaluations(self, monkeypatch):
         # the step bound over the accepted domain: N from 1 to 1e300, t from
-        # 1e-300 to 2e14 (under MAX_LEVELS), both wells, all three routes. At
-        # every evaluation x >= x0, which the node route's pole distance rests
-        # on, and |alpha| <= 1 on split rows, the domain where the split's
-        # series reach rounding (_SPLIT_TERMS). The first evaluation sits at
+        # 1e-300 to 2e14 (under MAX_LEVELS), both wells, both routes and both
+        # branches of the wide one. At every evaluation x >= x0, which keeps a
+        # wide row's alpha above -b e_1, so that alpha <= 1 is |alpha| <= 1,
+        # the domain where the pole split's series reach rounding
+        # (NODE_LEVELS). The first evaluation sits at
         # each row's start, the x a cap of 0 reports: the pole model's root,
         # or x0 outside the model's window. A stopped row stays frozen in its
         # group's plan; so the clamp at x0 never acts when, from a group's
         # second evaluation on, its rows at x0 are exactly those that started
         # there and stopped on the first. The bounds hold at the default
         # tolerance and at the floor MIN_TOL
-        seen = {"nodes": 0, "split": 0}
+        seen = {"series": 0, "fugacity": 0}
         routes, level_sums, split_sums = occupancy._routes, occupancy._level_sums, occupancy._split_sums
 
         def grouped(*args):
@@ -577,14 +584,14 @@ class TestSolveRowGroups:
 
         def level_checked(x, plan):
             checked(x)
-            seen["nodes"] += x.size if plan[2] is not None else 0
             return level_sums(x, plan)
 
         def split_checked(x, plan):
             checked(x)
-            t, ground = plan[:2]
-            assert (np.abs(x - ground / t) <= 1.0).all()
-            seen["split"] += x.size
+            t, ground = plan[0][:2]
+            fugacity = np.count_nonzero(x - ground / t > occupancy._FUGACITY_ALPHA)
+            seen["fugacity"] += fugacity
+            seen["series"] += x.size - fugacity
             return split_sums(x, plan)
 
         monkeypatch.setattr(occupancy, "_routes", grouped)
@@ -606,7 +613,7 @@ class TestSolveRowGroups:
                     np.testing.assert_array_equal(at_x0, (start[rows] == x0) & (solved.iterations[rows] == 1))
                     frozen_at_x0 += np.count_nonzero(at_x0)
             modelled += np.count_nonzero(start > x0)
-        assert frozen_at_x0 and modelled and seen["nodes"] and seen["split"]
+        assert frozen_at_x0 and modelled and seen["series"] and seen["fugacity"]
 
     def test_ground_state_rows_keep_x0_and_stop_on_the_first_evaluation(self):
         # up to t ~ 0.07 at any N >= 1 the excited levels hold less than
@@ -625,6 +632,20 @@ class TestSolveRowGroups:
         starts = solve_rows([P, M] * 200, 100, 1.0 / t, max_iter=0).shifted_alpha
         np.testing.assert_array_equal(starts, math.log1p(1e-2))
         assert (solve_rows([P, M] * 200, 100, 1.0 / t).iterations[t <= 0.05] == 1).all()
+
+    @pytest.mark.parametrize("n_particles", [int(5e307), int(1.7e308), 2**1023], ids=["5e307", "1.7e308", "2^1023"])
+    def test_overflowing_model_root_starts_at_x0(self, n_particles):
+        # past N ~ 5e307 the pole model's linear term overflows inside its
+        # window (t >= START_T) and its root is nan; such a row starts at x0,
+        # as rows outside the window do, and there x0 lies within tol of the
+        # root: every row (t from 1e-3 to 2e4, both wells) stops converged on
+        # its first evaluation
+        t = np.repeat(np.geomspace(1e-3, 2e4, 100), 2)
+        np.testing.assert_array_equal(solve_rows([P, M] * 100, n_particles, 1.0 / t, max_iter=0).shifted_alpha,
+                                      math.log1p(1.0 / n_particles))
+        solved = solve_rows([P, M] * 100, n_particles, 1.0 / t)
+        assert solved.converged.all() and (solved.iterations == 1).all()
+        assert net_force(ThermoPoint(n_particles, 2.0)).delta_f == pytest.approx(0.75 * n_particles, rel=1e-12)
 
     def test_start_cuts_evaluations_on_the_benchmark_grids(self, monkeypatch):
         # mean evaluations per row and kernel calls per solve, both wells in
@@ -659,31 +680,32 @@ class TestSolveRowGroups:
 
 
 class TestNodePlan:
+    """Rows wider than NODE_LEVELS, summed as one integral by _split_sums."""
+
     @pytest.mark.parametrize("n_particles", [1, 100, 10_000, 1_000_000])
     def test_node_sums_match_direct_sums(self, n_particles):
-        # the node rule's error budget (NODE_STEP): Poisson remainder, trapezoid
-        # error and discarded tail all lie below rounding, from the routing
-        # threshold to t = 1e12 (6.3e6 levels), at the start, the root and x = 5
+        # the wide-row kernel's error budget (NODE_LEVELS): Poisson remainder,
+        # series tails and discarded level tail all lie below rounding on both
+        # branches and at the seam between them, alpha = 1 +- 1e-12, from x0 t
+        # = 100 or the NODE_LEVELS threshold to t = 1e12 (6.3e6 levels), at
+        # the start, the root and x = 5
         x0 = math.log1p(1.0 / n_particles)
-        threshold = max(POLE_DISTANCE**2 / x0, NODE_LEVELS**2 / occupancy.TAIL_EXPONENT)
-        nodes = occupancy._node_count(x0)
-        assert nodes <= 100
+        threshold = max(100.0 / x0, NODE_LEVELS**2 / occupancy.TAIL_EXPONENT)
         for t in np.geomspace(threshold * 1.001, 1e12, 3):
             b = 1.0 / t
             levels = occupancy._cutoff(np.array([b]))
-            assert routed(levels).all() and not split(n_particles, t)
+            assert routed(levels).all()
             roots = solve_rows((P, M), n_particles, b).shifted_alpha
             for side, root in zip((P, M), roots):
-                x = np.array([x0, root, 5.0])
-                plus = side is P
-                ground = np.full(3, side.ground_energy)
+                x = np.array([x0, root, 5.0, 1.0 - 1e-12, 1.0 + 1e-12])
+                x[3:] += b * side.ground_energy
                 with np.errstate(over="ignore"):
-                    number, _, weighted = kernel_sums(
-                        occupancy._level_sums, x, occupancy._node_plan(ground, np.full(3, b), x0, nodes, 1.0)
+                    sums = kernel_sums(
+                        occupancy._split_sums, x, occupancy._split_plan(np.full(5, side.ground_energy), np.full(5, b), 1.0)
                     )
-                expected = direct_sums(plus, x, b, int(levels[0]))
-                np.testing.assert_allclose(number, expected[0], rtol=1e-14, atol=0.0)
-                np.testing.assert_allclose(weighted, expected[1], rtol=1e-14, atol=0.0)
+                expected = direct_sums(side is P, x, b, int(levels[0]))
+                for got, want in zip(sums, expected[[0, 2, 1]]):  # S, sum_n N_n^2, sum_n (e_n - e_1) N_n
+                    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_routed_rows_satisfy_the_exact_constraint(self, monkeypatch):
         # the large_n grid: N = 1e4, 100 log-spaced t in [1, 1e8], both wells
@@ -706,30 +728,30 @@ class TestNodePlan:
         np.testing.assert_allclose(nodes.force, levels.force, rtol=1e-13, atol=0.0)
 
     def test_routed_point_matches_mp_oracle(self, monkeypatch):
-        # with the level threshold lowered, N = 1 at t = 145 is routed at the
-        # smallest pole distance the routing admits, d = sqrt(alpha t) ~ 10,
-        # where the rule is least exact
+        # with the level threshold lowered, N = 1 at t = 145 (77 levels) is
+        # summed as one integral far below the real threshold: its root, alpha
+        # ~ 2.4 on the fugacity series, lies d = sqrt(alpha t) ~ 19 from its
+        # nearest pole, and the pole split's remainder ~sqrt(pi t) ~ 21
         calls = []
-        node_plan = occupancy._node_plan
+        split_plan = occupancy._split_plan
 
         def counted(*args):
             calls.append(args)
-            return node_plan(*args)
+            return split_plan(*args)
 
-        monkeypatch.setattr(occupancy, "_node_plan", counted)
+        monkeypatch.setattr(occupancy, "_split_plan", counted)
         monkeypatch.setattr(occupancy, "NODE_LEVELS", 0)
         t = 145.0
-        assert POLE_DISTANCE**2 <= math.log1p(1.0) * t < 1.01 * POLE_DISTANCE**2
         pair = net_force(ThermoPoint(1, t))
         assert calls
         assert pair.delta_f == pytest.approx(float(mp_delta_f(1, t)), rel=1e-9)
 
     def test_routed_point_at_node_levels_matches_mp_oracle(self):
         # the smallest routed point at N = 1 with the real threshold: 1,026
-        # levels, x0 t ~ 18,230, so both wells run on nodes
+        # levels, both wells' roots on the fugacity series
         t = 26_300.0
         levels = occupancy._cutoff(np.array([1.0 / t]))
-        assert routed(levels).all() and not split(1, t)
+        assert routed(levels).all() and (solve_rows((P, M), 1, 1.0 / t).alpha > 1.0).all()
         pair = net_force(ThermoPoint(1, t))
         assert pair.delta_f == pytest.approx(float(mp_delta_f(1, t)), rel=1e-9)
 
@@ -737,19 +759,19 @@ class TestNodePlan:
 class TestSplitPlan:
     @pytest.mark.parametrize("n_particles", [1_000, 10_000, 10**6, 10**8, 10**12, 10**16])
     def test_split_sums_match_direct_sums(self, n_particles):
-        # the split's error budget (_SPLIT_TERMS): closed-form pole sum and
+        # the split's error budget (NODE_LEVELS): closed-form pole sum and
         # series of the remainder, its derivative and the force moment all
         # lie at rounding, from the NODE_LEVELS threshold to just under x0 t =
-        # 100 (capped at t = 1e10, 6.3e5 levels, for the direct sums), at the
-        # start, the root and three times the root
+        # 100, near condensation (capped at t = 1e10, 6.3e5 levels, for the
+        # direct sums), at the start, the root and three times the root
         x0 = math.log1p(1.0 / n_particles)
         threshold = NODE_LEVELS**2 / occupancy.TAIL_EXPONENT
-        top = min(0.999 * POLE_DISTANCE**2 / x0, 1e10)
+        top = min(99.9 / x0, 1e10)
         below_ground = 0
         for t in np.geomspace(threshold * 1.001, top, 3):
             b = 1.0 / t
             levels = occupancy._cutoff(np.array([b]))
-            assert routed(levels).all() and split(n_particles, t)
+            assert routed(levels).all()
             roots = solve_rows((P, M), n_particles, b).shifted_alpha
             for side, root in zip((P, M), roots):
                 x = np.array([x0, root, 3.0 * root])
@@ -773,7 +795,7 @@ class TestSplitPlan:
         t = 26_300.0
         levels = occupancy._cutoff(np.array([1.0 / t]))
         assert levels[0] == 1_026
-        assert routed(levels).all() and split(1_000, t)
+        assert routed(levels).all()
         pair = net_force(ThermoPoint(1_000, t))
         assert pair.delta_f == pytest.approx(float(mp_delta_f(1_000, t)), rel=1e-9)
 
@@ -787,10 +809,10 @@ class TestSplitPlan:
 
     def test_series_match_mp_integrals(self):
         # the six series of _split_sums on |alpha| <= 1, the domain their
-        # length is chosen for (_SPLIT_TERMS): R, -R' and the integral of
+        # length is chosen for (NODE_LEVELS): R, -R' and the integral of
         # z/expm1(z) against quadrature, and the n = 0 image terms -r/2, r'/2
-        # and -alpha/expm1(alpha)/2 against mpmath; -1/26,214.4 and 0.302 are
-        # the split route's extreme roots
+        # and -alpha/expm1(alpha)/2 against mpmath; -1/26,214.4 is the least
+        # alpha of a wide row, 1 the edge of the fugacity series
         alphas = np.array([-0.999, -0.5, -1 / 26_214.4, 0.0, 1e-9, 0.01, 0.1, 0.302, 0.5, 0.75, 1.0])
         powers = np.power(alphas, occupancy._SPLIT_POWERS)
         series = np.einsum("wck,kr->wcr", occupancy._SPLIT_SERIES, powers).reshape(6, -1)
@@ -804,28 +826,24 @@ class TestSplitPlan:
             np.testing.assert_allclose(got, [float(e) for e in expected], rtol=1e-15, atol=0.0)
 
     def test_split_rows_stay_inside_the_series_domain(self, monkeypatch):
-        # every iterate of a split row has -b e_1 < alpha < 0.31 (_SPLIT_TERMS):
-        # the largest at the route's corner, t at the NODE_LEVELS threshold and
-        # N = 262, the smallest N with x0 t < POLE_DISTANCE**2 there
-        seen = []
-        split_sums = occupancy._split_sums
-
-        def recorded(x, plan):
-            t, ground = plan[:2]
-            seen.append(x - ground / t)
-            return split_sums(x, plan)
-
-        monkeypatch.setattr(occupancy, "_split_sums", recorded)
+        # every iterate the pole split sums has -b e_1 < alpha <= 1, where its
+        # series reach rounding (NODE_LEVELS): the clamp at x0 bounds alpha
+        # below, and the fugacity series takes every iterate past 1. From N =
+        # 1, whose roots lie far out on the fugacity series, to N = 1e12, near
+        # condensation, rows converge across the seam, most of them started
+        # on the other side of it
+        seen = {"_series_sums": [], "_fugacity_sums": []}
+        for name, alphas in seen.items():
+            branch = getattr(occupancy, name)
+            monkeypatch.setattr(occupancy, name, lambda x, alpha, *args, branch=branch, alphas=alphas:
+                                alphas.append(alpha) or branch(x, alpha, *args))
         threshold = NODE_LEVELS**2 / occupancy.TAIL_EXPONENT
-        assert split(262, threshold * 1.001) and not split(261, threshold * 1.001)
-        for n_particles in (262, 300, 1_000, 10**4, 10**6, 10**12):
-            t = np.geomspace(threshold * 1.000001, 0.999999 * POLE_DISTANCE**2 / math.log1p(1.0 / n_particles), 40)
-            assert all(split(n_particles, ti) for ti in t)
+        t = np.geomspace(threshold * 1.000001, 1e10, 40)
+        for n_particles in (1, 100, 262, 1_000, 10**4, 10**6, 10**12):
             for tol in (DEFAULT_TOL, MIN_TOL):
                 assert solve_rows([P, M] * 40, n_particles, 1.0 / np.repeat(t, 2), tol).converged.all()
-        alpha = np.concatenate(seen)
-        assert alpha.min() > -1.0 / threshold
-        assert 0.302 < alpha.max() < 0.31
+        series, fugacity = (np.concatenate(alphas) for alphas in seen.values())
+        assert -1.0 / threshold < series.min() and series.max() <= 1.0 < fugacity.min()
 
 
 class TestStartModel:

@@ -270,8 +270,8 @@ def _level_plan(plus, b, levels, scale):
     widest = int(levels[-1])
     n = np.arange(1.0, widest + 1.0)
     gaps = np.concatenate((level_gap(WellSide.MINUS, n), level_gap(WellSide.PLUS, n)))
-    gap = gaps[np.arange(int(ends[-1])) - np.repeat(starts - widest * plus, levels)]  # a PLUS row reads the second half
-    return np.repeat(b, levels) * gap, gap, levels, starts, scale
+    gap = gaps[np.arange(ends[-1]) - (starts - widest * plus).repeat(levels)]  # a PLUS row reads the second half
+    return b.repeat(levels) * gap, gap, levels, starts, scale
 
 
 def _level_sums(x, plan):
@@ -284,7 +284,7 @@ def _level_sums(x, plan):
     run (_level_plan) pairwise, the same wherever the run lies in the plan.
     """
     base, gap, counts, starts, scale = plan
-    occ = np.repeat(x, counts)
+    occ = x.repeat(counts)
     occ += base
     np.expm1(occ, out=occ)
     np.divide(scale, occ, out=occ)  # c N_n
@@ -473,9 +473,9 @@ def _routes(plus, ground, b, levels, scale):
     group. Each plan is built when its group is taken and holds at most
     _TILE levels or series terms, a row wider than that being a group alone.
     """
-    order = np.argsort(levels, kind="stable")
+    order = levels.argsort(kind="stable")
     ordered = levels[order]
-    narrow, attempted = ordered.searchsorted((NODE_LEVELS, MAX_LEVELS), side="right")
+    narrow, attempted = ordered.searchsorted((NODE_LEVELS, MAX_LEVELS), side="right").tolist()
     wide = order[narrow:attempted]
     for group in _groups(np.full(wide.size, max(_SPLIT_TERMS, _FUGACITY_TERMS))) if wide.size else ():
         on = wide[group]
@@ -622,18 +622,18 @@ def solve_rows(
     reports its start).
     """
     check_tolerance(tol)
-    rows = len(sides)
     plus = plus_mask(sides)
-    ground = np.where(plus, WellSide.PLUS.ground_energy, WellSide.MINUS.ground_energy)
+    ground = 1.0 - 0.75 * plus  # WellSide.ground_energy: 1/4 for PLUS, 1 for MINUS
     target = float(n_particles)
     scale = math.ldexp(1.0, -math.frexp(target)[1])
-    scaled_target = scale * target
-    b = np.full(rows, b, dtype=np.float64)
+    scaled_target, x0 = scale * target, math.log1p(1.0 / target)
+    # 0-d arrays, read on every evaluation: a ufunc converts a Python float operand on each call
+    scale, scaled_target, limit, x0 = map(np.array, (scale, scaled_target, tol * scaled_target, x0))
+    b = np.full(plus.size, b, dtype=np.float64)
     levels = _cutoff(b)
-    x0 = math.log1p(1.0 / target)
-    sums = np.full((2, rows), np.nan)
-    number, weighted = sums  # weighted is sum_n (e_n - e_1) N_n; both at scale c until the groups are solved
-    iterations = np.zeros(rows, dtype=np.int64)
+    sums = np.full((2, plus.size), np.nan)
+    number, weighted = sums[0], sums[1]  # weighted: sum_n (e_n - e_1) N_n; both at scale c until the groups are solved
+    iterations = np.zeros(plus.size, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = _start(plus, ground, b, target, x0)
         for kernel, plan, group in _routes(plus, ground, b, levels, scale):
@@ -642,7 +642,7 @@ def solve_rows(
                 evaluations += moving  # a row counts the evaluations up to the one it stopped on
                 s, squares, moment = kernel(xs, plan)
                 excess = s - scaled_target
-                moving = np.abs(excess) > tol * scaled_target
+                moving = np.abs(excess) > limit
                 if count < max_iter and np.count_nonzero(moving):  # no step on the group's last evaluation
                     step = np.log1p(excess / scaled_target) * s / (squares() + s)  # S' = -sum_n N_n (N_n + 1)
                     moving &= np.isfinite(step)
@@ -650,7 +650,7 @@ def solve_rows(
                     x[group], number[group], weighted[group], iterations[group] = xs, s, moment(), evaluations
                     break
                 moved = np.maximum(np.log1p(np.expm1(xs) * np.exp(step / -np.expm1(-xs))), x0)  # w += step dw/dx
-                xs = np.where(moving, moved, xs)  # a stopped row keeps its x
+                np.copyto(xs, moved, where=moving)  # a stopped row keeps its x
     sums /= scale
     residual = np.abs(number - target)
     converged = residual <= tol * target  # false where a row stopped early or was not attempted
@@ -670,8 +670,8 @@ def force_difference(solved: RowSolutions, b) -> np.ndarray:
     """
     count = len(solved.force) // 2
     difference = solved.force[count:] - solved.force[:count]
-    on = (solved.levels_used[:count] > NODE_LEVELS) & (solved.alpha[count:] > _FUGACITY_ALPHA)  # alpha- < alpha+
-    if np.count_nonzero(on):
+    on = solved.levels_used[:count] > NODE_LEVELS  # then alpha- > 1 puts both roots on the series (alpha- < alpha+)
+    if np.count_nonzero(on) and np.count_nonzero(on := on & (solved.alpha[count:] > _FUGACITY_ALPHA)):
         t, plus = 1.0 / np.broadcast_to(b, on.shape)[on], solved.alpha[:count][on]
         d = solved.alpha[count:][on] - plus
         powers, image = np.power(np.exp(-plus), _FUGACITY_POWERS), np.expm1(plus + d)

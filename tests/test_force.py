@@ -54,11 +54,17 @@ class TestHalfForce:
 
 class TestNetForce:
     def test_pair_is_consistent(self):
-        pair = net_force(ThermoPoint(100, 3.0))
-        assert isinstance(pair, ForcePair)
-        assert pair.delta_f == pair.f_minus - pair.f_plus
-        assert pair.f_plus > 0.0
-        assert pair.f_minus > 0.0
+        # on every level row (t up to 2.6e4, 1,020 levels) delta_f is exactly
+        # f_minus - f_plus: only wide rows take force_difference's other route
+        # (test_fugacity_rows_keep_the_net_force_digits)
+        for n_particles in (1, 100, 10**4):
+            for t in [3.0, *np.geomspace(1e-3, 2.6e4, 40).tolist()]:
+                pair = net_force(ThermoPoint(n_particles, t))
+                assert isinstance(pair, ForcePair)
+                assert pair.delta_f == pair.f_minus - pair.f_plus
+                assert pair.f_plus > 0.0
+                assert pair.f_minus > 0.0
+        assert solve_rows((P, M), 1, 1.0 / 2.6e4).levels_used.tolist() == [1020, 1020]
 
     def test_largest_particle_numbers_on_wide_rows(self):
         # wide rows at the top of the N range, near condensation on the pole

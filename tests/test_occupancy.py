@@ -21,6 +21,7 @@ from boxforce import (
 from boxforce.occupancy import (
     _TILE, DEFAULT_TOL, MAX_LEVELS, MIN_TOL, NODE_LEVELS, RowSolutions, solve_rows,
 )
+from boxforce.spectrum import level_gap
 
 from _oracles import (
     _bose_remainder, bose_integral_quadrature, mp, mp_delta_f, mp_pole_slope, mp_remainder_integral,
@@ -275,24 +276,34 @@ class TestSolveRowGroups:
 
     def test_level_plans_hold_each_rows_own_levels(self):
         # the README mid and high sweeps and the large_n grid, both wells, in
-        # one call: each level plan holds exactly its rows' levels, all
-        # finite, and no plan passes _TILE unless it is a single row
-        t = np.concatenate([np.geomspace(0.01, 160, 400), np.geomspace(1.0, 1e4, 300), np.geomspace(1.0, 1e8, 100)])
-        b = np.repeat(1.0 / t, 2)
-        plus = np.tile([True, False], len(t))
-        ground = np.where(plus, P.ground_energy, M.ground_energy)
-        levels = occupancy._cutoff(b)
-        seen = 0
-        for kernel, plan, rows in occupancy._routes(plus, ground, b, levels, 1.0):
-            if kernel is occupancy._split_sums:
-                continue
-            base, gap, counts, starts, _ = plan
-            assert base.size == gap.size == counts.sum() <= _TILE or len(rows) == 1
-            np.testing.assert_array_equal(starts, np.cumsum(counts) - counts)
-            assert np.isfinite(base).all()
-            np.testing.assert_array_equal(counts, levels[rows])
-            seen += len(rows)
-        assert seen == np.count_nonzero(levels <= NODE_LEVELS)
+        # one call, and net_force's two-row call (both wells, equal cutoffs)
+        # at t = 10 and 1e4: each level plan holds exactly its rows' levels,
+        # run by run the gaps level_gap gives and their bases b (e_n - e_1),
+        # and no plan passes _TILE unless it is a single row
+        sweeps = [np.geomspace(0.01, 160, 400), np.geomspace(1.0, 1e4, 300), np.geomspace(1.0, 1e8, 100)]
+        for t in (np.concatenate(sweeps), np.array([10.0]), np.array([1e4])):
+            b = np.repeat(1.0 / t, 2)
+            plus = np.tile([True, False], len(t))
+            ground = np.where(plus, P.ground_energy, M.ground_energy)
+            levels = occupancy._cutoff(b)
+            seen = 0
+            for kernel, plan, rows in occupancy._routes(plus, ground, b, levels, 1.0):
+                if kernel is occupancy._split_sums:
+                    continue
+                base, gap, counts, starts, _ = plan
+                assert base.size == gap.size == counts.sum() <= _TILE or len(rows) == 1
+                np.testing.assert_array_equal(starts, np.cumsum(counts) - counts)
+                assert np.isfinite(base).all()
+                np.testing.assert_array_equal(counts, levels[rows])
+                for row, start, count in zip(rows, starts, counts):
+                    run = slice(start, start + count)
+                    n = np.arange(1.0, count + 1.0)
+                    np.testing.assert_array_equal(gap[run], level_gap(P if plus[row] else M, n))
+                    np.testing.assert_array_equal(base[run], b[row] * gap[run])
+                seen += len(rows)
+            assert seen == np.count_nonzero(levels <= NODE_LEVELS)
+            if len(t) == 1:  # net_force's call: one plan of both rows, 21 or 633 levels each
+                assert len(rows) == 2 and levels[0] == levels[1]
 
     def test_mixed_group_sums_match_direct_sums(self):
         # 1-level rows between rows of ~1,000 levels, both wells, in one plan:

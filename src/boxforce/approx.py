@@ -92,18 +92,25 @@ def bose_integral_closed(alpha: float) -> float:
     return _SQRT_PI / 96.0 * (63.0 - 35.0 * alpha)
 
 
-def _bracket_primitive(alpha, v, v3, v5):
+def _bracket_primitive(alpha, branches, v, v3, v5):
     """A(sqrt|alpha| * v)/sqrt|alpha| with A = arctan (alpha > 0) or arctanh (alpha < 0); v3, v5 are v^3, v^5.
 
     This is the antiderivative of 1/(alpha + s^2) evaluated at s = 1/v, on
-    arrays too (call under np.errstate: the branch not taken may be nan).
-    Both branches share the series v - alpha v^3/3 + alpha^2 v^5/5 near
-    alpha = 0, which replaces them below the cutoff where they lose digits.
+    arrays too (call under np.errstate: arctanh is nan past 1, and alpha = 0
+    divides 0 by 0 before the series replaces it). Both branches share the
+    series v - alpha v^3/3 + alpha^2 v^5/5 near alpha = 0, which replaces
+    them below the cutoff where they lose digits. branches (_branches)
+    splits the rows among the three, and each row evaluates only its own;
+    a nan alpha takes none and stays nan.
     """
-    r = np.sqrt(np.abs(alpha))
-    branch = np.where(alpha > 0.0, np.arctan(r * v), np.arctanh(r * v)) / r
-    series = v - alpha * v3 / 3.0 + alpha * alpha * v5 / 5.0
-    return np.where(np.abs(alpha) < _ALPHA_SERIES_CUTOFF, series, branch)
+    r, arctan, arctanh, series = branches
+    out = np.asarray(r * v)  # 0-d for a scalar alpha, so the ufuncs below can write into it
+    np.arctan(out, out=out, where=arctan)
+    np.arctanh(out, out=out, where=arctanh)
+    out /= r
+    if np.count_nonzero(series):
+        np.copyto(out, v - alpha * v3 / 3.0 + alpha * alpha * v5 / 5.0, where=series)
+    return out
 
 
 def _trapezoid_rows(e1, e2, b):
@@ -113,14 +120,22 @@ def _trapezoid_rows(e1, e2, b):
     return b * e1, b * e2, np.sqrt(b), s2, (v, v**3, v**5)
 
 
+def _branches(alpha):
+    """_bracket_primitive's sqrt|alpha| and its arctan, arctanh and series row masks, built once per alpha."""
+    magnitude = np.abs(alpha)
+    cutoff = _ALPHA_SERIES_CUTOFF
+    return np.sqrt(magnitude), alpha >= cutoff, alpha <= -cutoff, magnitude < cutoff
+
+
 def _trapezoid_number(alpha, rows):
     b_e1, b_e2, sqrt_b, s2, s2_powers = rows
+    branches = _branches(alpha)  # shared by both primitives
     root = np.sqrt(2.0 - alpha)
     head = 1.0 / (alpha + b_e1) + 0.5 / (alpha + b_e2) - 0.75
     edge = -(root - s2) / (2.0 * sqrt_b)
     v = 1.0 / root
-    tail = (_bracket_primitive(alpha, *s2_powers) - _bracket_primitive(alpha, v, v**3, v**5)) / sqrt_b
-    return head + edge + tail
+    tail = _bracket_primitive(alpha, branches, *s2_powers) - _bracket_primitive(alpha, branches, v, v**3, v**5)
+    return head + edge + tail / sqrt_b
 
 
 def semi_analytic_total_number(side: WellSide, alpha, b):
@@ -161,12 +176,15 @@ def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exc
         out_of_range = f_hi > 0.0
         live = (f_lo >= 0.0) & (f_hi <= 0.0)  # false on nan
         moved_lo = moved_hi = np.zeros(len(e1), dtype=bool)
+        two_eps = 2.0 * np.finfo(float).eps
         for step in range(201):  # at most 200 steps
-            tol = 1e-15 + 2.0 * np.finfo(float).eps * np.abs(lo + hi)
+            tol = 1e-15 + two_eps * np.abs(lo + hi)
             live &= hi - lo > tol
-            if step == 200 or not live.any():
+            if step == 200 or not np.count_nonzero(live):
                 break
-            x = np.clip(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + 0.5 * tol, hi - 0.5 * tol)
+            # np.clip without its Python-level wrapper; the two differ only in a zero's sign, which moves no S
+            half = 0.5 * tol
+            x = np.minimum(np.maximum(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + half), hi - half)
             f = (_trapezoid_number(x, rows) - n_particles) * (x + pole)
             up = live & (f > 0.0)  # the root lies above x
             down = live & (f <= 0.0)  # a nan drops the row

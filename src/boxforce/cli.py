@@ -13,6 +13,7 @@ the output could not be written, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -120,7 +121,8 @@ def write_csv(rows: list[SweepRow], destination: str) -> None:
     consecutive rows, as the methods of one sweep temperature share it, is
     formatted once.
     """
-    ordered = sorted(rows, key=lambda row: (row.t, row.method.value))
+    # (t, method name) read in C: Method._value_ is what the Python-level Enum.value property returns
+    ordered = sorted(rows, key=operator.attrgetter("t", "method._value_"))
     lines = [CSV_HEADER]
     last_t = t_text = None
     for t, method, alpha_plus, alpha_minus, f_plus, f_minus, delta_f, status in ordered:
@@ -128,9 +130,9 @@ def write_csv(rows: list[SweepRow], destination: str) -> None:
             last_t, t_text = t, format(t, ".17g")
         data = (alpha_plus, alpha_minus, f_plus, f_minus, delta_f)
         if alpha_plus is None or alpha_minus is None or f_plus is None or f_minus is None or delta_f is None:
-            lines.append(",".join((t_text, method.value, *map(_format_field, data), status)))
+            lines.append(",".join((t_text, method._value_, *map(_format_field, data), status)))
         else:
-            lines.append(_FULL_ROW % (t_text, method.value, *data, status))
+            lines.append(_FULL_ROW % (t_text, method._value_, *data, status))
     text = "\n".join(lines) + "\n"
     if destination == "-":
         sys.stdout.write(text)
@@ -146,7 +148,7 @@ def run(config: SweepConfig) -> int:
     except OSError as exc:
         print(f"boxforce: cannot write {config.output_path!r}: {exc}", file=sys.stderr)
         return 1
-    return 1 if any(row.status == "error" for row in rows) else 0
+    return 1 if "error" in map(operator.attrgetter("status"), rows) else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -270,7 +270,7 @@ def _level_plan(plus, b, levels, scale):
     widest = int(levels[-1])
     n = np.arange(1.0, widest + 1.0)
     gaps = np.concatenate((level_gap(WellSide.MINUS, n), level_gap(WellSide.PLUS, n)))
-    gap = gaps[np.arange(ends[-1]) - (starts - widest * plus).repeat(levels)]  # a PLUS row reads the second half
+    gap = gaps.take(np.arange(ends[-1]) - (starts - widest * plus).repeat(levels))  # a PLUS row reads the second half
     return b.repeat(levels) * gap, gap, levels, starts, scale
 
 
@@ -531,7 +531,7 @@ def _start(plus, ground, b, target, x0):
     """
     inside = (b <= 1.0 / START_T) & (b >= (START_DEGENERACY / target) ** 2)
     if not np.count_nonzero(inside):
-        return np.full(b.size, x0)
+        return x0.repeat(b.size)
     root_b = np.sqrt(b)
     image = np.where(plus, 0.0, 0.25)  # MINUS: the n = 0 image, -r(alpha)/2 = 1/4 - alpha/24 + O(alpha^3)
     pole = target - (REMAINDER_LIMIT / root_b + image)  # t q(u0)
@@ -629,9 +629,12 @@ def solve_rows(
     scaled_target, x0 = scale * target, math.log1p(1.0 / target)
     # 0-d arrays, read on every evaluation: a ufunc converts a Python float operand on each call
     scale, scaled_target, limit, x0 = map(np.array, (scale, scaled_target, tol * scaled_target, x0))
-    b = np.full(plus.size, b, dtype=np.float64)
+    # np.empty plus a fill, here and below, is np.full without its Python-level wrapper
+    b, given = np.empty(plus.size), b
+    b[...] = given
     levels = _cutoff(b)
-    sums = np.full((2, plus.size), np.nan)
+    sums = np.empty((2, plus.size))
+    sums.fill(np.nan)
     number, weighted = sums[0], sums[1]  # weighted: sum_n (e_n - e_1) N_n; both at scale c until the groups are solved
     iterations = np.zeros(plus.size, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

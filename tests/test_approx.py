@@ -22,6 +22,7 @@ from boxforce import (
     theta_partition_sum,
 )
 from boxforce.approx import MethodOutOfRangeError, semi_analytic_rows
+from boxforce.spectrum import energy_level
 from boxforce.occupancy import ConstraintSolverError
 
 from _oracles import bose_integral_quadrature, direct_force_theta
@@ -159,11 +160,11 @@ class TestSemiAnalyticConstraint:
         # just above the series cutoff the arctan/arctanh branches agree
         # with the shared series to far better than the series' own
         # truncation, so the primitive is continuous across the switch
-        from boxforce.approx import _bracket_primitive
+        from boxforce.approx import _bracket_primitive, _branches
 
         for v in (0.5, 2.0, 3.0):
             for alpha in (1.01e-6, -1.01e-6):
-                branch = _bracket_primitive(alpha, v, v**3, v**5)
+                branch = _bracket_primitive(alpha, _branches(alpha), v, v**3, v**5)
                 series = v - alpha * v**3 / 3.0 + alpha * alpha * v**5 / 5.0
                 assert abs(branch - series) < 1e-12 * v
 
@@ -185,6 +186,10 @@ class TestSemiAnalyticConstraint:
         assert errors[1] is None and errors[3] is None
         np.testing.assert_array_equal(np.isnan(alpha), [True, False, True, False])
         assert errors[0].bracket == (-2.49999999975e299, 1.999999999999)
+        assert str(errors[0]) == (
+            "no sign change, a non-finite value or no convergence (bracket: [-2.49999999975e+299, 1.999999999999])"
+        )
+        assert str(errors[2]) == "constraint still above N = 1 at alpha = 2"
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -201,6 +206,76 @@ class TestSemiAnalyticConstraint:
         alpha = semi_analytic_alpha(P, 100, 10.0)
         assert math.isfinite(alpha)
         assert alpha < 2.0
+
+
+def _two_branch_primitive(alpha, v, v3, v5):
+    """The bracket primitive as both branches and the series on every row, then np.where: the reference."""
+    r = np.sqrt(np.abs(alpha))
+    branch = np.where(alpha > 0.0, np.arctan(r * v), np.arctanh(r * v)) / r
+    series = v - alpha * v3 / 3.0 + alpha * alpha * v5 / 5.0
+    return np.where(np.abs(alpha) < 1e-6, series, branch)
+
+
+def _two_branch_number(alpha, rows):
+    b_e1, b_e2, sqrt_b, s2, s2_powers = rows
+    root = np.sqrt(2.0 - alpha)
+    head = 1.0 / (alpha + b_e1) + 0.5 / (alpha + b_e2) - 0.75
+    edge = -(root - s2) / (2.0 * sqrt_b)
+    v = 1.0 / root
+    tail = (_two_branch_primitive(alpha, *s2_powers) - _two_branch_primitive(alpha, v, v**3, v**5)) / sqrt_b
+    return head + edge + tail
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestBranchPerRow:
+    """Each row evaluates only its own arctan, arctanh or series branch, bit for bit the two-branch form."""
+
+    CUTOFF = 1e-6
+    # both signs of: zero, just below, at and just above the cutoff, and far from it; then nan
+    EDGES = [
+        sign * value
+        for value in (0.0, np.nextafter(CUTOFF, 0.0), CUTOFF, np.nextafter(CUTOFF, 1.0), 1.01e-6, 0.3, 1.9)
+        for sign in (1.0, -1.0)
+    ] + [-4.0, -70.0, math.nan]
+
+    def _alphas(self):
+        mixed = np.random.default_rng(7).uniform(-80.0, 1.99, 200)
+        return np.concatenate((mixed, self.EDGES))
+
+    def test_primitive_matches_two_branch_form(self):
+        from boxforce.approx import _bracket_primitive, _branches
+
+        alpha = self._alphas()
+        with np.errstate(all="ignore"):
+            for v in (0.01, 0.5, 2.0, 30.0, np.geomspace(0.01, 30.0, alpha.size)):  # r v past 1: arctanh is nan
+                got = _bracket_primitive(alpha, _branches(alpha), v, v**3, v**5)
+                assert _same_bits(got, _two_branch_primitive(alpha, v, v**3, v**5))
+            for a in self.EDGES:  # scalar alpha and v
+                got = _bracket_primitive(a, _branches(a), 0.7, 0.7**3, 0.7**5)
+                assert _same_bits(got, _two_branch_primitive(a, 0.7, 0.7**3, 0.7**5))
+
+    def test_number_matches_two_branch_form(self):
+        from boxforce.approx import _trapezoid_number, _trapezoid_rows
+
+        alpha = self._alphas()
+        b = np.geomspace(1e-4, 1e3, alpha.size)
+        plus = np.arange(alpha.size) % 2 == 0
+        e1 = np.where(plus, P.ground_energy, M.ground_energy)
+        e2 = np.where(plus, energy_level(P, 2), energy_level(M, 2))
+        with np.errstate(all="ignore"):
+            rows = _trapezoid_rows(e1, e2, b)
+            assert _same_bits(_trapezoid_number(alpha, rows), _two_branch_number(alpha, rows))
+            ends = np.stack((alpha, alpha[::-1]))  # 2-D alpha on 1-D row constants, as the solver's first call
+            assert _same_bits(_trapezoid_number(ends, rows), _two_branch_number(ends, rows))
+            for side in (P, M):
+                for a in self.EDGES:  # scalar alpha and b, every alpha above the pole -b e_1
+                    rows = _trapezoid_rows(side.ground_energy, energy_level(side, 2), 1e3)
+                    got, want = _trapezoid_number(a, rows), _two_branch_number(a, rows)
+                    assert type(got) is type(want) and _same_bits(got, want)
 
 
 class TestSemiAnalyticForce:

@@ -214,6 +214,19 @@ class TestWriteCsv:
         assert text == _reference_csv(rows)
         assert [line.split(",")[0] for line in text.splitlines()[1:]] == ["0", "-0", "3", "3"]
 
+    def test_shuffled_mixed_rows_match_the_per_field_writer(self, tmp_path):
+        # every method at one t, error rows, all 32 None patterns and both signed zeros, in random order:
+        # the C-level sort key must order them as (t, method name) does, ties kept in input order
+        rows = [self._row(t=2.5, method=method) for method in Method]
+        rows += [self._row(t=t, method=method, alpha_plus=None, alpha_minus=None, f_plus=None, f_minus=None,
+                           delta_f=None, status="error") for t, method in ((2.5, Method.LOW_T), (7.0, Method.LINEAR))]
+        for pattern in range(32):  # bit i set: data field i is None
+            data = [None if pattern >> i & 1 else AWKWARD[(pattern + i) % len(AWKWARD)] for i in range(5)]
+            rows.append(SweepRow(float(pattern % 5), list(Method)[pattern % 5], *data, "ok"))
+        rows += [self._row(t=-0.0, method=Method.HIGH_T), self._row(t=0.0), self._row(t=-0.0)]
+        shuffled = random.Random(5).sample(rows, len(rows))
+        assert self._written(shuffled, tmp_path) == _reference_csv(shuffled)
+
     def test_shuffled_sweep_rows_match_the_per_field_writer(self, tmp_path):
         config = SweepConfig(t_min=0.05, t_max=200.0, grid_points=12, methods=frozenset(Method))
         rows = sweep(config)

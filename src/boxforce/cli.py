@@ -109,10 +109,6 @@ def parse_config(argv: list[str] | None = None) -> SweepConfig:
         parser.error(str(exc))  # exits with status 2
 
 
-def _format_field(value: float | None) -> str:
-    return "" if value is None else format(value, ".17g")
-
-
 def write_csv(rows: list[SweepRow], destination: str) -> None:
     """Write sweep rows, ordered by temperature then method name.
 
@@ -130,7 +126,8 @@ def write_csv(rows: list[SweepRow], destination: str) -> None:
             last_t, t_text = t, format(t, ".17g")
         data = (alpha_plus, alpha_minus, f_plus, f_minus, delta_f)
         if alpha_plus is None or alpha_minus is None or f_plus is None or f_minus is None or delta_f is None:
-            lines.append(",".join((t_text, method._value_, *map(_format_field, data), status)))
+            fields = ["" if value is None else format(value, ".17g") for value in data]
+            lines.append(",".join((t_text, method._value_, *fields, status)))
         else:
             lines.append(_FULL_ROW % (t_text, method._value_, *data, status))
     text = "\n".join(lines) + "\n"

@@ -121,8 +121,18 @@ _BERNOULLI = (
     1.0, -0.5, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66, 0.0, -691 / 2730, 0.0, 7 / 6, 0.0,
     -3617 / 510, 0.0, 43867 / 798, 0.0, -174611 / 330, 0.0, 854513 / 138, 0.0, -236364091 / 2730, 0.0,
 )
-# terms of the power series of _series, which reach rounding for |Y| <= 12
-_SERIES_TERMS = 18
+# zeta(2k + 2) - 1, k = 0 to _LATTICE_TERMS, correctly rounded: the sums over |n| >= 2 of _lattice's series
+_ZETA_TAIL = (
+    0.6449340668482264, 0.08232323371113819, 0.01734306198444914, 0.00407735619794434, 0.0009945751278180853,
+    0.0002460865533080483, 6.124813505870483e-05, 1.528225940865187e-05, 3.81729326499984e-06,
+    9.539620338727962e-07, 2.38450502727733e-07, 5.960818905125948e-08, 1.4901554828365043e-08,
+    3.725334024788457e-09, 9.313274324196682e-10, 2.3283118336765053e-10, 5.820772087902701e-11,
+    1.4551921891041985e-11, 3.637979547378651e-12, 9.094947840263888e-13, 2.2737368458246524e-13,
+    5.684341987627585e-14, 1.4210854828031608e-14, 3.552713691337114e-15, 8.881784210930816e-16,
+    2.220446050798042e-16, 5.551115124845481e-17, 1.3877787809725232e-17, 3.4694469521659225e-18,
+)
+# terms of _lattice's series, which reach rounding for |A| < 1
+_LATTICE_TERMS = 28
 # Newton starts each row (_start) at the root of a pole model of its sum,
 # clamped at the root's exact lower bound x0 = log1p(1/N), inside the model's
 # window, and at x0 outside it. Split as for NODE_LEVELS, a row's sum is
@@ -292,14 +302,6 @@ def _level_sums(x, plan):
             lambda: np.add.reduceat(occ * gap, starts))
 
 
-def _series_matrix(terms: int) -> np.ndarray:
-    """Rows: the power series in Y of S(Y) = sinh(y)/y, E(Y) = (y cosh y - sinh y)/y^3, S' and E', Y = y^2."""
-    odd = [math.factorial(2 * k + 1) for k in range(terms + 1)]
-    s = [1.0 / odd[k] for k in range(terms)]
-    e = [2.0 * (k + 1) / odd[k + 1] for k in range(terms)]
-    return np.array([s, e, *([k * c for k, c in enumerate(f)][1:] + [0.0] for f in (s, e))])
-
-
 def _split_matrix(terms: int) -> np.ndarray:
     """The power series in alpha of R, -R' and the force moment, then of the n = 0 terms (see NODE_LEVELS)."""
     z, bernoulli, fact = _HALF_ZETA, _BERNOULLI, [math.factorial(j) for j in range(terms + 2)]
@@ -319,7 +321,9 @@ def _split_matrix(terms: int) -> np.ndarray:
 
 # Module constants are built with math, not numpy ufuncs, which would page in
 # their code at import time.
-_SERIES = _series_matrix(_SERIES_TERMS)
+# Phi's and -Phi''s series in y = -A, 2 (zeta(2k + 2) - 1) y^k and 2 (k + 1) (zeta(2k + 4) - 1) y^k, highest power first
+_LATTICE_SERIES = tuple(np.array([[2.0 * _ZETA_TAIL[k]], [2.0 * (k + 1) * _ZETA_TAIL[k + 1]]])
+                        for k in reversed(range(_LATTICE_TERMS)))
 _SPLIT_SERIES = _split_matrix(_SPLIT_TERMS)
 _SPLIT_POWERS = np.array([[float(j)] for j in range(_SPLIT_TERMS)])
 _FUGACITY_POWERS = np.array([[float(k)] for k in range(1, _FUGACITY_TERMS + 1)])
@@ -329,35 +333,26 @@ _FUGACITY_SERIES = np.array([[math.sqrt(math.pi / k) / 2.0 * w(k) for k in range
                              for w in (lambda k: 1.0, lambda k: k - 1.0, lambda k: 0.5 / k)])
 
 
-def _series(y2):
-    """rho(Y) = (y coth y - 1)/y^2 = E/S and d rho/dY at Y = y2 from _SERIES (Y < 0 continues y to i y)."""
-    powers = np.empty((_SERIES_TERMS - 1,) + y2.shape)
-    powers[0] = y2
-    for k in range(1, _SERIES_TERMS - 1):  # Y, Y^2, ...: 4x np.cumprod's speed on the start table's 1,668 points
-        np.multiply(powers[k - 1], y2, out=powers[k])
-    # einsum, not @: a BLAS call pages in ~0.25 MB of library code for this small product
-    sums = _SERIES[:, :1] + np.einsum("ck,kr->cr", _SERIES[:, 1:], powers.reshape(_SERIES_TERMS - 1, -1))
-    s, e, ds, de = sums.reshape((4,) + y2.shape)
-    return e / s, (de * s - e * ds) / (s * s)
-
-
 def _lattice(p, scale=1.0):
     """Phi(A) = sum_{n != 0} 1/(A + n^2) and c times -Phi'(A) = sum_{n != 0} 1/(A + n^2)^2 at A = p - 1 > -1.
 
     p = 1 + A, the distance from the pole at A = -1 (level n = +-1), comes in
     without cancellation. The closed form Phi = (pi/a) coth(pi a) - 1/A,
-    a = sqrt(A), serves A >= 1. For -1/2 <= A < 1 it cancels, and Phi =
-    pi^2 rho(pi^2 A) comes from the series of _series. For A < -1/2 it
-    continues to -(pi/a) cot(pi a) - 1/A, a = sqrt(-A), taken through the
-    complement 1 - a = p / (1 + a) so that the pole stays resolved. Measured
-    against mpmath: <= 1.7e-15 relative from p = 1e-14 to 1e8. -Phi' ~ 2/p^2
-    overflows below p ~ 1e-154; the power of two c = scale enters before squaring.
+    a = sqrt(A), serves A >= 1. Below A = 1 it cancels, and the n = +-1
+    terms 2/p and 2/p^2 are taken apart: the sums over |n| >= 2 are power
+    series in y = -A, Phi = 2/p + sum_k 2 (zeta(2k + 2) - 1) y^k and -Phi' =
+    2/p^2 + sum_k 2 (k + 1) (zeta(2k + 4) - 1) y^k, which converge for |A| <
+    4, and _LATTICE_TERMS terms, summed by Horner, reach rounding on -1 < A < 1.
+    Measured against mpmath from p = 1e-14 to 1e8: below A = 1 <= 2.2e-16
+    relative in Phi and 4.2e-16 in -Phi', and in the closed form, which
+    cancels most just above A = 1, <= 5.1e-16 and 1.1e-15. -Phi' ~ 2/p^2
+    overflows below p ~ 1e-154; the power of two c = scale enters before
+    squaring.
     """
-    low = math.ldexp(1.0, (math.frexp(scale)[1] - 1) // 2)  # and high = scale / low
     a2 = p - 1.0
     phi, squares = np.empty_like(p), np.empty_like(p)
-    hyperbolic, trigonometric = a2 >= 1.0, a2 < -0.5
-    series = ~(hyperbolic | trigonometric)
+    hyperbolic = a2 >= 1.0
+    series = ~hyperbolic
     if np.count_nonzero(hyperbolic):
         A = a2[hyperbolic]
         a = np.sqrt(A)
@@ -365,18 +360,15 @@ def _lattice(p, scale=1.0):
         phi[hyperbolic] = value
         squares[hyperbolic] = scale * ((value + (math.pi / np.sinh(math.pi * a)) ** 2 - 1.0 / A) / (2.0 * A))
     if np.count_nonzero(series):
-        rho, slope = _series(math.pi**2 * a2[series])
-        phi[series] = math.pi**2 * rho
-        squares[series] = -(math.pi**4 * scale) * slope
-    if np.count_nonzero(trigonometric):
-        A = a2[trigonometric]
-        a = np.sqrt(-A)
-        angle = math.pi * p[trigonometric] / (1.0 + a)
-        sine = np.sin(angle)
-        cot = np.cos(angle) / sine
-        phi[trigonometric] = math.pi * cot / a - 1.0 / A
-        pole, twist = math.pi / (a * sine), math.pi * cot / (2.0 * a**3)
-        squares[trigonometric] = 0.5 * ((low * pole) * (scale / low * pole)) - scale * twist - scale / (A * A)
+        q = p[series]
+        y = 1.0 - q
+        sums = np.zeros((2,) + y.shape)
+        for coefficient in _LATTICE_SERIES:
+            sums *= y
+            sums += coefficient
+        low = math.ldexp(1.0, (math.frexp(scale)[1] - 1) // 2)  # and high = scale / low
+        phi[series] = 2.0 / q + sums[0]
+        squares[series] = 2.0 * ((low / q) * (scale / low / q)) + scale * sums[1]
     return phi, squares
 
 
@@ -395,7 +387,10 @@ def _pole_sums(xt, ground, scale=1.0):
     c = 1/2), where in units of 1/2 it is the odd half of the integers,
     4 Phi(4A) - Phi(A); the sum of squares is -d/dA of either, scaled by the
     power of two c = scale inside _lattice. Both wells' Phi come from one
-    _lattice call, Phi(A) at the PLUS rows alone.
+    _lattice call, Phi(A) at the PLUS rows alone, each point on one of its
+    two branches: the coth closed form for A >= 1, and below it the n = +-1
+    pole plus a zeta series; Phi and -Phi' come within 5.1e-16 and 1.1e-15
+    relative of mpmath.
     """
     weight = 1.0 / ground  # 4 for PLUS, 1 for MINUS
     plus = np.flatnonzero(weight > 1.0)

@@ -11,6 +11,7 @@ Levels are exact closed forms evaluated on demand; nothing is tabulated.
 
 from __future__ import annotations
 
+import math
 import operator
 from enum import Enum
 from itertools import repeat
@@ -49,7 +50,7 @@ def energy_level(side: WellSide, n: int) -> float:
     (n - 1/2)^2 for PLUS, n^2 for MINUS; exact in double precision up to
     n = 10**7.
     """
-    if n < 1:
+    if not (1 <= n < math.inf and n % 1 == 0):  # an integral float such as 3.0 passes; nan and inf fail
         raise ValueError(f"level index must be a positive integer, got {n}")
     return energy_level_extended(side, n)
 

@@ -138,6 +138,17 @@ def _mp_lattice(a2):
     return mp.re(mp.pi / (a * mp.tanh(mp.pi * a))) - 1 / mpf(a2)
 
 
+def _mp_lattice_squares(a2):
+    """-Phi'(A) = sum_{n != 0} 1/(A + n^2)^2 at A = a2 > -1, A != 0.
+
+    The exact derivative of _mp_lattice's closed form, not a numerical one.
+    """
+    a2 = mpf(a2)
+    a = mp.sqrt(a2 + 0j)
+    pole = mp.pi**2 / (2 * a2 * mp.sinh(mp.pi * a) ** 2) + mp.pi / (2 * a**3 * mp.tanh(mp.pi * a))
+    return mp.re(pole) - 1 / a2**2
+
+
 def mp_pole_slope(plus: bool, u):
     """(q, d log q / d log u) of the pole model at u = A + e_1, q = (4 Phi(4A) - Phi(A))/2 (PLUS) or Phi(A)/2 (MINUS)."""
     def q(v):

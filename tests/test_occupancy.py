@@ -24,7 +24,8 @@ from boxforce.occupancy import (
 from boxforce.spectrum import level_gap
 
 from _oracles import (
-    _bose_remainder, bose_integral_quadrature, mp, mp_delta_f, mp_pole_slope, mp_remainder_integral,
+    _bose_remainder, _mp_lattice, _mp_lattice_squares, bose_integral_quadrature, mp, mp_delta_f, mp_pole_slope,
+    mp_remainder_integral,
 )
 
 P = WellSide.PLUS
@@ -810,13 +811,45 @@ class TestSplitPlan:
         pair = net_force(ThermoPoint(1_000, t))
         assert pair.delta_f == pytest.approx(float(mp_delta_f(1_000, t)), rel=1e-9)
 
+    def test_lattice_matches_mpmath(self):
+        # Phi and -Phi' on both branches against the closed form and its exact
+        # derivative: a dense grid from p = 1e-14 to 1e8, p = 2 +- 1e-12 (the
+        # seam A = 1) and p = 1 +- 1e-9 (A ~ 0). The worst errors on 40,000
+        # points over the same range were 5.1e-16 and 1.02e-15, just above the
+        # seam, where the closed form cancels; 2.2e-16 and 4.2e-16 below it
+        p = np.concatenate((
+            np.geomspace(1e-14, 1e8, 1201), np.linspace(0.002, 4.0, 1201),
+            2.0 + np.linspace(-1e-12, 1e-12, 9), 1.0 + np.linspace(-1e-9, 1e-9, 8),
+        ))
+        with np.errstate(over="ignore"):  # sinh overflows at large A, where its term is 0
+            phi, squares = occupancy._lattice(p)
+        oracles = (_mp_lattice, _mp_lattice_squares)
+        expected = np.array([[float(oracle(mp.mpf(v) - 1)) for v in p] for oracle in oracles])
+        np.testing.assert_allclose(phi, expected[0], rtol=6e-16, atol=0.0)
+        np.testing.assert_allclose(squares, expected[1], rtol=1.2e-15, atol=0.0)
+        # below p ~ 1e-154, -Phi' ~ 2/p^2 overflows; scaled by c = 2^-1000
+        # before squaring it is finite and c times mpmath's value
+        scale = math.ldexp(1.0, -1000)
+        p = np.array([1e-160, 3e-200, 1e-250, 2e-300])
+        phi, squares = occupancy._lattice(p, scale)
+        assert np.isfinite(squares).all()
+        for v, got_phi, got_squares in zip(p, phi, squares):
+            with mp.workdps(340):  # A = p - 1 resolves p
+                a2 = mp.mpf(v) - 1
+                exact_phi, exact_squares = _mp_lattice(a2), scale * _mp_lattice_squares(a2)
+            assert got_phi == pytest.approx(float(exact_phi), rel=6e-16)
+            assert got_squares == pytest.approx(float(exact_squares), rel=1.2e-15)
+
     def test_series_tables_match_mpmath(self):
-        # the hard-coded (sqrt(pi)/2) zeta(3/2 - j) and Bernoulli numbers, correctly rounded
+        # the hard-coded (sqrt(pi)/2) zeta(3/2 - j), Bernoulli numbers and zeta(2k + 2) - 1, correctly rounded
         assert len(occupancy._HALF_ZETA) == len(occupancy._BERNOULLI) == occupancy._SPLIT_TERMS + 2
         for j, value in enumerate(occupancy._HALF_ZETA):
             assert value == float(mp.sqrt(mp.pi) / 2 * mp.zeta(mp.mpf(3) / 2 - j))
         for n, value in enumerate(occupancy._BERNOULLI):
             assert value == float(mp.bernoulli(n))
+        assert len(occupancy._ZETA_TAIL) == occupancy._LATTICE_TERMS + 1
+        for k, value in enumerate(occupancy._ZETA_TAIL):
+            assert value == float(mp.zeta(2 * k + 2) - 1)
 
     def test_series_match_mp_integrals(self):
         # the six series of _split_sums on |alpha| <= 1, the domain their

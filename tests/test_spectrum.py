@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from boxforce import WellSide, energy_level, energy_level_extended, level_gap
@@ -31,11 +33,12 @@ def test_ground_state_split_is_three_quarters():
 
 
 def test_energy_level_rejects_nonpositive_indices():
-    for n in (0, -1, -100):
+    for n in (0, -1, -100, 2.5, math.nan, math.inf):
         with pytest.raises(ValueError):
             energy_level(P, n)
         with pytest.raises(ValueError):
             energy_level(M, n)
+    assert energy_level(M, 3.0) == 9.0  # an integral float passes
 
 
 def test_energy_level_exact_at_large_index():

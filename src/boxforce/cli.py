@@ -13,6 +13,7 @@ the output could not be written, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -69,6 +70,8 @@ def _parse_methods(text: str) -> frozenset[Method]:
     return frozenset(_METHOD_NAMES[name] for name in names)
 
 
+# built once per process: building the parser is most of a parse_config call, and parse_args leaves it unchanged
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boxforce",

@@ -95,6 +95,9 @@ _TILE = 1 << 14
 #   _SPLIT_TERMS terms reach rounding on |alpha| <= 1: the tail is below 3e-19
 #   of each remainder sum and 2e-18 of each n = 0 term. solve_rows keeps x >=
 #   x0 > 0, so alpha > -b e_1 >= -1/26,214.
+# Each branch returns c S, and its other two sums as thunks, formed when read
+# (_on_branches). The pole split's six series are one two-operand product,
+# weighted afterwards by c sqrt(t) or c; row constants are in the plan.
 # Against math.fsum direct sums (N = 1 to 1e9, t from the NODE_LEVELS
 # threshold to 1e10, both wells, at x0, the root, three times the root, x = 5
 # and alpha = 1, 1 +- 1e-12) the fugacity series measured at most 6.7e-16
@@ -306,16 +309,12 @@ def _split_matrix(terms: int) -> np.ndarray:
     """The power series in alpha of R, -R' and the force moment, then of the n = 0 terms (see NODE_LEVELS)."""
     z, bernoulli, fact = _HALF_ZETA, _BERNOULLI, [math.factorial(j) for j in range(terms + 2)]
     return np.array([
-        [
-            [(-1) ** j * z[j + 1] / fact[j] for j in range(terms)],  # R
-            [(-1) ** j * z[j + 2] / fact[j] for j in range(terms)],  # -R'
-            [(-1) ** j * (0.5 - j) * z[j] / fact[j] for j in range(terms)],  # integral of z/expm1(z)
-        ],
-        [
-            [-bernoulli[j + 1] / (2 * fact[j + 1]) for j in range(terms)],  # -r/2
-            [(j + 1) * bernoulli[j + 2] / (2 * fact[j + 2]) for j in range(terms)],  # r'/2
-            [-bernoulli[j] / (2 * fact[j]) for j in range(terms)],  # -alpha/expm1(alpha)/2
-        ],
+        [(-1) ** j * z[j + 1] / fact[j] for j in range(terms)],  # R
+        [(-1) ** j * z[j + 2] / fact[j] for j in range(terms)],  # -R'
+        [(-1) ** j * (0.5 - j) * z[j] / fact[j] for j in range(terms)],  # integral of z/expm1(z)
+        [-bernoulli[j + 1] / (2 * fact[j + 1]) for j in range(terms)],  # -r/2
+        [(j + 1) * bernoulli[j + 2] / (2 * fact[j + 2]) for j in range(terms)],  # r'/2
+        [-bernoulli[j] / (2 * fact[j]) for j in range(terms)],  # -alpha/expm1(alpha)/2
     ])
 
 
@@ -324,6 +323,8 @@ def _split_matrix(terms: int) -> np.ndarray:
 # Phi's and -Phi''s series in y = -A, 2 (zeta(2k + 2) - 1) y^k and 2 (k + 1) (zeta(2k + 4) - 1) y^k, highest power first
 _LATTICE_SERIES = tuple(np.array([[2.0 * _ZETA_TAIL[k]], [2.0 * (k + 1) * _ZETA_TAIL[k + 1]]])
                         for k in reversed(range(_LATTICE_TERMS)))
+# _pole_sums' lattice points are w xt + 0 and xt + 3/4 (_pole_weights)
+_LATTICE_SHIFT = np.array([[0.0], [0.75]])
 _SPLIT_SERIES = _split_matrix(_SPLIT_TERMS)
 _SPLIT_POWERS = np.array([[float(j)] for j in range(_SPLIT_TERMS)])
 _FUGACITY_POWERS = np.array([[float(k)] for k in range(1, _FUGACITY_TERMS + 1)])
@@ -333,10 +334,50 @@ _FUGACITY_SERIES = np.array([[math.sqrt(math.pi / k) / 2.0 * w(k) for k in range
                              for w in (lambda k: 1.0, lambda k: k - 1.0, lambda k: 0.5 / k)])
 
 
-def _lattice(p, scale=1.0):
-    """Phi(A) = sum_{n != 0} 1/(A + n^2) and c times -Phi'(A) = sum_{n != 0} 1/(A + n^2)^2 at A = p - 1 > -1.
+def _on_branches(on, branches, arrays, *shared):
+    """(value, *thunks) of branches[0] where on holds, of branches[1] elsewhere, each on its arrays' elements.
 
-    p = 1 + A, the distance from the pole at A = -1 (level n = +-1), comes in
+    All on one branch, it runs with no gather or scatter; else a thunk scatters both branches' thunks.
+    """
+    count = np.count_nonzero(on)
+    if count == on.size or not count:
+        return branches[0 if count else 1](*arrays, *shared)
+    parts = [(where, branch(*(array[..., where] for array in arrays), *shared))
+             for where, branch in ((on, branches[0]), (~on, branches[1]))]
+
+    def merged(k):
+        out = np.empty(on.shape)
+        for where, sums in parts:
+            out[where] = sums[k]() if k else sums[k]
+        return out
+
+    return (merged(0), *(functools.partial(merged, k) for k in range(1, len(parts[0][1]))))
+
+
+def _coth_lattice(p, scale):
+    """_lattice on A = p - 1 >= 1: the closed form."""
+    A = p - 1.0
+    a = np.sqrt(A)
+    pi_a, inverse = math.pi * a, 1.0 / A
+    phi = math.pi / (a * np.tanh(pi_a)) - inverse
+    return phi, lambda: scale * ((phi + (math.pi / np.sinh(pi_a)) ** 2 - inverse) / (2.0 * A))
+
+
+def _zeta_lattice(p, scale):
+    """_lattice on -1 < A = p - 1 < 1: the n = +-1 terms apart and the zeta series, both sums formed at once."""
+    y = 1.0 - p
+    sums = np.zeros((2,) + y.shape)
+    for coefficient in _LATTICE_SERIES:
+        sums *= y
+        sums += coefficient
+    low = math.ldexp(1.0, (math.frexp(scale)[1] - 1) // 2)  # and high = scale / low
+    return 2.0 / p + sums[0], lambda: 2.0 * ((low / p) * (scale / low / p)) + scale * sums[1]
+
+
+def _lattice(p, scale=1.0):
+    """Phi(A) = sum_{n != 0} 1/(A + n^2) and a thunk for c times -Phi'(A) = sum_{n != 0} 1/(A + n^2)^2, A = p - 1 > -1.
+
+    p = 1 + A, 1-D, the distance from the pole at A = -1 (level n = +-1), comes in
     without cancellation. The closed form Phi = (pi/a) coth(pi a) - 1/A,
     a = sqrt(A), serves A >= 1. Below A = 1 it cancels, and the n = +-1
     terms 2/p and 2/p^2 are taken apart: the sums over |n| >= 2 are power
@@ -349,84 +390,74 @@ def _lattice(p, scale=1.0):
     overflows below p ~ 1e-154; the power of two c = scale enters before
     squaring.
     """
-    a2 = p - 1.0
-    phi, squares = np.empty_like(p), np.empty_like(p)
-    hyperbolic = a2 >= 1.0
-    series = ~hyperbolic
-    if np.count_nonzero(hyperbolic):
-        A = a2[hyperbolic]
-        a = np.sqrt(A)
-        value = math.pi / (a * np.tanh(math.pi * a)) - 1.0 / A
-        phi[hyperbolic] = value
-        squares[hyperbolic] = scale * ((value + (math.pi / np.sinh(math.pi * a)) ** 2 - 1.0 / A) / (2.0 * A))
-    if np.count_nonzero(series):
-        q = p[series]
-        y = 1.0 - q
-        sums = np.zeros((2,) + y.shape)
-        for coefficient in _LATTICE_SERIES:
-            sums *= y
-            sums += coefficient
-        low = math.ldexp(1.0, (math.frexp(scale)[1] - 1) // 2)  # and high = scale / low
-        phi[series] = 2.0 / q + sums[0]
-        squares[series] = 2.0 * ((low / q) * (scale / low / q)) + scale * sums[1]
-    return phi, squares
+    return _on_branches(p >= 2.0, (_coth_lattice, _zeta_lattice), (p,), scale)
 
 
-def _split_plan(ground, b, scale):
-    """A split plan (see NODE_LEVELS): (rows, c), c its scale (_routes), rows t, e_1, c sqrt(t) and c for MINUS."""
-    t = 1.0 / b
-    image = ground == WellSide.MINUS.ground_energy
-    return np.stack((t, ground, scale * np.sqrt(t), scale * image)), scale
+def _pole_weights(ground):
+    """_pole_sums' row weights, w = 1/e_1: points' (w, 1), pole sum's (w, -[PLUS]) and squares' (w^2, -[PLUS])."""
+    weight = 1.0 / ground
+    even = np.where(weight > 1.0, -1.0, 0.0)  # PLUS: less Phi(A), the lattice's even half in units of 1/2
+    return weight, np.ones_like(weight), weight, even, weight * weight, even
 
 
-def _pole_sums(xt, ground, scale=1.0):
-    """The pole's lattice sum sum_{n != c} 1/(A + (n - c)^2) and c times that of its squares, A = xt - e_1, per row.
+def _pole_sums(xt, weights, scale=1.0):
+    """The pole's lattice sum sum_{n != c} 1/(A + (n - c)^2), A = xt - e_1, per row, and a thunk: c times its squares'.
 
     The lattice is the integers for MINUS (ground energy 1, c = 0), where
     the sum is Phi(A), and the half-integers for PLUS (ground energy 1/4,
     c = 1/2), where in units of 1/2 it is the odd half of the integers,
     4 Phi(4A) - Phi(A); the sum of squares is -d/dA of either, scaled by the
-    power of two c = scale inside _lattice. Both wells' Phi come from one
-    _lattice call, Phi(A) at the PLUS rows alone, each point on one of its
-    two branches: the coth closed form for A >= 1, and below it the n = +-1
-    pole plus a zeta series; Phi and -Phi' come within 5.1e-16 and 1.1e-15
-    relative of mpmath.
+    power of two c = scale inside _lattice. One _lattice call takes each
+    row's two points, w xt and xt + 3/4 (weighted by 0 for MINUS), weights
+    being the rows' _pole_weights; Phi and -Phi' come within 5.1e-16 and
+    1.1e-15 relative of mpmath.
     """
-    weight = 1.0 / ground  # 4 for PLUS, 1 for MINUS
-    plus = np.flatnonzero(weight > 1.0)
-    phi, squares = _lattice(np.concatenate((weight * xt, xt[plus] + 0.75)), scale)
-    count = len(xt)
-    pole, pole_squares = weight * phi[:count], weight * weight * squares[:count]
-    pole[plus] -= phi[count:]
-    pole_squares[plus] -= squares[count:]
-    return pole, pole_squares
+    phi, squares = _lattice((xt * weights[:2] + _LATTICE_SHIFT).ravel(), scale)
+    return (weights[2:4] * phi.reshape(2, -1)).sum(0), lambda: (weights[4:] * squares().reshape(2, -1)).sum(0)
 
 
-def _series_sums(x, alpha, rows, scale):
-    """_split_sums' three sums on rows with |alpha| <= 1, by the pole split (see NODE_LEVELS).
+def _split_plan(ground, b, scale):
+    """A split plan (see NODE_LEVELS): (rows, c), c its scale (_routes) and rows each row's constants, built once.
 
-    The pole's sum over n >= 1 is (t/2) times its lattice sum (_pole_sums); the remainder's sums of
-    r, -r' and z/expm1(z), with MINUS's n = 0 image, one product; sum_n (e_n - e_1) N_n = t (sum_n z_n N_n - x S).
+    They are t, e_1, c sqrt(t), c for MINUS (else 0), c t/2, t^2/2, e^(b e_1) and the _pole_weights.
     """
-    t, ground = rows[:2]
-    pole, pole_squares = _pole_sums(x * t, ground, scale)
-    powers = np.power(alpha, _SPLIT_POWERS)  # 1, alpha, alpha^2, ...
-    remainder, derivative, moment = np.einsum("wck,kr,wr->cr", _SPLIT_SERIES, powers, rows[2:])
-    number = 0.5 * scale * t * pole + remainder
+    t = 1.0 / b
+    half_t = 0.5 * t
+    image = ground == WellSide.MINUS.ground_energy
+    # np.array stacks the rows at less cost than np.stack
+    return np.array((t, ground, scale * np.sqrt(t), scale * image, scale * half_t, half_t * t, np.exp(ground / t),
+                     *_pole_weights(ground))), scale
+
+
+def _series_sums(x, alpha, xt, rows, scale):
+    """_split_sums' sums on rows with |alpha| <= 1, by the pole split (see NODE_LEVELS).
+
+    The pole's sum over n >= 1 is (t/2) times its lattice sum (_pole_sums); the remainder's sums of r, -r' and
+    z/expm1(z) and MINUS's n = 0 images are one two-operand product, weighted afterwards by c sqrt(t) and c;
+    sum_n (e_n - e_1) N_n = t (sum_n z_n N_n - x S). The last two sums are thunks.
+    """
+    t, root_t, image, half_ct, half_tt = rows[0], rows[2], rows[3], rows[4], rows[5]
+    pole, pole_squares = _pole_sums(xt, rows[7:], scale)
+    series = np.einsum("ck,kr->cr", _SPLIT_SERIES, np.power(alpha, _SPLIT_POWERS))  # powers 1, alpha, alpha^2, ...
+    weighted = root_t * series[:3]
+    weighted += image * series[3:]
+    remainder, derivative, moment = weighted[0], weighted[1], weighted[2]  # indexing, not iterating: a view each
+    number = half_ct * pole + remainder
     # sum N^2 = sum N (N + 1) - S
-    return number, 0.5 * t * t * pole_squares + derivative - number, t * (moment - x * number)
+    return number, lambda: half_tt * pole_squares() + derivative - number, lambda: t * (moment - x * number)
 
 
-def _fugacity_sums(x, alpha, rows, scale):
-    """_split_sums' three sums on rows with alpha > 1, in z = e^-alpha (see NODE_LEVELS); the moment is f - e_1 S."""
-    t, ground, root_t, image = rows
+def _fugacity_sums(x, alpha, xt, rows, scale):
+    """_split_sums' sums on rows with alpha > 1, in z = e^-alpha (see NODE_LEVELS); the moment is f - e_1 S."""
+    t, ground, root_t, image = rows[0], rows[1], rows[2], rows[3]
     # z = e^-x e^(b e_1): alpha = x - b e_1 would carry its own rounding, ~1e-15 at alpha ~ 10, into z
-    powers = np.power(np.exp(-x) * np.exp(ground / t), _FUGACITY_POWERS)  # z, z^2, ...
-    number, squares, force = root_t * np.einsum("ck,kr->cr", _FUGACITY_SERIES, powers)
+    powers = np.power(np.exp(-x) * rows[6], _FUGACITY_POWERS)  # z, z^2, ...
+    sums = root_t * np.einsum("ck,kr->cr", _FUGACITY_SERIES, powers)
+    number, squares, force = sums[0], sums[1], sums[2]
     ground_occupation = 1.0 / np.expm1(alpha)
     image = image * (0.5 * ground_occupation)  # c N(0)/2 for MINUS, 0 for PLUS
     number -= image
-    return number, squares - image * ground_occupation, t * force - ground * number
+    return number, lambda: squares - image * ground_occupation, lambda: t * force - ground * number
 
 
 def _split_sums(x, plan):
@@ -436,18 +467,10 @@ def _split_sums(x, plan):
     pole split up to _FUGACITY_ALPHA, the fugacity series past it. Call under np.errstate.
     """
     rows, scale = plan
-    t, ground = rows[:2]
-    alpha = (x * t - ground) / t
-    sums = np.empty((3, x.size))
-    series = alpha <= _FUGACITY_ALPHA
-    for branch, on in ((_series_sums, series), (_fugacity_sums, ~series)):
-        count = np.count_nonzero(on)
-        if count == x.size:  # every row on one branch: no gather or scatter
-            sums = branch(x, alpha, rows, scale)
-        elif count:
-            sums[:, on] = branch(x[on], alpha[on], rows[:, on], scale)
-    number, squares, moment = sums
-    return number, lambda: squares, lambda: moment
+    t, ground = rows[0], rows[1]
+    xt = x * t
+    alpha = (xt - ground) / t
+    return _on_branches(alpha <= _FUGACITY_ALPHA, (_series_sums, _fugacity_sums), (x, alpha, xt, rows), scale)
 
 
 def _routes(plus, ground, b, levels, scale):
@@ -506,7 +529,8 @@ def _start_tables():
     u = np.exp(log_u)
     ground = np.repeat([WellSide.MINUS.ground_energy, WellSide.PLUS.ground_energy], _START_KNOTS)
     with np.errstate(over="ignore"):  # sinh overflows at large u, where its term in the sum of squares is 0
-        pole, squares = (sums.reshape(2, -1) for sums in _pole_sums(np.tile(u, 2), ground))  # MINUS, PLUS
+        pole, squares = _pole_sums(np.tile(u, 2), np.array(_pole_weights(ground)))
+        pole, squares = pole.reshape(2, -1), squares().reshape(2, -1)  # MINUS, PLUS
     q = 0.5 * pole
     slope = -0.5 * u * squares / q  # u q'/q
     log_q = np.log(q)

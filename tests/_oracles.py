@@ -166,17 +166,23 @@ def mp_delta_f_polylog(n_particles: int, t):
     e = 2/sqrt(pi t), z = e^-alpha and sigma = 1 for MINUS, whose level n =
     0 is no level. This is Poisson summation of the level sums, exact up to
     ~exp(-2 pi sqrt(alpha t)) and the level cutoff's ~1e-17; it holds only
-    for alpha > 0, where the polylogs' series converge.
+    for alpha > 0, where the polylogs' series converge. So the root is
+    sought by the secant method in log alpha, from the root of Li_{1/2}(z)
+    = N e: z = N e where N e < 1, else Li_{1/2} ~ sqrt(pi/alpha) + zeta(1/2),
+    its limit near alpha = 0. The polylogs are real there, and only their
+    real parts are taken.
     """
     t = mpf(t)
     e = 2 / mp.sqrt(mp.pi * t)
+    y = n_particles * e
+    start = -mp.log(y) if y < 1 else mp.pi / (y - mp.zeta(mpf(1) / 2)) ** 2
 
     def force(sigma):
-        def excess(alpha):
-            z = mp.exp(-alpha)
-            return mp.polylog(mpf(1) / 2, z) / e - sigma * z / (2 * (1 - z)) - n_particles
+        def excess(log_alpha):
+            z = mp.exp(-mp.exp(log_alpha))
+            return mp.re(mp.polylog(mpf(1) / 2, z)) / e - sigma * z / (2 * (1 - z)) - n_particles
 
-        alpha = mp.findroot(excess, mp.log(1 / (e * n_particles)))
-        return t / (2 * e) * mp.polylog(mpf(3) / 2, mp.exp(-alpha))
+        alpha = mp.exp(mp.findroot(excess, mp.log(start)))
+        return t / (2 * e) * mp.re(mp.polylog(mpf(3) / 2, mp.exp(-alpha)))
 
     return force(1) - force(0)

@@ -89,6 +89,18 @@ class TestNetForce:
             assert abs(solved.force[1] - solved.force[0] - exact) > DEFAULT_TOL * exact
         assert float(mp_delta_f_polylog(1, 26_300.0)) == pytest.approx(float(mp_delta_f(1, 26_300.0)), rel=1e-15)
 
+    @pytest.mark.parametrize("t", [1e6, 1e7, 1e8])
+    def test_large_n_pole_split_rows_match_polylog_oracle(self, t):
+        # the wide rows of the large_n grid (N = 1e4) lie near condensation,
+        # N >~ 0.9 sqrt(t), on the pole split (alpha < 1), where delta_f is
+        # f_minus - f_plus and loses ~log10 sqrt(t) digits to cancellation;
+        # the oracle's remainder, ~exp(-2 pi sqrt(alpha t)), is far below
+        # rounding there (alpha t > 300)
+        solved = solve_rows((P, M), 10_000, 1.0 / t)
+        assert (solved.alpha < 1.0).all() and (solved.alpha * t > 300.0).all() and (solved.levels_used > 1024).all()
+        exact = float(mp_delta_f_polylog(10_000, t))
+        assert net_force(ThermoPoint(10_000, t)).delta_f == pytest.approx(exact, rel=1e-10)
+
     def test_low_t_plateau_value(self):
         assert net_force(ThermoPoint(100, 0.01)).delta_f == pytest.approx(75.0, abs=1e-3)
 

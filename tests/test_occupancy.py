@@ -823,6 +823,7 @@ class TestSplitPlan:
         ))
         with np.errstate(over="ignore"):  # sinh overflows at large A, where its term is 0
             phi, squares = occupancy._lattice(p)
+            squares = squares()
         oracles = (_mp_lattice, _mp_lattice_squares)
         expected = np.array([[float(oracle(mp.mpf(v) - 1)) for v in p] for oracle in oracles])
         np.testing.assert_allclose(phi, expected[0], rtol=6e-16, atol=0.0)
@@ -832,6 +833,7 @@ class TestSplitPlan:
         scale = math.ldexp(1.0, -1000)
         p = np.array([1e-160, 3e-200, 1e-250, 2e-300])
         phi, squares = occupancy._lattice(p, scale)
+        squares = squares()
         assert np.isfinite(squares).all()
         for v, got_phi, got_squares in zip(p, phi, squares):
             with mp.workdps(340):  # A = p - 1 resolves p
@@ -859,7 +861,7 @@ class TestSplitPlan:
         # alpha of a wide row, 1 the edge of the fugacity series
         alphas = np.array([-0.999, -0.5, -1 / 26_214.4, 0.0, 1e-9, 0.01, 0.1, 0.302, 0.5, 0.75, 1.0])
         powers = np.power(alphas, occupancy._SPLIT_POWERS)
-        series = np.einsum("wck,kr->wcr", occupancy._SPLIT_SERIES, powers).reshape(6, -1)
+        series = np.einsum("ck,kr->cr", occupancy._SPLIT_SERIES, powers)
         for a, got in zip(alphas, series.T):
             z = mp.mpf(a)
             image = mp.mpf(1) if a == 0.0 else z / mp.expm1(z)
@@ -889,6 +891,78 @@ class TestSplitPlan:
         series, fugacity = (np.concatenate(alphas) for alphas in seen.values())
         assert -1.0 / threshold < series.min() and series.max() <= 1.0 < fugacity.min()
 
+    def test_split_sums_are_each_branchs_own(self):
+        # on a group all on the pole split (the large_n grid's wide rows at
+        # their roots), all on the fugacity series (N = 1's roots) and mixed
+        # (both sets of rows in one plan), _split_sums' three sums are, bit
+        # for bit, what each branch returns for its own rows alone, gathered
+        # out of the plan
+        t = np.repeat(np.geomspace(3e4, 1e8, 20), 2)
+        ground = np.tile([P.ground_energy, M.ground_energy], 20)
+        split, fugacity = (solve_rows([P, M] * 20, n, 1.0 / t).shifted_alpha for n in (10**4, 1))
+        scale = math.ldexp(1.0, -14)  # solve_rows' c at N = 1e4
+        kinds = []
+        for x, t_rows, ground_rows in ((split, t, ground), (fugacity, t, ground),
+                                       (np.concatenate((split, fugacity)), np.tile(t, 2), np.tile(ground, 2))):
+            plan = occupancy._split_plan(ground_rows, 1.0 / t_rows, scale)
+            rows = plan[0]
+            xt = x * rows[0]  # t = 1/b, as the plan holds it
+            alpha = (xt - ground_rows) / rows[0]
+            series = alpha <= occupancy._FUGACITY_ALPHA
+            kinds.append(np.count_nonzero(series))
+            with np.errstate(over="ignore"):
+                sums = kernel_sums(occupancy._split_sums, x, plan)
+                for branch, on in ((occupancy._series_sums, series), (occupancy._fugacity_sums, ~series)):
+                    if np.count_nonzero(on):
+                        number, squares, moment = branch(x[on], alpha[on], xt[on], rows[:, on], scale)
+                        for got, own in zip(sums, (number, squares(), moment())):
+                            np.testing.assert_array_equal(got[on], own)
+        assert kinds == [40, 0, 40]  # all split, all fugacity, and half and half
+
+    def test_branch_sums_formed_only_when_read(self, monkeypatch):
+        # inside solve_rows each branch of the split kernel forms its sum of
+        # squares only on the evaluations a step follows, and its moment once
+        # per group, on the last, whether all of the group's rows take one
+        # branch on an evaluation or its rows take both; converged and stopped
+        # at max_iter = 1 and 2
+        evaluations = []  # per _split_sums call: {branch: [squares formed, moments formed]}
+        split_sums = occupancy._split_sums
+
+        def split_counted(x, plan):
+            evaluations.append({})
+            return split_sums(x, plan)
+
+        def spied(name, branch):
+            def counted(*args):
+                number, squares, moment = branch(*args)
+                formed = evaluations[-1].setdefault(name, [0, 0])
+
+                def read(k, sums):
+                    formed[k] += 1
+                    return sums()
+
+                return number, lambda: read(0, squares), lambda: read(1, moment)
+
+            return counted
+
+        monkeypatch.setattr(occupancy, "_split_sums", split_counted)
+        for name in ("_series_sums", "_fugacity_sums"):
+            monkeypatch.setattr(occupancy, name, spied(name, getattr(occupancy, name)))
+        kinds = set()
+        t = np.repeat(np.geomspace(3e4, 1e11, 40), 2)
+        for n_particles in (1, 100, 10**4):  # roots on the series, on both sides of the seam, near condensation
+            for max_iter in (1, 2, occupancy.MAX_ITER):
+                evaluations.clear()
+                solved = solve_rows([P, M] * 40, n_particles, 1.0 / t, max_iter=max_iter)
+                assert solved.converged.all() or max_iter < 3
+                count = len(evaluations)  # the 80 wide rows make one group
+                assert count == solved.iterations.max()
+                for i, formed in enumerate(evaluations):
+                    kinds.add(tuple(sorted(formed)))
+                    for squares, moments in formed.values():
+                        assert (squares, moments) == ((0, 1) if i == count - 1 else (1, 0))
+        assert kinds == {("_series_sums",), ("_fugacity_sums",), ("_fugacity_sums", "_series_sums")}
+
 
 class TestStartModel:
     def test_remainder_constants_match_mp_integrals(self):
@@ -910,6 +984,7 @@ class TestStartModel:
         u = np.exp(log_u)
         with np.errstate(over="ignore"):  # as in _start_tables
             phi, squares = occupancy._lattice(np.concatenate((4.0 * u, u + 0.75, u)))
+            squares = squares()
         four_a, a_plus, a_minus = phi.reshape(3, -1)
         four_s, s_plus, s_minus = squares.reshape(3, -1)
         wells = (

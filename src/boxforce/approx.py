@@ -1,14 +1,10 @@
 """Closed-form and semi-analytic approximations to the net force.
 
-Four regimes are covered, together with the summation identities used to
-validate them against the exact level sums:
-
-* two-level form for t below about 1,
-* heuristic linear decrease, valid up to roughly t = 2N/3,
-* trapezoid-rule (sum-to-integral) treatment giving a semi-analytic
-  constraint plus a two-term force expression, aimed at t well above 1,
-* fugacity expansion with Fourier-resummed level sums for the
-  square-root-of-t asymptotics.
+One function per temperature regime (delta_f_low_t, delta_f_linear,
+semi_analytic_delta_f, delta_f_high_t), each stating its form and window,
+and the small-b machinery behind the high-t law, checked against the exact
+sums: the level sums by two routes (theta_partition_sum, poisson_force_sum)
+and the fugacity expansion (fugacity_expansion).
 
 All quantities are dimensionless. Regime edges are reported through
 validity flags rather than errors, so a full temperature sweep can plot
@@ -159,9 +155,11 @@ def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exc
     S falls from +inf at the pole alpha = -b e_1, so the pole and alpha = 2
     bracket each root. Illinois false-position steps on (S - N)(alpha + b e_1),
     finite and nearly linear at the pole, land at least tol/2 inside each
-    bracket until hi - lo <= tol = 1e-15 + 4 eps |alpha|, in at most 200 steps.
-    Returns alpha (nan where a row failed) and each row's error or None:
-    MethodOutOfRangeError if S > N at alpha = 2, else ConstraintSolverError.
+    bracket until hi - lo <= tol = 1e-15 + 4 eps |alpha|, in at most 200
+    steps. On N in [1, 1e4] and t in [1e-3, 1e7], both wells, a call takes at
+    most 17 (test_illinois_steps_stay_within_seventeen). Returns alpha (nan
+    where a row failed) and each row's error or None: MethodOutOfRangeError
+    if S > N at alpha = 2, else ConstraintSolverError.
     """
     plus = plus_mask(sides)
     e1 = np.where(plus, WellSide.PLUS.ground_energy, WellSide.MINUS.ground_energy)
@@ -246,9 +244,12 @@ def theta_partition_sum(side: WellSide, k: int, b: float, method: str = "direct"
     "direct" accumulates the level terms until one falls below the relative
     cutoff; "poisson" evaluates the Fourier-resummed form
     -sigma/2 + sqrt(pi/(4kb)) * sum_m tau^m exp(-pi^2 m^2/(kb)), whose tail
-    is cut once the exponential drops below the cutoff. The two routes
-    agree to near machine precision, which is this module's central
-    identity check.
+    is cut once the exponential drops below the cutoff. Their agreement,
+    this module's central identity check, is absolute past kb ~ 10, where
+    the Poisson terms cancel down to a sum below their rounding: over kb =
+    10 to 1e6 within 5e-17 for PLUS and 2.2e-15 for MINUS, whose -1/2
+    cancels. So at kb = 100 the PLUS Poisson value is 2.8e-7 relative off,
+    and at kb = 1e4 it is -3.7e-18 for a positive sum.
     """
     u = _theta_exponent(k, b)
     if method == "direct":
@@ -269,6 +270,8 @@ def poisson_force_sum(side: WellSide, k: int, b: float) -> float:
     """Fourier-resummed form of sum_{n>=1} e_n exp(-k b e_n).
 
     sqrt(pi/(16 k^3 b^3)) * sum_m tau^m (1 - 2 pi^2 m^2/(kb)) exp(-pi^2 m^2/(kb)).
+    Absolute, as theta_partition_sum's Poisson route: within 1.3e-16 of the
+    direct sums over kb = 10 to 1e6, 6e-11 relative for MINUS at kb ~ 13.
     """
     u = _theta_exponent(k, b)
     return math.sqrt(math.pi / (16.0 * u**3)) * _fourier_sum(side, u, force=True)
@@ -329,11 +332,10 @@ def delta_f_high_t(n_particles: int, t):
     """Leading high-temperature net force at t (scalar or array): (N/2) sqrt(t/pi).
 
     The remainder delta_f - (N/2) sqrt(t/pi) tends to the constant
-    c(N) = N/(2 pi) - (sqrt(2) - 1) N^2/pi (-11.593 at N = 10, -1302.57 at
-    N = 100), the gap closing like 1/sqrt(t). The relative error therefore
-    dies off only as 1/sqrt(t), at about 0.4-0.45 N/sqrt(t) near t = 100 N^2,
-    and falls below 5% only for t >~ 80 N^2 (N = 100: ratio 0.675 at t = N^2,
-    0.956 at t = 100 N^2).
+    c(N) = N/(2 pi) - (sqrt(2) - 1) N^2/pi, the gap closing like 1/sqrt(t)
+    (test_remainder_approaches_its_constant). The relative error, of order
+    N/sqrt(t), therefore dies off only as 1/sqrt(t), and the law is within
+    5% only for t of order 100 N^2 (test_criterion_06_high_t_asymptotics).
     """
     check_domain(n_particles, t)
     return 0.5 * n_particles * np.sqrt(t / math.pi)

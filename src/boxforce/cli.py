@@ -54,10 +54,14 @@ class SweepConfig:
         check_domain(self.n_particles, (self.t_min, self.t_max))
         if not self.t_min <= self.t_max:
             raise ValueError(f"--t-min must not exceed --t-max, got [{self.t_min}, {self.t_max}]")
-        if self.grid_points < 1:
-            raise ValueError(f"--points must be >= 1, got {self.grid_points}")
-        if not self.methods:
-            raise ValueError("--methods must name at least one method")
+        # temperature_grid tests `is GridScale.LOG`, so any other value would sweep a linear grid
+        if not isinstance(self.grid_scale, GridScale):
+            raise ValueError(f"--scale must be a GridScale, got {self.grid_scale!r}")
+        # np.linspace takes a count through __index__: an int or a numpy integer, not even an integral float
+        if not (hasattr(self.grid_points, "__index__") and operator.index(self.grid_points) >= 1):
+            raise ValueError(f"--points must be an integer >= 1, got {self.grid_points!r}")
+        if not self.methods or not all(isinstance(method, Method) for method in self.methods):
+            raise ValueError(f"--methods must be one or more Method members, got {set(self.methods) or 'none'}")
         check_tolerance(self.tolerance)
 
 

@@ -1,26 +1,15 @@
 """Bose-Einstein occupations and the particle-number constraint.
 
-Each half well holds a fixed number N of ideal bosons. The occupations are
-N_n = 1/(exp(alpha + b e_n) - 1) at inverse temperature b = 1/t, and the
-multiplier alpha is fixed by the constraint S = sum_n N_n = N.
-
-The constraint is solved in the shifted variable x = alpha + b e_1 > 0.
-At low temperature alpha approaches log1p(1/N) - b e_1, a difference of
-two numbers of order b, while x stays of order 1/N; solving for x keeps
-the ground-state occupation fully resolved at every temperature. A row's
-levels stay fixed during a solve, so solve_rows builds the level plan of
-each group of rows once and runs Newton on it to the end, stepping in
-w = log(expm1 x), where log S is nearly linear, from each row's start (see
-REMAINDER_LIMIT). A plan lays its rows' levels end to end, each row a run
-of exactly its own levels, and sums each run pairwise, so a row's sums
-round the same in any group. A wide row sums its levels as one integral
-instead, exact by Poisson summation up to a remainder far below rounding
-(see NODE_LEVELS): a power series in the fugacity e^-alpha for alpha > 1;
-for |alpha| <= 1 the occupation's pole, summed in closed form, plus the
-remainder's power series in alpha, with zeta values for coefficients. The
-level cutoff (TAIL_EXPONENT), the series' lengths, the start and the
-batched Newton iteration are choices of this implementation; only the
-occupation formula and the constraint itself are physics.
+Each half well holds N ideal bosons, with occupations N_n = 1/(exp(alpha +
+b e_n) - 1) at b = 1/t and the multiplier alpha fixed by S = sum_n N_n = N.
+These two formulas are the physics; the rest is this implementation's
+choice, documented where it is defined. solve_rows solves the constraint
+on many rows at once (solve_alpha is one row of it). _routes groups its
+rows and gives each group a kernel and a plan: _level_sums, the sums over
+a row's levels up to the TAIL_EXPONENT cutoff, for rows of at most
+NODE_LEVELS levels, and _split_sums, one integral (the NODE_LEVELS block),
+for wider ones. _start gives each row's first iterate (the REMAINDER_LIMIT
+block). check_domain and check_tolerance are the input rules.
 """
 
 from __future__ import annotations
@@ -55,13 +44,13 @@ OVERFLOW_EXPONENT = 700.0
 TAIL_EXPONENT = 40.0
 DEFAULT_TOL = 1e-12
 # The smallest tolerance accepted. The float64 sums round to ~1e-15 N, so a
-# smaller tol asks for digits they do not hold: over N = 1 to 1e300 and t =
-# 1e-300 to 2e14 every row converged at 2e-15 but one (N = 1, MINUS, t = 2e14)
-# failed at 1e-15. The floor keeps a factor 5 above 2e-15, and at it every row
-# still converges within 6 evaluations (tests/test_occupancy.py).
+# smaller tol asks for digits they do not hold: on the domain of solve_rows'
+# step bound every row converged at 2e-15 but one (N = 1, MINUS, t = 2e14)
+# failed at 1e-15. The floor keeps a factor 5 above 2e-15.
 MIN_TOL = 1e-14
 MAX_ITER = 200
-# rows whose cutoff passes this many levels (t > ~2.5e14) are not attempted
+# rows whose cutoff (_cutoff) passes this many levels are not attempted: they
+# stop unconverged, with no evaluation
 MAX_LEVELS = 100_000_000
 # largest plan or level-sum temporary, in float64 elements: the levels (or
 # series terms) of a group's rows, laid end to end
@@ -95,9 +84,6 @@ _TILE = 1 << 14
 #   _SPLIT_TERMS terms reach rounding on |alpha| <= 1: the tail is below 3e-19
 #   of each remainder sum and 2e-18 of each n = 0 term. solve_rows keeps x >=
 #   x0 > 0, so alpha > -b e_1 >= -1/26,214.
-# Each branch returns c S, and its other two sums as thunks, formed when read
-# (_on_branches). The pole split's six series are one two-operand product,
-# weighted afterwards by c sqrt(t) or c; row constants are in the plan.
 # Against math.fsum direct sums (N = 1 to 1e9, t from the NODE_LEVELS
 # threshold to 1e10, both wells, at x0, the root, three times the root, x = 5
 # and alpha = 1, 1 +- 1e-12) the fugacity series measured at most 6.7e-16
@@ -162,9 +148,10 @@ _LATTICE_TERMS = 28
 #   alpha = 1.12, N = START_DEGENERACY sqrt(t). Past that its root carries
 #   no information on N (it tends to alpha = 1.47 as N/sqrt(t) -> 0), and
 #   the row keeps x0.
-# Over N = 1 to 1e300 and t = 1e-300 to 2e14 every row converges within 6
-# evaluations, and within 4 from the model's root; the mean per row on the
-# large_n grid (N = 1e4, t = 1 to 1e8) is 2.13 (tests/test_occupancy.py).
+# A row started at the model's root converges within 4 evaluations
+# (test_every_row_converges_within_six_evaluations); the mean per row on the
+# large_n grid (N = 1e4, t = 1 to 1e8) is 2.13
+# (test_start_cuts_evaluations_on_the_benchmark_grids).
 REMAINDER_LIMIT = _HALF_ZETA[1]
 REMAINDER_SLOPE = -_HALF_ZETA[2]
 START_T = 1.48
@@ -406,11 +393,10 @@ def _pole_sums(xt, weights, scale=1.0):
     The lattice is the integers for MINUS (ground energy 1, c = 0), where
     the sum is Phi(A), and the half-integers for PLUS (ground energy 1/4,
     c = 1/2), where in units of 1/2 it is the odd half of the integers,
-    4 Phi(4A) - Phi(A); the sum of squares is -d/dA of either, scaled by the
-    power of two c = scale inside _lattice. One _lattice call takes each
-    row's two points, w xt and xt + 3/4 (weighted by 0 for MINUS), weights
-    being the rows' _pole_weights; Phi and -Phi' come within 5.1e-16 and
-    1.1e-15 relative of mpmath.
+    4 Phi(4A) - Phi(A); the sum of squares is -d/dA of either, times c =
+    scale, taken inside _lattice. One _lattice call takes each row's two
+    points, w xt and xt + 3/4 (weighted by 0 for MINUS), weights being the
+    rows' _pole_weights.
     """
     phi, squares = _lattice((xt * weights[:2] + _LATTICE_SHIFT).ravel(), scale)
     return (weights[2:4] * phi.reshape(2, -1)).sum(0), lambda: (weights[4:] * squares().reshape(2, -1)).sum(0)
@@ -616,29 +602,31 @@ def solve_rows(
     """Solve sum_n N_n = N on many rows at once, one row per (sides[i], b[i]).
 
     Every row holds the same N = n_particles; b is an array, or a scalar
-    broadcast over the rows. At x0 = log1p(1/N) level 1 alone holds N
-    particles, so S(x0) >= N: x0 is the root's exact lower bound. A row's
-    start (see REMAINDER_LIMIT) depends on its own (N, t, well) alone. Newton's step in x, log(S/N) S/(S + sum_n N_n^2),
-    is taken in w = log(expm1 x), w += step/(1 - e^-x). There d log S/dw
-    is minus a weighted mean of (1 - e^-x)/(1 - e^-z_n), z_n = x + b (e_n -
+    broadcast over the rows. The solve runs in x = alpha + b e_1, of order
+    1/N at low t, where alpha ~ log1p(1/N) - b e_1 cancels. At x0 =
+    log1p(1/N) level 1 alone holds N particles, so S(x0) >= N: x0 is the
+    root's exact lower bound. A row's start (_start) depends on its own (N,
+    t, well) alone. Newton's step in x, log(S/N) S/(S + sum_n N_n^2), is
+    taken in w = log(expm1 x), w += step/(1 - e^-x). There d log S/dw is
+    minus a weighted mean of (1 - e^-x)/(1 - e^-z_n), z_n = x + b (e_n -
     e_1), in (0, 1], so log S is linear in w for one level and nearly so far
     from condensation (w ~ x) and in degenerate rows (w ~ log x, S a power
     of x). A step may overshoot the root, the next ones returning from the
     right. Iterates are clamped at x0, which keeps a wide row's alpha above
-    -b e_1, inside the pole split's domain (see NODE_LEVELS). A row stops
-    once |S - N| <= tol * N, or unconverged at max_iter evaluations or a
-    non-finite step; over N = 1 to 1e300 and t = 1e-300 to 2e14 every row
-    stopped converged within 6 evaluations, at DEFAULT_TOL and at MIN_TOL,
-    and the clamp never acted (tests/test_occupancy.py). The groups of
-    _routes are solved one by one on plans built once, at the scale c of
-    _routes: the solve runs on c S against c N, and the sums are unscaled
-    once all groups are solved. A stopped row stays in its group's plan,
-    frozen at its x, where each kernel keeps its sums its own. An
-    evaluation reads S; sum_n N_n^2 only where a step may follow, and the
-    force moment sum_n (e_n - e_1) N_n once per group, on the evaluation
-    where it stops: when its last row stops (by tol or a non-finite step) or
-    at max_iter. The group then writes its results (at max_iter = 0 each row
-    reports its start).
+    -b e_1, inside the pole split's domain (NODE_LEVELS). A row stops once
+    |S - N| <= tol * N, or unconverged at max_iter evaluations or a
+    non-finite step. Over N = 1 to 1e300 and t = 1e-300 to 2e14 every row
+    stops converged within 6 evaluations, at DEFAULT_TOL and at MIN_TOL, and
+    the clamp never acts (test_every_row_converges_within_six_evaluations).
+
+    The groups of _routes are solved one by one, each on a plan built once
+    and summed at _routes' scale c; the sums are unscaled once all groups
+    are solved. A stopped row stays in its group's plan, frozen at its x,
+    where each kernel keeps its sums its own. An evaluation reads S; sum_n
+    N_n^2 only where a step may follow, and the force moment sum_n (e_n -
+    e_1) N_n once per group, on the evaluation where it stops: when its last
+    row stops (by tol or a non-finite step) or at max_iter. The group then
+    writes its results (at max_iter = 0 each row reports its start).
     """
     check_tolerance(tol)
     plus = plus_mask(sides)
@@ -710,9 +698,7 @@ def solve_alpha(
 ) -> AlphaSolution:
     """Solve sum_n N_n = N for the multiplier of one half well.
 
-    A one-row solve_rows call: Newton on log sum_n N_n in w = log(expm1 x),
-    x = alpha + b e_1, from the row's start (see REMAINDER_LIMIT) until
-    |sum_n N_n - N| <= tol * N.
+    A one-row solve_rows call, converged once |sum_n N_n - N| <= tol * N.
     Raises ConstraintSolverError, carrying the bracket [x0, last iterate],
     when the solve fails.
     """

@@ -21,6 +21,7 @@ from boxforce import (
     solve_alpha,
     theta_partition_sum,
 )
+from boxforce import approx
 from boxforce.approx import MethodOutOfRangeError, semi_analytic_rows
 from boxforce.spectrum import energy_level
 from boxforce.occupancy import ConstraintSolverError
@@ -175,6 +176,22 @@ class TestSemiAnalyticConstraint:
         assert errors == [None] * len(sides)
         scalar = np.array([semi_analytic_alpha(side, 100, float(tt)) for side, tt in zip(sides, t)])
         assert np.all(np.abs(alpha - scalar) <= 1e-13 * np.maximum(1.0, np.abs(scalar)))
+
+    def test_illinois_steps_stay_within_seventeen(self, monkeypatch):
+        # semi_analytic_rows' step bound: one _trapezoid_number call for both
+        # bracket ends, then one per step, over 29 integer N log-spaced in
+        # [1, 1e4] and 400 t log-spaced in [1e-3, 1e7], both wells in one call
+        calls = []
+        number = approx._trapezoid_number
+        monkeypatch.setattr(approx, "_trapezoid_number", lambda alpha, rows: calls.append(1) or number(alpha, rows))
+        t = np.geomspace(1e-3, 1e7, 400)
+        steps = []
+        for n_particles in np.unique(np.round(np.geomspace(1, 1e4, 30)).astype(int)).tolist():
+            calls.clear()
+            alpha, errors = semi_analytic_rows([P] * 400 + [M] * 400, n_particles, np.concatenate((t, t)))
+            assert np.isfinite(alpha).all() and not any(errors)
+            steps.append(len(calls) - 1)
+        assert max(steps) <= 17
 
     def test_failed_rows_carry_their_errors_alone(self):
         # an error only on a row that failed, where alpha is nan, and nowhere
@@ -351,6 +368,19 @@ class TestThetaSums:
         u = 30.0
         value = theta_partition_sum(M, 1, u, "direct")
         assert value / math.exp(-u) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("side", [P, M])
+    @pytest.mark.parametrize("kb", [1e2, 1e4])
+    def test_routes_agree_in_absolute_terms_past_kb_10(self, side, kb):
+        # the Poisson form's terms cancel down to a sum far below their
+        # rounding, so the routes agree absolutely, not relatively; the
+        # docstrings of theta_partition_sum and poisson_force_sum give the
+        # worst over kb = 10 to 1e6. The direct force sum's fourth term is
+        # below 1e-200 of its first
+        direct = theta_partition_sum(side, 1, kb, "direct")
+        assert abs(theta_partition_sum(side, 1, kb, "poisson") - direct) <= 5e-16
+        force = math.fsum(energy_level(side, n) * math.exp(-kb * energy_level(side, n)) for n in range(1, 5))
+        assert abs(poisson_force_sum(side, 1, kb) - force) <= 1.3e-16
 
     def test_method_validation(self):
         with pytest.raises(ValueError):

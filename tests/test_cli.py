@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from boxforce import (
@@ -81,6 +82,28 @@ class TestParseConfig:
         # the library path, past argparse's own type checks
         with pytest.raises(ValueError):
             SweepConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grid_scale", "log"),  # not a GridScale: temperature_grid would sweep it linearly
+            ("grid_scale", None),
+            ("grid_points", 2.5),
+            ("grid_points", math.nan),
+            ("grid_points", 3.0),  # integral, but no count to np.linspace
+            ("grid_points", "3"),
+            ("grid_points", np.int64(0)),
+            ("methods", frozenset({"numeric"})),
+            ("methods", frozenset({Method.NUMERIC, "high-t"})),
+        ],
+    )
+    def test_config_rejects_what_sweep_cannot_run(self, field, value):
+        with pytest.raises(ValueError):
+            SweepConfig(t_min=1.0, t_max=100.0, **{field: value})
+
+    def test_config_takes_numpy_integer_points(self):
+        config = SweepConfig(t_min=1.0, t_max=100.0, grid_points=np.int64(3))
+        assert [row.t for row in sweep(config)] == pytest.approx([1.0, 10.0, 100.0], rel=1e-15)
 
     def test_help_lists_methods_and_defaults(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "500")  # one line per option, so no name is hyphen-wrapped

@@ -115,13 +115,14 @@ def net_force_zero_t(n_particles: int) -> float:
 def temperature_grid(config: "SweepConfig") -> list[float]:
     """Materialize the sweep grid of a configuration.
 
-    A SweepConfig has validated its grid already; grid_points is checked
-    again because sweep also takes duck-typed configs that never passed
-    through SweepConfig.
+    A SweepConfig has validated its grid already; grid_points and
+    grid_scale are checked again because sweep also takes duck-typed configs
+    that never passed through SweepConfig. grid_scale is a GridScale or its
+    value ("log" or "linear"); anything else raises ValueError.
     """
     if config.grid_points < 1:
         raise ValueError(f"grid must be non-empty, got {config.grid_points} points")
-    space = np.geomspace if config.grid_scale is GridScale.LOG else np.linspace
+    space = np.geomspace if GridScale(config.grid_scale) is GridScale.LOG else np.linspace
     return space(config.t_min, config.t_max, config.grid_points).tolist()
 
 

@@ -5,11 +5,12 @@ b e_n) - 1) at b = 1/t and the multiplier alpha fixed by S = sum_n N_n = N.
 These two formulas are the physics; the rest is this implementation's
 choice, documented where it is defined. solve_rows solves the constraint
 on many rows at once (solve_alpha is one row of it). _routes groups its
-rows and gives each group a kernel and a plan: _level_sums, the sums over
-a row's levels up to the TAIL_EXPONENT cutoff, for rows of at most
-NODE_LEVELS levels, and _split_sums, one integral (the NODE_LEVELS block),
-for wider ones. _start gives each row's first iterate (the REMAINDER_LIMIT
-block). check_domain and check_tolerance are the input rules.
+rows and gives each group a kernel and a plan: _split_sums, one integral
+(the SPLIT_FLOOR block), for the rows over SPLIT_FLOOR levels when together
+they would sum more than SPLIT_COST levels, and _level_sums, the sums over a
+row's levels up to the TAIL_EXPONENT cutoff, for the rest. _start gives each
+row's first iterate (the REMAINDER_LIMIT block). check_domain and
+check_tolerance are the input rules.
 """
 
 from __future__ import annotations
@@ -55,15 +56,23 @@ MAX_LEVELS = 100_000_000
 # largest plan or level-sum temporary, in float64 elements: the levels (or
 # series terms) of a group's rows, laid end to end
 _TILE = 1 << 14
-# A row of more than NODE_LEVELS levels (t > ~26,200) sums its levels as one
-# integral (_split_sums). The levels are symmetric about n = c, c = 1/2 (PLUS)
+# A row of more than SPLIT_FLOOR levels (t >= 409.6) may sum its levels as one
+# integral (_split_sums). _routes sends all such rows of a call there together
+# when their levels add up to more than SPLIT_COST, the level terms that cost
+# about as much as one split evaluation's fixed ~25-35 us of numpy calls, and
+# keeps them on their levels otherwise: net_force's two rows, of equal
+# cutoffs, are split past 1,024 levels each (t > ~26,200), a one-row call past
+# 2,048 (t > ~104,900), and a sweep's rows over the floor once they are more
+# than a handful. Below the floor a split evaluation would not pay for itself
+# in any call, and its series would leave their domain (alpha >= -1/409.6,
+# below). The levels are symmetric about n = c, c = 1/2 (PLUS)
 # or 0 (MINUS), so the sum over n >= 1 is half that over all integers, less
 # N(0)/2 for MINUS (n = 0 is no level), and by Poisson summation sqrt(t) times
 # the integral over v = (n - c)/sqrt(t) of the integrand in z = alpha + v^2,
 # up to ~2 pi (t / d) exp(-2 pi d), d the distance of its nearest pole from
 # the real n axis. Each evaluation picks the integrand row by row, by alpha:
 # * alpha > _FUGACITY_ALPHA = 1 (_fugacity_sums): the occupation 1/expm1(z),
-#   its nearest pole d = sqrt(alpha t) > 161 away. Its integrals are Bose
+#   its nearest pole d = sqrt(alpha t) > 20.2 away. Its integrals are Bose
 #   functions of z = e^-alpha: S = (sqrt(pi t)/2) Li_{1/2}(z), less 1/(2 expm1
 #   alpha) for MINUS; Newton's sum of squares, sum_n N_n (N_n + 1) - S, is
 #   (sqrt(pi t)/2) sum_k (k - 1) z^k / sqrt(k), summed so and not as that
@@ -71,7 +80,7 @@ _TILE = 1 << 14
 #   t)/4) Li_{3/2}(z) (e_0 = 0). _FUGACITY_TERMS terms reach rounding at z <= e^-1.
 # * alpha <= 1 (_series_sums): the pole split. The pole 1/z has a closed-form
 #   lattice sum in A = alpha t (_lattice). The remainder r(z) = 1/expm1(z) -
-#   1/z is analytic, its poles z = +-2 pi i lying ~sqrt(pi t) >= 286 from the
+#   1/z is analytic, its poles z = +-2 pi i lying ~sqrt(pi t) >= 35.8 from the
 #   axis, so its sum is sqrt(t) R(alpha), less r(alpha)/2 for MINUS, R(alpha)
 #   the integral of r(alpha + v^2) over v >= 0; so are those of -r' (Newton's
 #   derivative) and of z/expm1(z) (the force). R is the Bose integral less its
@@ -83,14 +92,16 @@ _TILE = 1 << 14
 #   Bernoulli series of 1/expm1. All six converge for |alpha| < 2 pi, and
 #   _SPLIT_TERMS terms reach rounding on |alpha| <= 1: the tail is below 3e-19
 #   of each remainder sum and 2e-18 of each n = 0 term. solve_rows keeps x >=
-#   x0 > 0, so alpha > -b e_1 >= -1/26,214.
-# Against math.fsum direct sums (N = 1 to 1e9, t from the NODE_LEVELS
-# threshold to 1e10, both wells, at x0, the root, three times the root, x = 5
-# and alpha = 1, 1 +- 1e-12) the fugacity series measured at most 6.7e-16
-# relative in sum N_n, sum N_n^2 and sum (e_n - e_1) N_n, and the pole split
-# 1.2e-15, 3.1e-15 and 4.8e-15, the last at the seam alpha = 1, where the force
-# sum's difference t (sum z_n N_n - x S) cancels.
-NODE_LEVELS = 1 << 10
+#   x0 > 0, so alpha > -b e_1 >= -1/409.6.
+# Against math.fsum direct sums (N = 1 to 1e9, t from SPLIT_FLOOR's 409.6 to
+# 1e10, both wells, at x0, the root, three times the root, x = 5 and alpha =
+# 1, 1 +- 1e-12) the fugacity series measured at most 7.3e-16, 1.7e-15 and
+# 8.1e-16 relative in sum N_n, sum N_n^2 and sum (e_n - e_1) N_n, and the pole
+# split 2.8e-15, 5.9e-15 and 7.3e-15, each at the seam alpha = 1, where the
+# pole's sum and the remainder's cancel; the rows with alpha < 0 (t <= 3e4)
+# 7.2e-16, 9.0e-16 and 7.1e-16.
+SPLIT_FLOOR = 1 << 7
+SPLIT_COST = 1 << 11
 _FUGACITY_ALPHA = 1.0
 _FUGACITY_TERMS = 40
 _SPLIT_TERMS = 24
@@ -124,7 +135,7 @@ _ZETA_TAIL = (
 _LATTICE_TERMS = 28
 # Newton starts each row (_start) at the root of a pole model of its sum,
 # clamped at the root's exact lower bound x0 = log1p(1/N), inside the model's
-# window, and at x0 outside it. Split as for NODE_LEVELS, a row's sum is
+# window, and at x0 outside it. Split as for SPLIT_FLOOR, a row's sum is
 # t q(A), A = alpha t, from the pole, q being half its lattice sum
 # (_pole_sums), plus the remainder's, sqrt(t) R(alpha) less r(alpha)/2 for
 # MINUS. The model takes the remainder to first order in alpha: t q(A) +
@@ -293,7 +304,7 @@ def _level_sums(x, plan):
 
 
 def _split_matrix(terms: int) -> np.ndarray:
-    """The power series in alpha of R, -R' and the force moment, then of the n = 0 terms (see NODE_LEVELS)."""
+    """The power series in alpha of R, -R' and the force moment, then of the n = 0 terms (see SPLIT_FLOOR)."""
     z, bernoulli, fact = _HALF_ZETA, _BERNOULLI, [math.factorial(j) for j in range(terms + 2)]
     return np.array([
         [(-1) ** j * z[j + 1] / fact[j] for j in range(terms)],  # R
@@ -307,18 +318,32 @@ def _split_matrix(terms: int) -> np.ndarray:
 
 # Module constants are built with math, not numpy ufuncs, which would page in
 # their code at import time.
-# Phi's and -Phi''s series in y = -A, 2 (zeta(2k + 2) - 1) y^k and 2 (k + 1) (zeta(2k + 4) - 1) y^k, highest power first
-_LATTICE_SERIES = tuple(np.array([[2.0 * _ZETA_TAIL[k]], [2.0 * (k + 1) * _ZETA_TAIL[k + 1]]])
-                        for k in reversed(range(_LATTICE_TERMS)))
+# Phi's and -Phi''s series in y = -A, 2 (zeta(2k + 2) - 1) y^k and 2 (k + 1) (zeta(2k + 4) - 1) y^k, highest
+# power first: summed from the smallest terms, as by Horner, they reach rounding (from the largest, ~3 ulps off)
+_LATTICE_SERIES = np.array([[2.0 * _ZETA_TAIL[k] for k in reversed(range(_LATTICE_TERMS))],
+                            [2.0 * (k + 1) * _ZETA_TAIL[k + 1] for k in reversed(range(_LATTICE_TERMS))]])
+_LATTICE_POWERS = np.array([[float(k)] for k in reversed(range(_LATTICE_TERMS))])
+_LATTICE_ODD = slice(_LATTICE_TERMS % 2, None, 2)  # the rows of odd powers
 # _pole_sums' lattice points are w xt + 0 and xt + 3/4 (_pole_weights)
 _LATTICE_SHIFT = np.array([[0.0], [0.75]])
 _SPLIT_SERIES = _split_matrix(_SPLIT_TERMS)
 _SPLIT_POWERS = np.array([[float(j)] for j in range(_SPLIT_TERMS)])
+_SPLIT_ODD = slice(1, None, 2)
 _FUGACITY_POWERS = np.array([[float(k)] for k in range(1, _FUGACITY_TERMS + 1)])
-# the power series in z = e^-alpha, from z, of S, sum_n N_n^2 and the force, over sqrt(t) (see NODE_LEVELS):
+# the power series in z = e^-alpha, from z, of S, sum_n N_n^2 and the force, over sqrt(t) (see SPLIT_FLOOR):
 # (sqrt(pi)/2) k^-1/2 times 1 (Li_{1/2}), k - 1 (Li_{-1/2} - Li_{1/2}) and 1/(2k) (Li_{3/2}/2)
 _FUGACITY_SERIES = np.array([[math.sqrt(math.pi / k) / 2.0 * w(k) for k in range(1, _FUGACITY_TERMS + 1)]
                              for w in (lambda k: 1.0, lambda k: k - 1.0, lambda k: 0.5 / k)])
+
+
+def _powers(base, exponents, odd):
+    """base^k for each k of the column exponents, odd slicing the rows of odd k: |base|^k, those rows given base's sign.
+
+    np.power takes a slow path on a negative base, ~26 times the time of a positive one.
+    """
+    powers = np.power(np.abs(base), exponents)
+    np.copysign(powers[odd], base, out=powers[odd])
+    return powers
 
 
 def _on_branches(on, branches, arrays, *shared):
@@ -353,10 +378,11 @@ def _coth_lattice(p, scale):
 def _zeta_lattice(p, scale):
     """_lattice on -1 < A = p - 1 < 1: the n = +-1 terms apart and the zeta series, both sums formed at once."""
     y = 1.0 - p
-    sums = np.zeros((2,) + y.shape)
-    for coefficient in _LATTICE_SERIES:
-        sums *= y
-        sums += coefficient
+    sums = np.empty((2, y.size))
+    step = _TILE // _LATTICE_TERMS  # points per power table of at most _TILE elements
+    for start in range(0, y.size, step):
+        tile = slice(start, start + step)
+        np.einsum("ck,kr->cr", _LATTICE_SERIES, _powers(y[tile], _LATTICE_POWERS, _LATTICE_ODD), out=sums[:, tile])
     low = math.ldexp(1.0, (math.frexp(scale)[1] - 1) // 2)  # and high = scale / low
     return 2.0 / p + sums[0], lambda: 2.0 * ((low / p) * (scale / low / p)) + scale * sums[1]
 
@@ -370,9 +396,9 @@ def _lattice(p, scale=1.0):
     terms 2/p and 2/p^2 are taken apart: the sums over |n| >= 2 are power
     series in y = -A, Phi = 2/p + sum_k 2 (zeta(2k + 2) - 1) y^k and -Phi' =
     2/p^2 + sum_k 2 (k + 1) (zeta(2k + 4) - 1) y^k, which converge for |A| <
-    4, and _LATTICE_TERMS terms, summed by Horner, reach rounding on -1 < A < 1.
+    4, and _LATTICE_TERMS terms, one product with a table of y's powers, reach rounding on -1 < A < 1.
     Measured against mpmath from p = 1e-14 to 1e8: below A = 1 <= 2.2e-16
-    relative in Phi and 4.2e-16 in -Phi', and in the closed form, which
+    relative in Phi and 4.4e-16 in -Phi', and in the closed form, which
     cancels most just above A = 1, <= 5.1e-16 and 1.1e-15. -Phi' ~ 2/p^2
     overflows below p ~ 1e-154; the power of two c = scale enters before
     squaring.
@@ -403,7 +429,7 @@ def _pole_sums(xt, weights, scale=1.0):
 
 
 def _split_plan(ground, b, scale):
-    """A split plan (see NODE_LEVELS): (rows, c), c its scale (_routes) and rows each row's constants, built once.
+    """A split plan (see SPLIT_FLOOR): (rows, c), c its scale (_routes) and rows each row's constants, built once.
 
     They are t, e_1, c sqrt(t), c for MINUS (else 0), c t/2, t^2/2, e^(b e_1) and the _pole_weights.
     """
@@ -416,7 +442,7 @@ def _split_plan(ground, b, scale):
 
 
 def _series_sums(x, alpha, xt, rows, scale):
-    """_split_sums' sums on rows with |alpha| <= 1, by the pole split (see NODE_LEVELS).
+    """_split_sums' sums on rows with |alpha| <= 1, by the pole split (see SPLIT_FLOOR).
 
     The pole's sum over n >= 1 is (t/2) times its lattice sum (_pole_sums); the remainder's sums of r, -r' and
     z/expm1(z) and MINUS's n = 0 images are one two-operand product, weighted afterwards by c sqrt(t) and c;
@@ -424,7 +450,8 @@ def _series_sums(x, alpha, xt, rows, scale):
     """
     t, root_t, image, half_ct, half_tt = rows[0], rows[2], rows[3], rows[4], rows[5]
     pole, pole_squares = _pole_sums(xt, rows[7:], scale)
-    series = np.einsum("ck,kr->cr", _SPLIT_SERIES, np.power(alpha, _SPLIT_POWERS))  # powers 1, alpha, alpha^2, ...
+    powers = _powers(alpha, _SPLIT_POWERS, _SPLIT_ODD)  # 1, alpha, alpha^2, ...
+    series = np.einsum("ck,kr->cr", _SPLIT_SERIES, powers)
     weighted = root_t * series[:3]
     weighted += image * series[3:]
     remainder, derivative, moment = weighted[0], weighted[1], weighted[2]  # indexing, not iterating: a view each
@@ -434,7 +461,7 @@ def _series_sums(x, alpha, xt, rows, scale):
 
 
 def _fugacity_sums(x, alpha, xt, rows, scale):
-    """_split_sums' sums on rows with alpha > 1, in z = e^-alpha (see NODE_LEVELS); the moment is f - e_1 S."""
+    """_split_sums' sums on rows with alpha > 1, in z = e^-alpha (see SPLIT_FLOOR); the moment is f - e_1 S."""
     t, ground, root_t, image = rows[0], rows[1], rows[2], rows[3]
     # z = e^-x e^(b e_1): alpha = x - b e_1 would carry its own rounding, ~1e-15 at alpha ~ 10, into z
     powers = np.power(np.exp(-x) * rows[6], _FUGACITY_POWERS)  # z, z^2, ...
@@ -449,7 +476,7 @@ def _fugacity_sums(x, alpha, xt, rows, scale):
 def _split_sums(x, plan):
     """c S at x over a split plan of scale c and its other two sums on demand, as _level_sums returns them.
 
-    Each row takes the branch of its alpha = x - b e_1 (see NODE_LEVELS): the
+    Each row takes the branch of its alpha = x - b e_1 (see SPLIT_FLOOR): the
     pole split up to _FUGACITY_ALPHA, the fugacity series past it. Call under np.errstate.
     """
     rows, scale = plan
@@ -472,14 +499,19 @@ def _routes(plus, ground, b, levels, scale):
     (tests/test_occupancy.py), so there each sum is c times the unscaled
     one, bit for bit.
 
-    A row of at most NODE_LEVELS levels sums its levels, a wider one sums
-    them as one integral (_split_sums), and a row past MAX_LEVELS is in no
-    group. Each plan is built when its group is taken and holds at most
-    _TILE levels or series terms, a row wider than that being a group alone.
+    The rows over SPLIT_FLOOR levels sum them as one integral (_split_sums)
+    if together they would sum more than SPLIT_COST levels; otherwise they
+    sum their levels, as every row at or below the floor does. A row past
+    MAX_LEVELS is in no group. Each plan is built when its group is taken
+    and holds at most _TILE levels or series terms, a row wider than that
+    being a group alone.
     """
     order = levels.argsort(kind="stable")
     ordered = levels[order]
-    narrow, attempted = ordered.searchsorted((NODE_LEVELS, MAX_LEVELS), side="right").tolist()
+    narrow, attempted = ordered.searchsorted((SPLIT_FLOOR, MAX_LEVELS), side="right").tolist()
+    # a Python sum: on a two-row call ndarray.sum costs ~1 us more
+    if narrow < attempted and sum(ordered[narrow:attempted].tolist()) <= SPLIT_COST:
+        narrow = attempted
     wide = order[narrow:attempted]
     for group in _groups(np.full(wide.size, max(_SPLIT_TERMS, _FUGACITY_TERMS))) if wide.size else ():
         on = wide[group]
@@ -573,7 +605,9 @@ class RowSolutions(NamedTuple):
 
     A row with converged False failed (see solve_rows), or its cutoff passed
     MAX_LEVELS; its shifted_alpha is then the last iterate. levels_used is
-    the row's level cutoff, a wide row's too (its sums ran as one integral).
+    the row's level cutoff, a wide row's too. wide is the route _routes gave
+    the row, True where its sums ran as one integral (_split_sums); it
+    depends on the call's other rows.
     """
 
     alpha: np.ndarray
@@ -583,6 +617,7 @@ class RowSolutions(NamedTuple):
     iterations: np.ndarray
     force: np.ndarray
     converged: np.ndarray
+    wide: np.ndarray
     n_particles: int
 
     def solution(self, row: int) -> AlphaSolution:
@@ -613,7 +648,7 @@ def solve_rows(
     from condensation (w ~ x) and in degenerate rows (w ~ log x, S a power
     of x). A step may overshoot the root, the next ones returning from the
     right. Iterates are clamped at x0, which keeps a wide row's alpha above
-    -b e_1, inside the pole split's domain (NODE_LEVELS). A row stops once
+    -b e_1, inside the pole split's domain (SPLIT_FLOOR). A row stops once
     |S - N| <= tol * N, or unconverged at max_iter evaluations or a
     non-finite step. Over N = 1 to 1e300 and t = 1e-300 to 2e14 every row
     stops converged within 6 evaluations, at DEFAULT_TOL and at MIN_TOL, and
@@ -644,10 +679,13 @@ def solve_rows(
     sums.fill(np.nan)
     number, weighted = sums[0], sums[1]  # weighted: sum_n (e_n - e_1) N_n; both at scale c until the groups are solved
     iterations = np.zeros(plus.size, dtype=np.int64)
+    wide = np.zeros(plus.size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = _start(plus, ground, b, target, x0)
         for kernel, plan, group in _routes(plus, ground, b, levels, scale):
             xs, moving, evaluations = x[group], True, 0
+            if kernel is _split_sums:
+                wide[group] = True
             for count in range(1, max_iter + 1):
                 evaluations += moving  # a row counts the evaluations up to the one it stopped on
                 s, squares, moment = kernel(xs, plan)
@@ -665,14 +703,14 @@ def solve_rows(
     residual = np.abs(number - target)
     converged = residual <= tol * target  # false where a row stopped early or was not attempted
     force = weighted + ground * number
-    return RowSolutions(x - b * ground, x, residual, levels, iterations, force, converged, n_particles)
+    return RowSolutions(x - b * ground, x, residual, levels, iterations, force, converged, wide, n_particles)
 
 
 def force_difference(solved: RowSolutions, b) -> np.ndarray:
     """f_minus - f_plus at each b[i] of a solve_rows call whose rows are the PLUS wells, then the MINUS ones.
 
     Where both roots lie on the fugacity series (alpha > 1, wide rows; see
-    NODE_LEVELS) the forces, ~N t/2, differ by ~(N/2) sqrt(t/pi), below their
+    SPLIT_FLOOR) the forces, ~N t/2, differ by ~(N/2) sqrt(t/pi), below their
     rounding. There MINUS's alpha is PLUS's plus d, the root of sqrt(t) sum_k
     c_k z^k expm1(-k d) = 1/(2 expm1(alpha + d)) (c_k: S's series in z =
     e^-alpha), one Newton step from the roots' difference, and the difference
@@ -680,7 +718,8 @@ def force_difference(solved: RowSolutions, b) -> np.ndarray:
     """
     count = len(solved.force) // 2
     difference = solved.force[count:] - solved.force[:count]
-    on = solved.levels_used[:count] > NODE_LEVELS  # then alpha- > 1 puts both roots on the series (alpha- < alpha+)
+    # the wells of a b share its cutoff, so its route; then alpha- > 1 puts both roots on the series (alpha- < alpha+)
+    on = solved.wide[:count]
     if np.count_nonzero(on) and np.count_nonzero(on := on & (solved.alpha[count:] > _FUGACITY_ALPHA)):
         t, plus = 1.0 / np.broadcast_to(b, on.shape)[on], solved.alpha[:count][on]
         d = solved.alpha[count:][on] - plus

@@ -83,7 +83,7 @@ class TestNetForce:
         # oracle agrees with the level oracle at N = 1, t = 26,300
         for n_particles, t in ((10, 1e11), (100, 1e12), (1_000, 1e12), (1, 2e14)):
             solved = solve_rows((P, M), n_particles, 1.0 / t)
-            assert (solved.alpha > 1.0).all() and (solved.levels_used > 1024).all()
+            assert (solved.alpha > 1.0).all() and solved.wide.all()
             exact = float(mp_delta_f_polylog(n_particles, t))
             assert net_force(ThermoPoint(n_particles, t)).delta_f == pytest.approx(exact, rel=DEFAULT_TOL)
             assert abs(solved.force[1] - solved.force[0] - exact) > DEFAULT_TOL * exact
@@ -97,7 +97,7 @@ class TestNetForce:
         # the oracle's remainder, ~exp(-2 pi sqrt(alpha t)), is far below
         # rounding there (alpha t > 300)
         solved = solve_rows((P, M), 10_000, 1.0 / t)
-        assert (solved.alpha < 1.0).all() and (solved.alpha * t > 300.0).all() and (solved.levels_used > 1024).all()
+        assert (solved.alpha < 1.0).all() and (solved.alpha * t > 300.0).all() and solved.wide.all()
         exact = float(mp_delta_f_polylog(10_000, t))
         assert net_force(ThermoPoint(10_000, t)).delta_f == pytest.approx(exact, rel=1e-10)
 
@@ -293,6 +293,16 @@ def test_temperature_grid_scales():
     assert temperature_grid(log_cfg) == pytest.approx([0.1, 1.0, 10.0], rel=1e-12)
     lin_cfg = SweepConfig(t_min=1.0, t_max=3.0, grid_points=3, grid_scale=GridScale.LINEAR)
     assert temperature_grid(lin_cfg) == pytest.approx([1.0, 2.0, 3.0], rel=1e-15)
+
+
+def test_temperature_grid_takes_a_duck_typed_scale_by_value():
+    # sweep takes configs that never passed through SweepConfig: a grid_scale
+    # of "log" sweeps a log grid, and a value that is no GridScale raises
+    for scale, grid in (("log", [1.0, 10.0, 100.0]), ("linear", [1.0, 50.5, 100.0])):
+        config = SimpleNamespace(t_min=1.0, t_max=100.0, grid_points=3, grid_scale=scale)
+        assert temperature_grid(config) == pytest.approx(grid, rel=1e-12)
+    with pytest.raises(ValueError):
+        temperature_grid(SimpleNamespace(t_min=1.0, t_max=100.0, grid_points=3, grid_scale="logarithmic"))
 
 
 class TestBatchedSolve:

@@ -19,7 +19,7 @@ from boxforce import (
     total_number,
 )
 from boxforce.occupancy import (
-    _TILE, DEFAULT_TOL, MAX_LEVELS, MIN_TOL, NODE_LEVELS, RowSolutions, solve_rows,
+    _TILE, DEFAULT_TOL, MAX_LEVELS, MIN_TOL, SPLIT_COST, SPLIT_FLOOR, RowSolutions, solve_rows,
 )
 from boxforce.spectrum import level_gap
 
@@ -59,11 +59,6 @@ def kernel_sums(kernel, x, plan):
     """A kernel's S, sum_n N_n^2 and sum_n (e_n - e_1) N_n at x, both lazy sums formed, on a plan of scale 1."""
     number, squares, moment = kernel(x, plan)
     return number, squares(), moment()
-
-
-def routed(levels):
-    """The rows solve_rows sums as one integral (_split_sums): every row wider than NODE_LEVELS, up to MAX_LEVELS."""
-    return (levels > NODE_LEVELS) & (levels <= MAX_LEVELS)
 
 
 class TestThermoPoint:
@@ -181,13 +176,13 @@ class TestSolveAlpha:
 
     def test_solution_reproduces_total_number(self):
         # one solve per route and branch: levels (18), the fugacity series
-        # (2,000 levels, alpha ~ 5.6) and the pole split (20,001 levels, alpha
-        # ~ 2.4e-5)
-        for n, t, route in ((250, 7.5, "levels"), (1, 1e5, "fugacity"), (10**6, 1e7, "split")):
+        # (2,829 levels, alpha ~ 6.0; a one-row call splits past SPLIT_COST
+        # levels) and the pole split (20,001 levels, alpha ~ 2.4e-5)
+        for n, t, route in ((250, 7.5, "levels"), (1, 2e5, "fugacity"), (10**6, 1e7, "split")):
             point = ThermoPoint(n, t)
             for side in (P, M):
                 solution = solve_alpha(side, point)
-                wide = routed(solution.levels_used)
+                wide = solve_rows((side,), n, point.b).wide[0]
                 assert (("fugacity" if solution.alpha > 1.0 else "split") if wide else "levels") == route
                 assert abs(total_number(side, solution.alpha, point.b) - n) <= DEFAULT_TOL * n
 
@@ -239,9 +234,12 @@ class TestSolveAlpha:
 class TestSolveRowGroups:
     def test_batch_rows_match_one_row_solves(self):
         # both wells, from 1 level (t = 1e-3) past _TILE levels (t = 1e7) and
-        # one row past MAX_LEVELS (t = 1e15), in an order that mixes them; at
-        # N = 100 the wide rows' roots lie on the fugacity series, at N = 1e6
-        # on the pole split
+        # one row past MAX_LEVELS (t = 1e15), in an order that mixes them. In
+        # the batch the rows over SPLIT_FLOOR levels (t = 1e3 to 1e7) are
+        # split together; alone, a row is split past SPLIT_COST levels (t =
+        # 1e7), so the rows at t = 1e3 and 1e5 change kernel with their call.
+        # At N = 100 the split rows' roots at t >= 1e5 lie on the fugacity
+        # series, at N = 1e6 all on the pole split
         t = np.repeat([1e-3, 0.3, 10.0, 1e3, 1e5, 1e7, 1e15], 2)
         sides = [P, M] * (len(t) // 2)
         order = np.random.default_rng(3).permutation(len(t))
@@ -252,18 +250,24 @@ class TestSolveRowGroups:
             assert batch.levels_used.min() == 1
             assert np.any((batch.levels_used > _TILE) & (batch.levels_used <= MAX_LEVELS))
             assert batch.levels_used.max() > MAX_LEVELS
-            on_split = routed(batch.levels_used)
-            assert ((batch.alpha[on_split] > 1.0).all() if n_particles == 100 else (batch.alpha[on_split] < 1.0).all())
+            on_split = batch.wide
+            np.testing.assert_array_equal(on_split, (t >= 1e3) & (t <= 1e7))
+            fugacity = on_split & (t >= 1e5) if n_particles == 100 else np.zeros_like(on_split)
+            assert (batch.alpha[fugacity] > 1.0).all() and (batch.alpha[on_split & ~fugacity] < 1.0).all()
             for i, (side, ti) in enumerate(zip(sides, t)):
                 one = solve_rows((side,), n_particles, 1.0 / ti)
-                if on_split[i]:  # the split kernel sums a group's rows in one einsum
+                assert one.wide[0] == (ti == 1e7)
+                if not on_split[i]:  # a run of levels sums the same wherever it lies in its plan
+                    for field in RowSolutions._fields[:-1]:  # the per-row arrays; nan past MAX_LEVELS
+                        np.testing.assert_array_equal(getattr(batch, field)[i], getattr(one, field)[0])
+                elif one.wide[0]:  # the split kernel sums a group's rows in one einsum
                     np.testing.assert_allclose(batch.alpha[i], one.alpha[0], rtol=1e-13, atol=0.0)
                     np.testing.assert_allclose(batch.force[i], one.force[0], rtol=1e-13, atol=0.0)
                     assert batch.iterations[i] == one.iterations[0]
                     assert batch.converged[i] == one.converged[0]
-                else:  # a run of levels sums the same wherever it lies in its plan
-                    for field in RowSolutions._fields[:-1]:  # the per-row arrays; nan past MAX_LEVELS
-                        np.testing.assert_array_equal(getattr(batch, field)[i], getattr(one, field)[0])
+                else:  # split in the batch, on its levels alone: both meet the stop rule
+                    assert batch.converged[i] and one.converged[0]
+                    np.testing.assert_allclose(batch.force[i], one.force[0], rtol=1e-12, atol=0.0)
 
     def test_no_rows_and_rows_past_max_levels(self):
         # no row: every array empty. A row past MAX_LEVELS is in no plan; it
@@ -275,14 +279,47 @@ class TestSolveRowGroups:
         assert solved.iterations.tolist() == [3, 0]
         assert solved.converged.tolist() == [True, False]
 
+    def test_two_row_calls_split_past_1024_levels(self):
+        # net_force's call, both wells at one t, whose cutoffs are equal: 2 x
+        # 1,024 levels is SPLIT_COST, and both rows stay on their levels; one
+        # level more and both are split
+        for n_particles in (1, 100, 10**6):
+            for levels, wide in ((1024, False), (1025, True)):
+                b = 40.0 / (levels - 0.5) ** 2
+                solved = solve_rows((P, M), n_particles, b)
+                assert solved.levels_used.tolist() == [levels] * 2
+                assert solved.wide.tolist() == [wide] * 2
+                assert solved.converged.all()
+
+    def test_rows_over_the_floor_split_together_past_split_cost(self):
+        # the rows over SPLIT_FLOOR levels are split together once their
+        # levels add up to more than SPLIT_COST, and all stay on their levels
+        # up to it; the rows at or below the floor stay on their levels either
+        # way. Four t of 256 levels, both wells, add up to SPLIT_COST exactly
+        # (one t of 257 levels passes it by two), beside rows of 1 to 128 levels
+        below = [0.01, 1.0, 100.0, 127.5**2 / 40.0]
+        for over, wide in (([255.5**2 / 40.0] * 4, False), ([255.5**2 / 40.0] * 3 + [256.5**2 / 40.0], True)):
+            t = np.array(below + over)
+            for n_particles in (1, 100, 10**6):
+                solved = solve_rows([P] * len(t) + [M] * len(t), n_particles, 1.0 / np.tile(t, 2))
+                assert solved.levels_used[solved.levels_used > SPLIT_FLOOR].sum() == SPLIT_COST + 2 * wide
+                np.testing.assert_array_equal(solved.wide, wide & (solved.levels_used > SPLIT_FLOOR))
+                assert solved.converged.all()
+        # the README high sweep (N = 100, t = 1 to 1e4, 300 points) in one
+        # call: every row over the floor (t >= 409.6) is split
+        t = np.repeat(temperature_grid(SweepConfig(t_min=1.0, t_max=1e4, grid_points=300)), 2)
+        solved = solve_rows([P, M] * 300, 100, 1.0 / t)
+        np.testing.assert_array_equal(solved.wide, t >= SPLIT_FLOOR**2 / occupancy.TAIL_EXPONENT)
+        assert 0 < np.count_nonzero(solved.wide) < len(t) and solved.converged.all()
+
     def test_level_plans_hold_each_rows_own_levels(self):
         # the README mid and high sweeps and the large_n grid, both wells, in
         # one call, and net_force's two-row call (both wells, equal cutoffs)
-        # at t = 10 and 1e4: each level plan holds exactly its rows' levels,
-        # run by run the gaps level_gap gives and their bases b (e_n - e_1),
-        # and no plan passes _TILE unless it is a single row
+        # at t = 10, 1e4 and 2.6e4: each level plan holds exactly its rows'
+        # levels, run by run the gaps level_gap gives and their bases b (e_n -
+        # e_1), and no plan passes _TILE unless it is a single row
         sweeps = [np.geomspace(0.01, 160, 400), np.geomspace(1.0, 1e4, 300), np.geomspace(1.0, 1e8, 100)]
-        for t in (np.concatenate(sweeps), np.array([10.0]), np.array([1e4])):
+        for t in (np.concatenate(sweeps), np.array([10.0]), np.array([1e4]), np.array([2.6e4])):
             b = np.repeat(1.0 / t, 2)
             plus = np.tile([True, False], len(t))
             ground = np.where(plus, P.ground_energy, M.ground_energy)
@@ -302,8 +339,11 @@ class TestSolveRowGroups:
                     np.testing.assert_array_equal(gap[run], level_gap(P if plus[row] else M, n))
                     np.testing.assert_array_equal(base[run], b[row] * gap[run])
                 seen += len(rows)
-            assert seen == np.count_nonzero(levels <= NODE_LEVELS)
-            if len(t) == 1:  # net_force's call: one plan of both rows, 21 or 633 levels each
+            # the sweeps' rows over SPLIT_FLOOR levels add up to far more than
+            # SPLIT_COST and are all split; net_force's two rows, at most 2 x
+            # 1,020 levels, all stay on their levels
+            assert seen == (np.count_nonzero(levels <= SPLIT_FLOOR) if len(t) > 1 else 2)
+            if len(t) == 1:  # net_force's call: one plan of both rows, 21, 633 or 1,020 levels each
                 assert len(rows) == 2 and levels[0] == levels[1]
 
     def test_mixed_group_sums_match_direct_sums(self):
@@ -424,15 +464,19 @@ class TestSolveRowGroups:
     def test_level_rows_past_the_square_overflow_converge(self, monkeypatch, n_particles):
         # above N ~ 1.3e154 sum_n N_n^2 overflows unscaled, so Newton could
         # not step (_routes); started off their roots, level rows (t up to
-        # 2e4, both wells) still converge within 6 evaluations
+        # 2e4, both wells) still converge within 6 evaluations. The rows up
+        # to SPLIT_FLOOR levels are one call; those over it are each a
+        # two-row call, which keeps them on their levels
         start = occupancy._start
         t = np.geomspace(1e-3, 2e4, 100)
+        below = t[occupancy._cutoff(1.0 / t) <= SPLIT_FLOOR]
         for factor in (1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-3):
             monkeypatch.setattr(occupancy, "_start", lambda *args, factor=factor: start(*args) * factor)
-            solved = solve_rows([P, M] * 100, n_particles, 1.0 / np.repeat(t, 2))
-            assert (solved.levels_used <= NODE_LEVELS).all()
-            assert solved.converged.all()
-            assert solved.iterations.max() <= 6
+            for grid in (below, *t[below.size:, None]):
+                solved = solve_rows([P, M] * len(grid), n_particles, 1.0 / np.repeat(grid, 2))
+                assert not solved.wide.any()
+                assert solved.converged.all()
+                assert solved.iterations.max() <= 6
 
     @pytest.mark.parametrize("n_particles", [10**160, 10**200, 10**300], ids=["1e160", "1e200", "1e300"])
     def test_split_rows_past_the_square_overflow_converge(self, monkeypatch, n_particles):
@@ -443,7 +487,7 @@ class TestSolveRowGroups:
         for factor in (1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-3):
             monkeypatch.setattr(occupancy, "_start", lambda *args, factor=factor: start(*args) * factor)
             solved = solve_rows([P, M] * 100, n_particles, 1.0 / np.repeat(t, 2))
-            assert routed(solved.levels_used).all()
+            assert solved.wide.all()
             assert solved.converged.all()
             assert solved.iterations.max() <= 6
 
@@ -557,7 +601,7 @@ class TestSolveRowGroups:
         t = 1e7
         solved = solve_rows((P, M), 1_000_000, 1.0 / t)
         assert (solved.levels_used > _TILE).all()
-        assert routed(solved.levels_used).all()
+        assert solved.wide.all()
         assert solved.converged.all()
         assert solved.iterations.min() > 1
         assert built == [2]  # one group of both rows, one build
@@ -571,7 +615,7 @@ class TestSolveRowGroups:
         # branches of the wide one. At every evaluation x >= x0, which keeps a
         # wide row's alpha above -b e_1, so that alpha <= 1 is |alpha| <= 1,
         # the domain where the pole split's series reach rounding
-        # (NODE_LEVELS). The first evaluation sits at
+        # (SPLIT_FLOOR). The first evaluation sits at
         # each row's start, the x a cap of 0 reports: the pole model's root,
         # or x0 outside the model's window. A stopped row stays frozen in its
         # group's plan; so the clamp at x0 never acts when, from a group's
@@ -692,21 +736,21 @@ class TestSolveRowGroups:
 
 
 class TestNodePlan:
-    """Rows wider than NODE_LEVELS, summed as one integral by _split_sums."""
+    """Rows wider than SPLIT_FLOOR, summed as one integral by _split_sums."""
 
     @pytest.mark.parametrize("n_particles", [1, 100, 10_000, 1_000_000])
     def test_node_sums_match_direct_sums(self, n_particles):
-        # the wide-row kernel's error budget (NODE_LEVELS): Poisson remainder,
+        # the wide-row kernel's error budget (SPLIT_FLOOR): Poisson remainder,
         # series tails and discarded level tail all lie below rounding on both
         # branches and at the seam between them, alpha = 1 +- 1e-12, from x0 t
-        # = 100 or the NODE_LEVELS threshold to t = 1e12 (6.3e6 levels), at
+        # = 100 or the SPLIT_FLOOR threshold to t = 1e12 (6.3e6 levels), at
         # the start, the root and x = 5
         x0 = math.log1p(1.0 / n_particles)
-        threshold = max(100.0 / x0, NODE_LEVELS**2 / occupancy.TAIL_EXPONENT)
+        threshold = max(100.0 / x0, SPLIT_FLOOR**2 / occupancy.TAIL_EXPONENT)
         for t in np.geomspace(threshold * 1.001, 1e12, 3):
             b = 1.0 / t
             levels = occupancy._cutoff(np.array([b]))
-            assert routed(levels).all()
+            assert (levels > SPLIT_FLOOR).all()
             roots = solve_rows((P, M), n_particles, b).shifted_alpha
             for side, root in zip((P, M), roots):
                 x = np.array([x0, root, 5.0, 1.0 - 1e-12, 1.0 + 1e-12])
@@ -725,13 +769,13 @@ class TestNodePlan:
         t = np.repeat(np.geomspace(1.0, 1e8, 100), 2)
         sides = [P, M] * 100
         nodes = solve_rows(sides, n_particles, 1.0 / t)
-        wide = routed(nodes.levels_used)
+        wide = nodes.wide
         assert 0 < np.count_nonzero(wide) < len(t)
         assert nodes.converged.all()
         for i in np.flatnonzero(wide):
             number, _, _ = direct_sums(sides[i] is P, nodes.shifted_alpha[i], 1.0 / t[i], int(nodes.levels_used[i]))
             assert abs(number[0] - n_particles) <= DEFAULT_TOL * n_particles
-        monkeypatch.setattr(occupancy, "NODE_LEVELS", MAX_LEVELS)  # every row on its levels
+        monkeypatch.setattr(occupancy, "SPLIT_FLOOR", MAX_LEVELS)  # every row on its levels
         levels = solve_rows(sides, n_particles, 1.0 / t)
         np.testing.assert_array_equal(nodes.iterations, levels.iterations)
         np.testing.assert_array_equal(nodes.converged, levels.converged)
@@ -752,7 +796,8 @@ class TestNodePlan:
             return split_plan(*args)
 
         monkeypatch.setattr(occupancy, "_split_plan", counted)
-        monkeypatch.setattr(occupancy, "NODE_LEVELS", 0)
+        monkeypatch.setattr(occupancy, "SPLIT_FLOOR", 0)
+        monkeypatch.setattr(occupancy, "SPLIT_COST", 0)
         t = 145.0
         pair = net_force(ThermoPoint(1, t))
         assert calls
@@ -763,7 +808,8 @@ class TestNodePlan:
         # levels, both wells' roots on the fugacity series
         t = 26_300.0
         levels = occupancy._cutoff(np.array([1.0 / t]))
-        assert routed(levels).all() and (solve_rows((P, M), 1, 1.0 / t).alpha > 1.0).all()
+        solved = solve_rows((P, M), 1, 1.0 / t)
+        assert solved.wide.all() and (solved.alpha > 1.0).all()
         pair = net_force(ThermoPoint(1, t))
         assert pair.delta_f == pytest.approx(float(mp_delta_f(1, t)), rel=1e-9)
 
@@ -771,19 +817,21 @@ class TestNodePlan:
 class TestSplitPlan:
     @pytest.mark.parametrize("n_particles", [1_000, 10_000, 10**6, 10**8, 10**12, 10**16])
     def test_split_sums_match_direct_sums(self, n_particles):
-        # the split's error budget (NODE_LEVELS): closed-form pole sum and
+        # the split's error budget (SPLIT_FLOOR): closed-form pole sum and
         # series of the remainder, its derivative and the force moment all
-        # lie at rounding, from the NODE_LEVELS threshold to just under x0 t =
+        # lie at rounding, from the SPLIT_FLOOR threshold to just under x0 t =
         # 100, near condensation (capped at t = 1e10, 6.3e5 levels, for the
-        # direct sums), at the start, the root and three times the root
+        # direct sums), and from the threshold to t = 2e4, where the
+        # degenerate rows' alpha < 0 takes the powers of |alpha| and the
+        # lattice's zeta series, at the start, the root and three times the root
         x0 = math.log1p(1.0 / n_particles)
-        threshold = NODE_LEVELS**2 / occupancy.TAIL_EXPONENT
+        threshold = SPLIT_FLOOR**2 / occupancy.TAIL_EXPONENT
         top = min(99.9 / x0, 1e10)
         below_ground = 0
-        for t in np.geomspace(threshold * 1.001, top, 3):
+        for t in np.concatenate((np.geomspace(threshold * 1.001, top, 3), np.geomspace(threshold * 1.01, 2e4, 4))):
             b = 1.0 / t
             levels = occupancy._cutoff(np.array([b]))
-            assert routed(levels).all()
+            assert (levels > SPLIT_FLOOR).all()
             roots = solve_rows((P, M), n_particles, b).shifted_alpha
             for side, root in zip((P, M), roots):
                 x = np.array([x0, root, 3.0 * root])
@@ -807,7 +855,7 @@ class TestSplitPlan:
         t = 26_300.0
         levels = occupancy._cutoff(np.array([1.0 / t]))
         assert levels[0] == 1_026
-        assert routed(levels).all()
+        assert solve_rows((P, M), 1_000, 1.0 / t).wide.all()
         pair = net_force(ThermoPoint(1_000, t))
         assert pair.delta_f == pytest.approx(float(mp_delta_f(1_000, t)), rel=1e-9)
 
@@ -816,7 +864,7 @@ class TestSplitPlan:
         # derivative: a dense grid from p = 1e-14 to 1e8, p = 2 +- 1e-12 (the
         # seam A = 1) and p = 1 +- 1e-9 (A ~ 0). The worst errors on 40,000
         # points over the same range were 5.1e-16 and 1.02e-15, just above the
-        # seam, where the closed form cancels; 2.2e-16 and 4.2e-16 below it
+        # seam, where the closed form cancels; 2.2e-16 and 4.4e-16 below it
         p = np.concatenate((
             np.geomspace(1e-14, 1e8, 1201), np.linspace(0.002, 4.0, 1201),
             2.0 + np.linspace(-1e-12, 1e-12, 9), 1.0 + np.linspace(-1e-9, 1e-9, 8),
@@ -855,12 +903,12 @@ class TestSplitPlan:
 
     def test_series_match_mp_integrals(self):
         # the six series of _split_sums on |alpha| <= 1, the domain their
-        # length is chosen for (NODE_LEVELS): R, -R' and the integral of
+        # length is chosen for (SPLIT_FLOOR): R, -R' and the integral of
         # z/expm1(z) against quadrature, and the n = 0 image terms -r/2, r'/2
-        # and -alpha/expm1(alpha)/2 against mpmath; -1/26,214.4 is the least
+        # and -alpha/expm1(alpha)/2 against mpmath; -1/409.6 is the least
         # alpha of a wide row, 1 the edge of the fugacity series
-        alphas = np.array([-0.999, -0.5, -1 / 26_214.4, 0.0, 1e-9, 0.01, 0.1, 0.302, 0.5, 0.75, 1.0])
-        powers = np.power(alphas, occupancy._SPLIT_POWERS)
+        alphas = np.array([-0.999, -0.5, -1 / 409.6, -1 / 26_214.4, 0.0, 1e-9, 0.01, 0.1, 0.302, 0.5, 0.75, 1.0])
+        powers = occupancy._powers(alphas, occupancy._SPLIT_POWERS, occupancy._SPLIT_ODD)
         series = np.einsum("ck,kr->cr", occupancy._SPLIT_SERIES, powers)
         for a, got in zip(alphas, series.T):
             z = mp.mpf(a)
@@ -873,7 +921,7 @@ class TestSplitPlan:
 
     def test_split_rows_stay_inside_the_series_domain(self, monkeypatch):
         # every iterate the pole split sums has -b e_1 < alpha <= 1, where its
-        # series reach rounding (NODE_LEVELS): the clamp at x0 bounds alpha
+        # series reach rounding (SPLIT_FLOOR): the clamp at x0 bounds alpha
         # below, and the fugacity series takes every iterate past 1. From N =
         # 1, whose roots lie far out on the fugacity series, to N = 1e12, near
         # condensation, rows converge across the seam, most of them started
@@ -883,7 +931,7 @@ class TestSplitPlan:
             branch = getattr(occupancy, name)
             monkeypatch.setattr(occupancy, name, lambda x, alpha, *args, branch=branch, alphas=alphas:
                                 alphas.append(alpha) or branch(x, alpha, *args))
-        threshold = NODE_LEVELS**2 / occupancy.TAIL_EXPONENT
+        threshold = SPLIT_FLOOR**2 / occupancy.TAIL_EXPONENT
         t = np.geomspace(threshold * 1.000001, 1e10, 40)
         for n_particles in (1, 100, 262, 1_000, 10**4, 10**6, 10**12):
             for tol in (DEFAULT_TOL, MIN_TOL):

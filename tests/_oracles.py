@@ -186,3 +186,27 @@ def mp_delta_f_polylog(n_particles: int, t):
         return t / (2 * e) * mp.re(mp.polylog(mpf(3) / 2, mp.exp(-alpha)))
 
     return force(1) - force(0)
+
+
+def mp_trapezoid_terms(plus: bool, alpha, b):
+    """The terms (head, edge, tail) of the semi-analytic constraint S(alpha) at b, for -b e_1 < alpha < 2.
+
+    head keeps levels 1 and 2, edge = (s2 - sqrt(2 - alpha))/(2 sqrt(b)) with
+    s2 = sqrt(b e_2), and tail is mp.quad of 1/(alpha + s^2) over [s2,
+    sqrt(2 - alpha)], divided by sqrt(b). The quadrature runs in y = log s,
+    where the integrand s/(alpha + s^2) has no spike at either end: in s it
+    peaks on a width of order sqrt(b) at s2, near the pole or at small
+    |alpha| and large t. No closed form of the tail is used.
+    """
+    a, b = mpf(alpha), mpf(b)
+    e1, e2 = (mpf(1) / 4, mpf(9) / 4) if plus else (mpf(1), mpf(4))
+    s2, root = mp.sqrt(b * e2), mp.sqrt(2 - a)
+    head = 1 / (a + b * e1) + 1 / (2 * (a + b * e2)) - mpf(3) / 4
+    edge = (s2 - root) / (2 * mp.sqrt(b))
+    tail = mp.quad(lambda y: 1 / (a * mp.exp(-y) + mp.exp(y)), [mp.log(s2), mp.log(root)])
+    return head, edge, tail / mp.sqrt(b)
+
+
+def mp_trapezoid_number(plus: bool, alpha, b):
+    """S(alpha) = head + edge + tail of mp_trapezoid_terms: the oracle for approx.semi_analytic_total_number."""
+    return mp.fsum(mp_trapezoid_terms(plus, alpha, b))

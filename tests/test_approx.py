@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,7 +27,7 @@ from boxforce.approx import MethodOutOfRangeError, semi_analytic_rows
 from boxforce.spectrum import energy_level
 from boxforce.occupancy import ConstraintSolverError
 
-from _oracles import bose_integral_quadrature, direct_force_theta
+from _oracles import bose_integral_quadrature, direct_force_theta, mp_trapezoid_number, mp_trapezoid_terms
 
 P = WellSide.PLUS
 M = WellSide.MINUS
@@ -150,24 +151,32 @@ class TestSemiAnalyticConstraint:
 
     def test_alpha_zero_continuity(self):
         # left and right limits agree: at |alpha| = 1e-12 the smooth terms
-        # move by less than 1e-8 and the arctan/arctanh bracket goes through
-        # its shared series
+        # move by less than 1e-8, and arctan(r w)/r and arctanh(r w)/r both
+        # tend to w, the value at alpha = 0
         for side in (P, M):
             left = semi_analytic_total_number(side, -1e-12, 0.1)
             right = semi_analytic_total_number(side, 1e-12, 0.1)
             assert abs(left - right) < 1e-8
 
-    def test_branch_seam_continuity(self):
-        # just above the series cutoff the arctan/arctanh branches agree
-        # with the shared series to far better than the series' own
-        # truncation, so the primitive is continuous across the switch
-        from boxforce.approx import _bracket_primitive, _branches
-
-        for v in (0.5, 2.0, 3.0):
-            for alpha in (1.01e-6, -1.01e-6):
-                branch = _bracket_primitive(alpha, _branches(alpha), v, v**3, v**5)
-                series = v - alpha * v**3 / 3.0 + alpha * alpha * v**5 / 5.0
-                assert abs(branch - series) < 1e-12 * v
+    @pytest.mark.parametrize("side", [P, M])
+    def test_total_number_matches_quadrature_oracle(self, side):
+        # the closed-form tail against mpmath quadrature of the same
+        # constraint (mp_trapezoid_terms), at alpha = 0, at |alpha| from
+        # 1e-300 to 1e-3 of both signs, at 3e-7 and 9e-7 (where the tail's
+        # power series in alpha t diverges for t past ~1e6), at 0.5 and 1.9,
+        # and just above the pole -b e_1, where at t <= 1 the arctanh
+        # argument nears 1. The error is held to 2e-15 of |head| + |edge| +
+        # |tail|, the scale their sum is rounded on: where they cancel, as
+        # near alpha = 2 (~60-fold at 1.9), S itself is smaller
+        small = [sign * 10.0**k for k in (-300, -200, -100, -30, -12, -9, -6, -3) for sign in (1.0, -1.0)]
+        for t in (1e-2, 1.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7):
+            b = 1.0 / t
+            pole = -b * side.ground_energy
+            alphas = [0.0, 3e-7, 9e-7, 0.5, 1.9, pole * (1.0 - 1e-10), np.nextafter(pole, 0.0)] + small
+            for alpha in (a for a in alphas if a > pole):
+                terms = mp_trapezoid_terms(side is P, alpha, b)
+                error = abs(semi_analytic_total_number(side, alpha, b) - mpmath.fsum(terms))
+                assert error <= 2e-15 * sum(abs(term) for term in terms), (t, alpha)
 
     def test_batched_rows_match_scalar_loop(self):
         t = np.tile(np.geomspace(0.01, 160.0, 400), 2)
@@ -177,21 +186,33 @@ class TestSemiAnalyticConstraint:
         scalar = np.array([semi_analytic_alpha(side, 100, float(tt)) for side, tt in zip(sides, t)])
         assert np.all(np.abs(alpha - scalar) <= 1e-13 * np.maximum(1.0, np.abs(scalar)))
 
-    def test_illinois_steps_stay_within_seventeen(self, monkeypatch):
+    def test_illinois_steps_stay_within_thirteen(self, monkeypatch):
         # semi_analytic_rows' step bound: one _trapezoid_number call for both
-        # bracket ends, then one per step, over 29 integer N log-spaced in
-        # [1, 1e4] and 400 t log-spaced in [1e-3, 1e7], both wells in one call
+        # bracket ends, then one per step, over 44 integer N log-spaced in
+        # [1, 1e7] and 400 t log-spaced in [1e-3, 1e7], both wells in one call
         calls = []
         number = approx._trapezoid_number
         monkeypatch.setattr(approx, "_trapezoid_number", lambda alpha, rows: calls.append(1) or number(alpha, rows))
         t = np.geomspace(1e-3, 1e7, 400)
         steps = []
-        for n_particles in np.unique(np.round(np.geomspace(1, 1e4, 30)).astype(int)).tolist():
+        for n_particles in np.unique(np.round(np.geomspace(1, 1e7, 50)).astype(int)).tolist():
             calls.clear()
             alpha, errors = semi_analytic_rows([P] * 400 + [M] * 400, n_particles, np.concatenate((t, t)))
             assert np.isfinite(alpha).all() and not any(errors)
             steps.append(len(calls) - 1)
-        assert max(steps) <= 17
+        assert max(steps) <= 13
+
+    def test_large_n_roots_meet_the_oracle_constraint(self):
+        # each root lies within the Illinois tolerance of the oracle's root:
+        # S falls through N between alpha - tol and alpha + tol
+        sides, t = [P] * 4 + [M] * 4, [1e4, 1e5, 1e6, 1e7] * 2
+        for n_particles in (10**5, 10**6, 10**7):
+            alpha, errors = semi_analytic_rows(sides, n_particles, np.array(t))
+            assert not any(errors)
+            for side, tt, a in zip(sides, t, alpha.tolist()):
+                tol = mpmath.mpf(1e-15 + 4.0 * np.finfo(float).eps * abs(a))
+                low, high = (mp_trapezoid_number(side is P, a + d, 1.0 / tt) for d in (-tol, tol))
+                assert low > n_particles > high, (n_particles, tt, side)
 
     def test_failed_rows_carry_their_errors_alone(self):
         # an error only on a row that failed, where alpha is nan, and nowhere
@@ -225,22 +246,19 @@ class TestSemiAnalyticConstraint:
         assert alpha < 2.0
 
 
-def _two_branch_primitive(alpha, v, v3, v5):
-    """The bracket primitive as both branches and the series on every row, then np.where: the reference."""
+def _two_branch_primitive(alpha, w):
+    """The bracket primitive as both branches on every row, then np.where with w at alpha = 0: the reference."""
     r = np.sqrt(np.abs(alpha))
-    branch = np.where(alpha > 0.0, np.arctan(r * v), np.arctanh(r * v)) / r
-    series = v - alpha * v3 / 3.0 + alpha * alpha * v5 / 5.0
-    return np.where(np.abs(alpha) < 1e-6, series, branch)
+    branch = np.where(alpha > 0.0, np.arctan(r * w), np.arctanh(r * w)) / r
+    return np.where(alpha == 0.0, w, branch)
 
 
 def _two_branch_number(alpha, rows):
-    b_e1, b_e2, sqrt_b, s2, s2_powers = rows
+    b_e1, b_e2, sqrt_b, s2 = rows
     root = np.sqrt(2.0 - alpha)
+    width = root - s2
     head = 1.0 / (alpha + b_e1) + 0.5 / (alpha + b_e2) - 0.75
-    edge = -(root - s2) / (2.0 * sqrt_b)
-    v = 1.0 / root
-    tail = (_two_branch_primitive(alpha, *s2_powers) - _two_branch_primitive(alpha, v, v**3, v**5)) / sqrt_b
-    return head + edge + tail
+    return head + (_two_branch_primitive(alpha, width / (alpha + s2 * root)) - 0.5 * width) / sqrt_b
 
 
 def _same_bits(got, want):
@@ -249,31 +267,24 @@ def _same_bits(got, want):
 
 
 class TestBranchPerRow:
-    """Each row evaluates only its own arctan, arctanh or series branch, bit for bit the two-branch form."""
+    """Each row evaluates only its own arctan or arctanh branch, or takes w at alpha = 0, bit for bit the two-branch form."""
 
-    CUTOFF = 1e-6
-    # both signs of: zero, just below, at and just above the cutoff, and far from it; then nan
-    EDGES = [
-        sign * value
-        for value in (0.0, np.nextafter(CUTOFF, 0.0), CUTOFF, np.nextafter(CUTOFF, 1.0), 1.01e-6, 0.3, 1.9)
-        for sign in (1.0, -1.0)
-    ] + [-4.0, -70.0, math.nan]
+    # both signs of: zero, the smallest subnormal, small and far from zero; then nan
+    EDGES = [sign * value for value in (0.0, 5e-324, 1e-6, 0.3, 1.9) for sign in (1.0, -1.0)] + [-4.0, -70.0, math.nan]
 
     def _alphas(self):
         mixed = np.random.default_rng(7).uniform(-80.0, 1.99, 200)
         return np.concatenate((mixed, self.EDGES))
 
     def test_primitive_matches_two_branch_form(self):
-        from boxforce.approx import _bracket_primitive, _branches
+        from boxforce.approx import _bracket_primitive
 
         alpha = self._alphas()
         with np.errstate(all="ignore"):
-            for v in (0.01, 0.5, 2.0, 30.0, np.geomspace(0.01, 30.0, alpha.size)):  # r v past 1: arctanh is nan
-                got = _bracket_primitive(alpha, _branches(alpha), v, v**3, v**5)
-                assert _same_bits(got, _two_branch_primitive(alpha, v, v**3, v**5))
-            for a in self.EDGES:  # scalar alpha and v
-                got = _bracket_primitive(a, _branches(a), 0.7, 0.7**3, 0.7**5)
-                assert _same_bits(got, _two_branch_primitive(a, 0.7, 0.7**3, 0.7**5))
+            for w in (0.01, 0.5, 2.0, 30.0, np.geomspace(0.01, 30.0, alpha.size)):  # r w past 1: arctanh is nan
+                assert _same_bits(_bracket_primitive(alpha, w), _two_branch_primitive(alpha, w))
+            for a in self.EDGES:  # scalar alpha and w
+                assert _same_bits(_bracket_primitive(a, 0.7), _two_branch_primitive(a, 0.7))
 
     def test_number_matches_two_branch_form(self):
         from boxforce.approx import _trapezoid_number, _trapezoid_rows

@@ -23,7 +23,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .spectrum import WellSide, level_gap, plus_mask
+# level_gap is not called here (_level_plan forms its gaps from their indices), but bench/spans.py wraps
+# occupancy.level_gap by name, and the name must stay importable for that
+from .spectrum import WellSide, level_gap, plus_mask  # noqa: F401
 
 __all__ = [
     "ThermoPoint",
@@ -93,13 +95,16 @@ _TILE = 1 << 14
 #   _SPLIT_TERMS terms reach rounding on |alpha| <= 1: the tail is below 3e-19
 #   of each remainder sum and 2e-18 of each n = 0 term. solve_rows keeps x >=
 #   x0 > 0, so alpha > -b e_1 >= -1/409.6.
-# Against math.fsum direct sums (N = 1 to 1e9, t from SPLIT_FLOOR's 409.6 to
-# 1e10, both wells, at x0, the root, three times the root, x = 5 and alpha =
-# 1, 1 +- 1e-12) the fugacity series measured at most 7.3e-16, 1.7e-15 and
-# 8.1e-16 relative in sum N_n, sum N_n^2 and sum (e_n - e_1) N_n, and the pole
-# split 2.8e-15, 5.9e-15 and 7.3e-15, each at the seam alpha = 1, where the
-# pole's sum and the remainder's cancel; the rows with alpha < 0 (t <= 3e4)
-# 7.2e-16, 9.0e-16 and 7.1e-16.
+# Against math.fsum direct sums (N = 1 to 1e9 by decades, 14 t from
+# SPLIT_FLOOR's 409.6 to 1e10, both wells, at x0, the root, three times the
+# root, x = 5 and alpha = 1, 1 +- 1e-12, the seam also on 60 t) the fugacity
+# series measured at most 6.7e-16, 1.0e-15 and 5.6e-16 relative in sum N_n,
+# sum N_n^2 and sum (e_n - e_1) N_n, and the pole split 1.3e-15, 2.7e-15 and
+# 3.6e-15, each at the seam alpha = 1, where the pole's sum and the
+# remainder's cancel; the rows with alpha < 0 (t <= 3e4) 6.7e-16, 1.3e-15 and
+# 4.4e-16. Each series is summed from its highest power down (_split_matrix);
+# from the lowest up the pole split read 2.7e-15, 6.0e-15 and 6.7e-15
+# (test_split_sums_at_the_seam_match_direct_sums).
 SPLIT_FLOOR = 1 << 7
 SPLIT_COST = 1 << 11
 _FUGACITY_ALPHA = 1.0
@@ -257,32 +262,43 @@ def _cutoff(b: np.ndarray) -> np.ndarray:
 
 
 def _groups(levels: np.ndarray):
-    """Slices of consecutive rows that share a plan, their levels adding up to at most _TILE (a wider row alone)."""
+    """(rows, ends) per slice of consecutive rows that share a plan, their levels adding up to at most _TILE.
+
+    A row wider than _TILE is a slice alone. ends is the running sum of the
+    slice's levels, where each row's run ends in its plan (_level_plan).
+    """
     ends = np.add.accumulate(levels)
     start = taken = 0
     while start < len(levels):
         end = max(int(ends.searchsorted(taken + _TILE, side="right")), start + 1)
-        yield slice(start, end)
+        yield slice(start, end), ends[start:end] - taken if start else ends[:end]  # the first slice's need no shift
         start, taken = end, ends[end - 1]
 
 
-def _level_plan(plus, b, levels, scale):
+def _level_plan(plus, b, levels, ends, scale):
     """A level plan: exponent bases b (e_n - e_1) and gaps of n = 1..levels[r] for each row r.
 
     The rows, sorted by levels, lay their levels end to end, row r's run
-    beginning at starts[r]. A plan is (base, gap, counts, starts, scale),
-    counts being each row's run length and scale its sums' power of two c
-    (_routes). Every row has at least one level (_cutoff), and
-    np.add.reduceat in _level_sums needs that: it returns the next element,
-    not 0, for an empty run.
+    ending at ends[r] (_groups) and beginning at starts[r]. A plan is (base,
+    gap, counts, starts, scale), counts being each row's run length and
+    scale its sums' power of two c (_routes). Each gap is formed from its
+    level's place in the run, k = n - 1: k (k + 1) for PLUS and k (k + 2)
+    for MINUS, the factors level_gap multiplies, n (n - 1) and (n - 1) (n +
+    1). Both factors are integers held exactly, so their product rounds
+    once, as level_gap's does, and every gap and base is level_gap's bit for
+    bit. Every row has at least one level (_cutoff), and np.add.reduceat in
+    _level_sums needs that: it returns the next element, not 0, for an empty
+    run.
     """
-    ends = np.add.accumulate(levels)
     starts = ends - levels
-    widest = int(levels[-1])
-    n = np.arange(1.0, widest + 1.0)
-    gaps = np.concatenate((level_gap(WellSide.MINUS, n), level_gap(WellSide.PLUS, n)))
-    gap = gaps.take(np.arange(ends[-1]) - (starts - widest * plus).repeat(levels))  # a PLUS row reads the second half
-    return b.repeat(levels) * gap, gap, levels, starts, scale
+    k = np.arange(float(ends[-1]))
+    k -= starts.repeat(levels)
+    gap = (2.0 - plus).repeat(levels)  # k + 1 for PLUS, k + 2 for MINUS, once k is added
+    gap += k
+    gap *= k
+    base = b.repeat(levels)
+    base *= gap
+    return base, gap, levels, starts, scale
 
 
 def _level_sums(x, plan):
@@ -304,20 +320,28 @@ def _level_sums(x, plan):
 
 
 def _split_matrix(terms: int) -> np.ndarray:
-    """The power series in alpha of R, -R' and the force moment, then of the n = 0 terms (see SPLIT_FLOOR)."""
+    """The power series in alpha of R, -R' and the force moment, then of the n = 0 terms (see SPLIT_FLOOR).
+
+    Each row runs from the highest power down, the order its terms are summed in (_LATTICE_SERIES).
+    """
     z, bernoulli, fact = _HALF_ZETA, _BERNOULLI, [math.factorial(j) for j in range(terms + 2)]
+    powers = range(terms - 1, -1, -1)
     return np.array([
-        [(-1) ** j * z[j + 1] / fact[j] for j in range(terms)],  # R
-        [(-1) ** j * z[j + 2] / fact[j] for j in range(terms)],  # -R'
-        [(-1) ** j * (0.5 - j) * z[j] / fact[j] for j in range(terms)],  # integral of z/expm1(z)
-        [-bernoulli[j + 1] / (2 * fact[j + 1]) for j in range(terms)],  # -r/2
-        [(j + 1) * bernoulli[j + 2] / (2 * fact[j + 2]) for j in range(terms)],  # r'/2
-        [-bernoulli[j] / (2 * fact[j]) for j in range(terms)],  # -alpha/expm1(alpha)/2
+        [(-1) ** j * z[j + 1] / fact[j] for j in powers],  # R
+        [(-1) ** j * z[j + 2] / fact[j] for j in powers],  # -R'
+        [(-1) ** j * (0.5 - j) * z[j] / fact[j] for j in powers],  # integral of z/expm1(z)
+        [-bernoulli[j + 1] / (2 * fact[j + 1]) for j in powers],  # -r/2
+        [(j + 1) * bernoulli[j + 2] / (2 * fact[j + 2]) for j in powers],  # r'/2
+        [-bernoulli[j] / (2 * fact[j]) for j in powers],  # -alpha/expm1(alpha)/2
     ])
 
 
 # Module constants are built with math, not numpy ufuncs, which would page in
-# their code at import time.
+# their code at import time. The series tables are contracted with np.einsum,
+# not @: @ is as accurate and 2-4 times as fast on them, but it calls BLAS,
+# whose first call pages in ~0.25 MB of work buffer, and on _LATTICE_SERIES it
+# rounds ~0.6% of points differently, which would move _start_tables and so
+# the last bits of a few level rows' roots.
 # Phi's and -Phi''s series in y = -A, 2 (zeta(2k + 2) - 1) y^k and 2 (k + 1) (zeta(2k + 4) - 1) y^k, highest
 # power first: summed from the smallest terms, as by Horner, they reach rounding (from the largest, ~3 ulps off)
 _LATTICE_SERIES = np.array([[2.0 * _ZETA_TAIL[k] for k in reversed(range(_LATTICE_TERMS))],
@@ -327,12 +351,12 @@ _LATTICE_ODD = slice(_LATTICE_TERMS % 2, None, 2)  # the rows of odd powers
 # _pole_sums' lattice points are w xt + 0 and xt + 3/4 (_pole_weights)
 _LATTICE_SHIFT = np.array([[0.0], [0.75]])
 _SPLIT_SERIES = _split_matrix(_SPLIT_TERMS)
-_SPLIT_POWERS = np.array([[float(j)] for j in range(_SPLIT_TERMS)])
-_SPLIT_ODD = slice(1, None, 2)
-_FUGACITY_POWERS = np.array([[float(k)] for k in range(1, _FUGACITY_TERMS + 1)])
-# the power series in z = e^-alpha, from z, of S, sum_n N_n^2 and the force, over sqrt(t) (see SPLIT_FLOOR):
-# (sqrt(pi)/2) k^-1/2 times 1 (Li_{1/2}), k - 1 (Li_{-1/2} - Li_{1/2}) and 1/(2k) (Li_{3/2}/2)
-_FUGACITY_SERIES = np.array([[math.sqrt(math.pi / k) / 2.0 * w(k) for k in range(1, _FUGACITY_TERMS + 1)]
+_SPLIT_POWERS = np.array([[float(j)] for j in reversed(range(_SPLIT_TERMS))])
+_SPLIT_ODD = slice(_SPLIT_TERMS % 2, None, 2)
+_FUGACITY_POWERS = np.array([[float(k)] for k in range(_FUGACITY_TERMS, 0, -1)])
+# the power series in z = e^-alpha of S, sum_n N_n^2 and the force, over sqrt(t) (see SPLIT_FLOOR), from the
+# highest power down to z: (sqrt(pi)/2) k^-1/2 times 1 (Li_{1/2}), k - 1 (Li_{-1/2} - Li_{1/2}) and 1/(2k) (Li_{3/2}/2)
+_FUGACITY_SERIES = np.array([[math.sqrt(math.pi / k) / 2.0 * w(k) for k in range(_FUGACITY_TERMS, 0, -1)]
                              for w in (lambda k: 1.0, lambda k: k - 1.0, lambda k: 0.5 / k)])
 
 
@@ -450,7 +474,7 @@ def _series_sums(x, alpha, xt, rows, scale):
     """
     t, root_t, image, half_ct, half_tt = rows[0], rows[2], rows[3], rows[4], rows[5]
     pole, pole_squares = _pole_sums(xt, rows[7:], scale)
-    powers = _powers(alpha, _SPLIT_POWERS, _SPLIT_ODD)  # 1, alpha, alpha^2, ...
+    powers = _powers(alpha, _SPLIT_POWERS, _SPLIT_ODD)  # ..., alpha^2, alpha, 1
     series = np.einsum("ck,kr->cr", _SPLIT_SERIES, powers)
     weighted = root_t * series[:3]
     weighted += image * series[3:]
@@ -464,7 +488,7 @@ def _fugacity_sums(x, alpha, xt, rows, scale):
     """_split_sums' sums on rows with alpha > 1, in z = e^-alpha (see SPLIT_FLOOR); the moment is f - e_1 S."""
     t, ground, root_t, image = rows[0], rows[1], rows[2], rows[3]
     # z = e^-x e^(b e_1): alpha = x - b e_1 would carry its own rounding, ~1e-15 at alpha ~ 10, into z
-    powers = np.power(np.exp(-x) * rows[6], _FUGACITY_POWERS)  # z, z^2, ...
+    powers = np.power(np.exp(-x) * rows[6], _FUGACITY_POWERS)  # ..., z^2, z
     sums = root_t * np.einsum("ck,kr->cr", _FUGACITY_SERIES, powers)
     number, squares, force = sums[0], sums[1], sums[2]
     ground_occupation = 1.0 / np.expm1(alpha)
@@ -513,12 +537,12 @@ def _routes(plus, ground, b, levels, scale):
     if narrow < attempted and sum(ordered[narrow:attempted].tolist()) <= SPLIT_COST:
         narrow = attempted
     wide = order[narrow:attempted]
-    for group in _groups(np.full(wide.size, max(_SPLIT_TERMS, _FUGACITY_TERMS))) if wide.size else ():
+    for group, _ in _groups(np.full(wide.size, max(_SPLIT_TERMS, _FUGACITY_TERMS))) if wide.size else ():
         on = wide[group]
         yield _split_sums, _split_plan(ground[on], b[on], scale), on
-    for group in _groups(ordered[:narrow]):
+    for group, ends in _groups(ordered[:narrow]):
         on = order[group]
-        yield _level_sums, _level_plan(plus[on], b[on], ordered[group], scale), on
+        yield _level_sums, _level_plan(plus[on], b[on], ordered[group], ends, scale), on
 
 
 @functools.cache

@@ -568,13 +568,13 @@ class TestSolveRowGroups:
     def test_plan_built_once_per_group(self, monkeypatch):
         # both wells at N = 100, t = 1e4 share one group of 2 x 633 levels
         calls = []
-        gap = occupancy.level_gap
+        level_plan = occupancy._level_plan
 
-        def counted(side, n):
-            calls.append(side)
-            return gap(side, n)
+        def counted(plus, b, levels, ends, scale):
+            calls.append(len(b))
+            return level_plan(plus, b, levels, ends, scale)
 
-        monkeypatch.setattr(occupancy, "level_gap", counted)
+        monkeypatch.setattr(occupancy, "_level_plan", counted)
         assert solve_rows((P, M), 100, 1e-4).iterations.tolist() == [3, 3]
         calls.clear()
         net_force(ThermoPoint(100, 1e4))
@@ -584,6 +584,7 @@ class TestSolveRowGroups:
         assert short.iterations.tolist() == [2, 2]
         assert not short.converged.any()
         assert len(calls) == full > 0
+        assert calls == [2]  # one group of both rows, one build
 
     def test_wide_rows_near_condensation_build_one_split_plan(self, monkeypatch):
         # N = 1e6 at t = 1e7: ~2e4 levels, more than _TILE, so both rows take
@@ -889,6 +890,29 @@ class TestSplitPlan:
                 exact_phi, exact_squares = _mp_lattice(a2), scale * _mp_lattice_squares(a2)
             assert got_phi == pytest.approx(float(exact_phi), rel=6e-16)
             assert got_squares == pytest.approx(float(exact_squares), rel=1.2e-15)
+
+    def test_split_sums_at_the_seam_match_direct_sums(self):
+        # alpha = 1 - 1e-12 and 1 on the pole split, where its pole sum and
+        # its remainder's cancel most, and 1 + 1e-12 on the fugacity series,
+        # from the SPLIT_FLOOR threshold to t = 1e10, both wells. Each series
+        # is summed from its highest power down; from the lowest up the pole
+        # split read 2.7e-15, 6.0e-15 and 6.4e-15 here in S, sum_n N_n^2 and
+        # sum_n (e_n - e_1) N_n, and the fugacity series 1.1e-15 in sum_n N_n^2
+        threshold = SPLIT_FLOOR**2 / occupancy.TAIL_EXPONENT
+        alphas = np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12])
+        bounds = {True: (2e-15, 4e-15, 5e-15), False: (1e-15, 1e-15, 1e-15)}  # pole split, fugacity series
+        for t in np.geomspace(threshold * 1.001, 1e10, 30):
+            b = 1.0 / t
+            levels = int(occupancy._cutoff(np.array([b]))[0])
+            for side in (P, M):
+                x = alphas + b * side.ground_energy
+                plan = occupancy._split_plan(np.full(3, side.ground_energy), np.full(3, b), 1.0)
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    got = kernel_sums(occupancy._split_sums, x, plan)  # S, squares, moment
+                expected = direct_sums(side is P, x, b, levels)[[0, 2, 1]]
+                for row, split in enumerate((True, True, False)):
+                    for value, exact, bound in zip(got, expected, bounds[split]):
+                        assert value[row] == pytest.approx(exact[row], rel=bound, abs=0.0)
 
     def test_series_tables_match_mpmath(self):
         # the hard-coded (sqrt(pi)/2) zeta(3/2 - j), Bernoulli numbers and zeta(2k + 2) - 1, correctly rounded

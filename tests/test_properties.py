@@ -8,13 +8,15 @@ hypothesis is not installed.
 
 import math
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from boxforce import SweepConfig, ThermoPoint, WellSide, net_force, solve_alpha, sweep  # noqa: E402
-from boxforce.occupancy import DEFAULT_TOL  # noqa: E402
+from boxforce import SweepConfig, ThermoPoint, WellSide, net_force, occupancy, solve_alpha, sweep  # noqa: E402
+from boxforce.occupancy import _TILE, DEFAULT_TOL  # noqa: E402
+from boxforce.spectrum import level_gap  # noqa: E402
 
 from _oracles import mp_delta_f  # noqa: E402
 
@@ -88,3 +90,36 @@ def test_delta_f_tends_to_three_quarters_n(n, log_t):
     t = 10.0**log_t
     deviation = abs(net_force(ThermoPoint(n, t)).delta_f - 0.75 * n)
     assert deviation <= 3.0 * math.exp(-2.0 / t) + 1e-12 * n
+
+
+@_examples(40)
+@hypothesis.given(
+    count=st.integers(min_value=1, max_value=600),
+    log_t_min=st.floats(min_value=-3.0, max_value=math.log10(409.0)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_level_plans_hold_each_rows_own_gaps(count, log_t_min, seed):
+    # any set of rows under SPLIT_FLOOR's t = 409.6, wells in any order, is
+    # laid out in level plans: each row's run is level_gap's gaps of n =
+    # 1..its cutoff and their bases b (e_n - e_1), value for value, and a plan
+    # passes _TILE levels only if it holds a single row. The rows are drawn
+    # from the seed, log-uniform in t above 10^log_t_min, which lets a draw
+    # hold enough levels for several plans
+    rng = np.random.default_rng(seed)
+    plus = rng.random(count) < 0.5
+    b = 10.0 ** -rng.uniform(log_t_min, math.log10(409.0), count)
+    ground = np.where(plus, WellSide.PLUS.ground_energy, WellSide.MINUS.ground_energy)
+    levels = occupancy._cutoff(b)
+    seen = []
+    for kernel, plan, on in occupancy._routes(plus, ground, b, levels, 1.0):
+        assert kernel is occupancy._level_sums
+        base, gap, counts, starts, _ = plan
+        assert gap.size <= _TILE or len(on) == 1
+        assert counts.tolist() == levels[on].tolist()
+        for row, start, run_levels in zip(on.tolist(), starts.tolist(), counts.tolist()):
+            run = slice(start, start + run_levels)
+            expected = level_gap(WellSide.PLUS if plus[row] else WellSide.MINUS, np.arange(1.0, run_levels + 1.0))
+            assert gap[run].tolist() == expected.tolist()
+            assert base[run].tolist() == (b[row] * expected).tolist()
+        seen += on.tolist()
+    assert sorted(seen) == list(range(count))

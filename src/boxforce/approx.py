@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .occupancy import ConstraintSolverError, check_domain
-from .spectrum import WellSide, energy_level, plus_mask
+from .spectrum import WellSide, offsets
 
 __all__ = [
     "LinearForce",
@@ -103,9 +103,10 @@ def _bracket_primitive(alpha, w):
     return out
 
 
-def _trapezoid_rows(e1, e2, b):
-    """The row constants of _trapezoid_number: b e_1, b e_2, sqrt(b) and s2 = sqrt(b e_2), where the integral starts."""
-    return b * e1, b * e2, np.sqrt(b), np.sqrt(b * e2)
+def _trapezoid_rows(c, b):
+    """Row constants of _trapezoid_number at offset c: b e_1, b e_2, sqrt(b) and s2 = sqrt(b e_2), its integral's start."""
+    b_e2 = b * (2.0 - c) ** 2
+    return b * (1.0 - c) ** 2, b_e2, np.sqrt(b), np.sqrt(b_e2)
 
 
 def _trapezoid_number(alpha, rows):
@@ -144,7 +145,7 @@ def semi_analytic_total_number(side: WellSide, alpha, b):
     if not (np.all(alpha + b * e1 > 0.0) and np.all(alpha < 2.0)):
         raise ValueError(f"need -b*e_1 < alpha < 2, got b = {b}, alpha = {alpha}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _trapezoid_number(alpha, _trapezoid_rows(e1, energy_level(side, 2), b))
+        return _trapezoid_number(alpha, _trapezoid_rows(side.offset, b))
 
 
 def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exception | None]]:
@@ -159,19 +160,17 @@ def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exc
     where a row failed) and each row's error or None: MethodOutOfRangeError
     if S > N at alpha = 2, else ConstraintSolverError.
     """
-    plus = plus_mask(sides)
-    e1 = np.where(plus, WellSide.PLUS.ground_energy, WellSide.MINUS.ground_energy)
-    e2 = np.where(plus, energy_level(WellSide.PLUS, 2), energy_level(WellSide.MINUS, 2))
-    b = 1.0 / np.broadcast_to(t, e1.shape)
-    pole = b * e1
-    ends = np.stack((-pole + 1e-10 * np.maximum(1.0, pole), np.full(len(e1), 2.0 - 1e-12)))
+    c = offsets(sides)
+    b = 1.0 / np.broadcast_to(t, c.shape)
     with np.errstate(all="ignore"):
-        rows = _trapezoid_rows(e1, e2, b)
+        rows = _trapezoid_rows(c, b)
+        pole = rows[0]  # b e_1
+        ends = np.stack((-pole + 1e-10 * np.maximum(1.0, pole), np.full(len(c), 2.0 - 1e-12)))
         lo, hi = ends
         f_lo, f_hi = (_trapezoid_number(ends, rows) - n_particles) * (ends + pole)
         out_of_range = f_hi > 0.0
         live = (f_lo >= 0.0) & (f_hi <= 0.0)  # false on nan
-        moved_lo = moved_hi = np.zeros(len(e1), dtype=bool)
+        moved_lo = moved_hi = np.zeros(len(c), dtype=bool)
         two_eps = 2.0 * np.finfo(float).eps
         for step in range(201):  # at most 200 steps
             tol = 1e-15 + two_eps * np.abs(lo + hi)
@@ -191,7 +190,7 @@ def semi_analytic_rows(sides, n_particles: int, t) -> tuple[np.ndarray, list[Exc
             hi = np.where(down, x, hi)
             moved_lo, moved_hi = up, down
     converged = hi - lo <= tol
-    errors = [None] * len(e1)
+    errors = [None] * len(c)
     for row in np.flatnonzero(~converged).tolist():
         if out_of_range[row]:
             errors[row] = MethodOutOfRangeError(f"constraint still above N = {n_particles} at alpha = 2")
@@ -251,10 +250,10 @@ def theta_partition_sum(side: WellSide, k: int, b: float, method: str = "direct"
     """
     u = _theta_exponent(k, b)
     if method == "direct":
-        total = 0.0
+        total, c = 0.0, side.offset
         n = 1
         while True:
-            term = math.exp(-u * energy_level(side, n))
+            term = math.exp(-u * (n - c) ** 2)
             total += term
             if term <= _SERIES_TOL * total:  # an all-zero tail ends the sum once the terms underflow
                 return total

@@ -25,7 +25,7 @@ import numpy as np
 
 # level_gap is not called here (_level_plan forms its gaps from their indices), but bench/spans.py wraps
 # occupancy.level_gap by name, and the name must stay importable for that
-from .spectrum import WellSide, level_gap, plus_mask  # noqa: F401
+from .spectrum import WellSide, level_gap, offsets  # noqa: F401
 
 __all__ = [
     "ThermoPoint",
@@ -67,31 +67,31 @@ _TILE = 1 << 14
 # 2,048 (t > ~104,900), and a sweep's rows over the floor once they are more
 # than a handful. Below the floor a split evaluation would not pay for itself
 # in any call, and its series would leave their domain (alpha >= -1/409.6,
-# below). The levels are symmetric about n = c, c = 1/2 (PLUS)
-# or 0 (MINUS), so the sum over n >= 1 is half that over all integers, less
-# N(0)/2 for MINUS (n = 0 is no level), and by Poisson summation sqrt(t) times
+# below). The levels (n - c)^2 (spectrum) are symmetric about n = c, so the
+# sum over n >= 1 is half that over all integers less the image of n = 0,
+# (1 - 2c)/2 times its term, and by Poisson summation sqrt(t) times
 # the integral over v = (n - c)/sqrt(t) of the integrand in z = alpha + v^2,
 # up to ~2 pi (t / d) exp(-2 pi d), d the distance of its nearest pole from
 # the real n axis. Each evaluation picks the integrand row by row, by alpha:
 # * alpha > _FUGACITY_ALPHA = 1 (_fugacity_sums): the occupation 1/expm1(z),
 #   its nearest pole d = sqrt(alpha t) > 20.2 away. Its integrals are Bose
-#   functions of z = e^-alpha: S = (sqrt(pi t)/2) Li_{1/2}(z), less 1/(2 expm1
-#   alpha) for MINUS; Newton's sum of squares, sum_n N_n (N_n + 1) - S, is
-#   (sqrt(pi t)/2) sum_k (k - 1) z^k / sqrt(k), summed so and not as that
-#   difference, less N(0)^2/2 for MINUS; the force sum_n e_n N_n is t (sqrt(pi
-#   t)/4) Li_{3/2}(z) (e_0 = 0). _FUGACITY_TERMS terms reach rounding at z <= e^-1.
+#   functions of z = e^-alpha: S = (sqrt(pi t)/2) Li_{1/2}(z) less N(0)'s
+#   image; Newton's sum of squares, sum_n N_n (N_n + 1) - S, is (sqrt(pi
+#   t)/2) sum_k (k - 1) z^k / sqrt(k), summed so and not as that difference,
+#   less N(0)^2's image; the force sum_n e_n N_n is t (sqrt(pi t)/4)
+#   Li_{3/2}(z) (e_0 = 0). _FUGACITY_TERMS terms reach rounding at z <= e^-1.
 # * alpha <= 1 (_series_sums): the pole split. The pole 1/z has a closed-form
 #   lattice sum in A = alpha t (_lattice). The remainder r(z) = 1/expm1(z) -
 #   1/z is analytic, its poles z = +-2 pi i lying ~sqrt(pi t) >= 35.8 from the
-#   axis, so its sum is sqrt(t) R(alpha), less r(alpha)/2 for MINUS, R(alpha)
+#   axis, so its sum is sqrt(t) R(alpha) less r(alpha)'s image, R(alpha)
 #   the integral of r(alpha + v^2) over v >= 0; so are those of -r' (Newton's
 #   derivative) and of z/expm1(z) (the force). R is the Bose integral less its
 #   pole, a power series in alpha (Robinson, Phys. Rev. 83, 678, 1951): R =
 #   (sqrt(pi)/2) sum_j zeta(1/2 - j) (-alpha)^j / j!, -R' is the same series
 #   one zeta further on, and the force's integral (sqrt(pi)/2) (alpha Li_{1/2}
 #   + Li_{3/2}/2) is (sqrt(pi)/2) sum_j (1/2 - j) zeta(3/2 - j) (-alpha)^j / j!.
-#   The n = 0 terms -r(alpha)/2, r'(alpha)/2 and -alpha/expm1(alpha)/2 are the
-#   Bernoulli series of 1/expm1. All six converge for |alpha| < 2 pi, and
+#   The images, (1 - 2c) times -r(alpha)/2, r'(alpha)/2 and
+#   -alpha/expm1(alpha)/2, are Bernoulli series of 1/expm1. All six converge for |alpha| < 2 pi, and
 #   _SPLIT_TERMS terms reach rounding on |alpha| <= 1: the tail is below 3e-19
 #   of each remainder sum and 2e-18 of each n = 0 term. solve_rows keeps x >=
 #   x0 > 0, so alpha > -b e_1 >= -1/409.6.
@@ -142,9 +142,9 @@ _LATTICE_TERMS = 28
 # clamped at the root's exact lower bound x0 = log1p(1/N), inside the model's
 # window, and at x0 outside it. Split as for SPLIT_FLOOR, a row's sum is
 # t q(A), A = alpha t, from the pole, q being half its lattice sum
-# (_pole_sums), plus the remainder's, sqrt(t) R(alpha) less r(alpha)/2 for
-# MINUS. The model takes the remainder to first order in alpha: t q(A) +
-# sqrt(t) (C + R1 alpha) + 1/4 - alpha/24 (MINUS) = N, with C = R(0) =
+# (_pole_sums), plus the remainder's, sqrt(t) R(alpha) less r(alpha)'s image
+# (SPLIT_FLOOR). The model takes the remainder to first order in alpha: t q(A)
+# + sqrt(t) (C + R1 alpha) + (1 - 2c) (1/4 - alpha/24) = N, with C = R(0) =
 # (sqrt(pi)/2) zeta(1/2) (REMAINDER_LIMIT) and R1 = R'(0) = -(sqrt(pi)/2)
 # zeta(-1/2) (REMAINDER_SLOPE), the first two terms of R's series
 # (_HALF_ZETA), and -r(alpha)/2 = 1/4 - alpha/24 + O(alpha^3). Its root in
@@ -275,25 +275,24 @@ def _groups(levels: np.ndarray):
         start, taken = end, ends[end - 1]
 
 
-def _level_plan(plus, b, levels, ends, scale):
-    """A level plan: exponent bases b (e_n - e_1) and gaps of n = 1..levels[r] for each row r.
+def _level_plan(c, b, levels, ends, scale):
+    """A level plan: exponent bases b (e_n - e_1) and gaps of n = 1..levels[r] for each row r of offset c[r].
 
     The rows, sorted by levels, lay their levels end to end, row r's run
     ending at ends[r] (_groups) and beginning at starts[r]. A plan is (base,
     gap, counts, starts, scale), counts being each row's run length and
-    scale its sums' power of two c (_routes). Each gap is formed from its
-    level's place in the run, k = n - 1: k (k + 1) for PLUS and k (k + 2)
-    for MINUS, the factors level_gap multiplies, n (n - 1) and (n - 1) (n +
-    1). Both factors are integers held exactly, so their product rounds
-    once, as level_gap's does, and every gap and base is level_gap's bit for
-    bit. Every row has at least one level (_cutoff), and np.add.reduceat in
-    _level_sums needs that: it returns the next element, not 0, for an empty
-    run.
+    scale its sums' power of two s (_routes). Each gap is formed from its
+    level's place in the run, k = n - 1, as k (k + 2 - 2c), the factors of
+    level_gap's (n - 1)(n + 1 - 2c). Both are integers held exactly, so
+    their product rounds once, as level_gap's does, and every gap and base
+    is level_gap's bit for bit. Every row has at least one level (_cutoff),
+    and np.add.reduceat in _level_sums needs that: it returns the next
+    element, not 0, for an empty run.
     """
     starts = ends - levels
     k = np.arange(float(ends[-1]))
     k -= starts.repeat(levels)
-    gap = (2.0 - plus).repeat(levels)  # k + 1 for PLUS, k + 2 for MINUS, once k is added
+    gap = (2.0 - 2.0 * c).repeat(levels)  # k + 2 - 2c, once k is added
     gap += k
     gap *= k
     base = b.repeat(levels)
@@ -302,11 +301,11 @@ def _level_plan(plus, b, levels, ends, scale):
 
 
 def _level_sums(x, plan):
-    """c S = c sum_n N_n per row at x over a plan of scale c, and its other two sums on demand (call under np.errstate).
+    """s S = s sum_n N_n per row at x over a plan of scale s, and its other two sums on demand (call under np.errstate).
 
-    Returns (c S, squares, moment): squares() gives c sum_n N_n^2 and
-    moment() c sum_n (e_n - e_1) N_n. Each forms its sum only when called,
-    from the evaluation's occupations c N_n, which neither alters, so
+    Returns (s S, squares, moment): squares() gives s sum_n N_n^2 and
+    moment() s sum_n (e_n - e_1) N_n. Each forms its sum only when called,
+    from the evaluation's occupations s N_n, which neither alters, so
     either may be called after the other. np.add.reduceat sums each row's
     run (_level_plan) pairwise, the same wherever the run lies in the plan.
     """
@@ -314,7 +313,7 @@ def _level_sums(x, plan):
     occ = x.repeat(counts)
     occ += base
     np.expm1(occ, out=occ)
-    np.divide(scale, occ, out=occ)  # c N_n
+    np.divide(scale, occ, out=occ)  # s N_n
     return (np.add.reduceat(occ, starts), lambda: np.add.reduceat(occ * occ, starts) / scale,
             lambda: np.add.reduceat(occ * gap, starts))
 
@@ -412,7 +411,7 @@ def _zeta_lattice(p, scale):
 
 
 def _lattice(p, scale=1.0):
-    """Phi(A) = sum_{n != 0} 1/(A + n^2) and a thunk for c times -Phi'(A) = sum_{n != 0} 1/(A + n^2)^2, A = p - 1 > -1.
+    """Phi(A) = sum_{n != 0} 1/(A + n^2) and a thunk for s times -Phi'(A) = sum_{n != 0} 1/(A + n^2)^2, A = p - 1 > -1.
 
     p = 1 + A, 1-D, the distance from the pole at A = -1 (level n = +-1), comes in
     without cancellation. The closed form Phi = (pi/a) coth(pi a) - 1/A,
@@ -424,52 +423,51 @@ def _lattice(p, scale=1.0):
     Measured against mpmath from p = 1e-14 to 1e8: below A = 1 <= 2.2e-16
     relative in Phi and 4.4e-16 in -Phi', and in the closed form, which
     cancels most just above A = 1, <= 5.1e-16 and 1.1e-15. -Phi' ~ 2/p^2
-    overflows below p ~ 1e-154; the power of two c = scale enters before
+    overflows below p ~ 1e-154; the power of two s = scale enters before
     squaring.
     """
     return _on_branches(p >= 2.0, (_coth_lattice, _zeta_lattice), (p,), scale)
 
 
-def _pole_weights(ground):
-    """_pole_sums' row weights, w = 1/e_1: points' (w, 1), pole sum's (w, -[PLUS]) and squares' (w^2, -[PLUS])."""
-    weight = 1.0 / ground
-    even = np.where(weight > 1.0, -1.0, 0.0)  # PLUS: less Phi(A), the lattice's even half in units of 1/2
+def _pole_weights(c):
+    """_pole_sums' row weights at offset c, w = 1/e_1: points' (w, 1), pole sum's (w, -2c) and squares' (w^2, -2c)."""
+    weight = 1.0 / (1.0 - c) ** 2
+    even = -2.0 * c
     return weight, np.ones_like(weight), weight, even, weight * weight, even
 
 
 def _pole_sums(xt, weights, scale=1.0):
-    """The pole's lattice sum sum_{n != c} 1/(A + (n - c)^2), A = xt - e_1, per row, and a thunk: c times its squares'.
+    """The pole's lattice sum sum_{n != c} 1/(A + (n - c)^2), A = xt - e_1, per row, and a thunk: s times its squares'.
 
-    The lattice is the integers for MINUS (ground energy 1, c = 0), where
-    the sum is Phi(A), and the half-integers for PLUS (ground energy 1/4,
-    c = 1/2), where in units of 1/2 it is the odd half of the integers,
-    4 Phi(4A) - Phi(A); the sum of squares is -d/dA of either, times c =
-    scale, taken inside _lattice. One _lattice call takes each row's two
-    points, w xt and xt + 3/4 (weighted by 0 for MINUS), weights being the
-    rows' _pole_weights.
+    The points n - c (spectrum) are the integers at c = 0, where the sum is
+    Phi(A), and at c = 1/2, in units of 1/2, the odd integers, where it is
+    4 Phi(4A) - Phi(A): in both w Phi(w xt - 1) - 2c Phi(A). The sum
+    of squares is -d/dA of it, times s = scale, taken inside _lattice. One
+    _lattice call takes each row's two points, w xt and xt + 3/4, weights
+    being the rows' _pole_weights.
     """
     phi, squares = _lattice((xt * weights[:2] + _LATTICE_SHIFT).ravel(), scale)
     return (weights[2:4] * phi.reshape(2, -1)).sum(0), lambda: (weights[4:] * squares().reshape(2, -1)).sum(0)
 
 
-def _split_plan(ground, b, scale):
-    """A split plan (see SPLIT_FLOOR): (rows, c), c its scale (_routes) and rows each row's constants, built once.
+def _split_plan(c, b, scale):
+    """A split plan (see SPLIT_FLOOR) for rows of offset c: (rows, s), s its scale (_routes), rows their constants.
 
-    They are t, e_1, c sqrt(t), c for MINUS (else 0), c t/2, t^2/2, e^(b e_1) and the _pole_weights.
+    They are t, e_1, s sqrt(t), s (1 - 2c), s t/2, t^2/2, e^(b e_1) and the _pole_weights, built once.
     """
     t = 1.0 / b
     half_t = 0.5 * t
-    image = ground == WellSide.MINUS.ground_energy
+    ground = (1.0 - c) ** 2
     # np.array stacks the rows at less cost than np.stack
-    return np.array((t, ground, scale * np.sqrt(t), scale * image, scale * half_t, half_t * t, np.exp(ground / t),
-                     *_pole_weights(ground))), scale
+    return np.array((t, ground, scale * np.sqrt(t), scale * (1.0 - 2.0 * c), scale * half_t, half_t * t,
+                     np.exp(ground / t), *_pole_weights(c))), scale
 
 
 def _series_sums(x, alpha, xt, rows, scale):
     """_split_sums' sums on rows with |alpha| <= 1, by the pole split (see SPLIT_FLOOR).
 
     The pole's sum over n >= 1 is (t/2) times its lattice sum (_pole_sums); the remainder's sums of r, -r' and
-    z/expm1(z) and MINUS's n = 0 images are one two-operand product, weighted afterwards by c sqrt(t) and c;
+    z/expm1(z) and their n = 0 images are one two-operand product, weighted afterwards by s sqrt(t) and s (1 - 2c);
     sum_n (e_n - e_1) N_n = t (sum_n z_n N_n - x S). The last two sums are thunks.
     """
     t, root_t, image, half_ct, half_tt = rows[0], rows[2], rows[3], rows[4], rows[5]
@@ -492,13 +490,13 @@ def _fugacity_sums(x, alpha, xt, rows, scale):
     sums = root_t * np.einsum("ck,kr->cr", _FUGACITY_SERIES, powers)
     number, squares, force = sums[0], sums[1], sums[2]
     ground_occupation = 1.0 / np.expm1(alpha)
-    image = image * (0.5 * ground_occupation)  # c N(0)/2 for MINUS, 0 for PLUS
+    image = image * (0.5 * ground_occupation)  # s (1 - 2c) N(0)/2
     number -= image
     return number, lambda: squares - image * ground_occupation, lambda: t * force - ground * number
 
 
 def _split_sums(x, plan):
-    """c S at x over a split plan of scale c and its other two sums on demand, as _level_sums returns them.
+    """s S at x over a split plan of scale s and its other two sums on demand, as _level_sums returns them.
 
     Each row takes the branch of its alpha = x - b e_1 (see SPLIT_FLOOR): the
     pole split up to _FUGACITY_ALPHA, the fugacity series past it. Call under np.errstate.
@@ -510,17 +508,17 @@ def _split_sums(x, plan):
     return _on_branches(alpha <= _FUGACITY_ALPHA, (_series_sums, _fugacity_sums), (x, alpha, xt, rows), scale)
 
 
-def _routes(plus, ground, b, levels, scale):
-    """Yield (kernel, plan, rows) per group (_groups) of rows, rows being the group's indices.
+def _routes(c, b, levels, scale):
+    """Yield (kernel, plan, rows) per group (_groups) of the rows of offsets c, rows being the group's indices.
 
-    Every plan sums at scale c, a power of two: its kernel returns c times
-    S, sum_n N_n^2 and sum_n (e_n - e_1) N_n. solve_rows takes c = 2^-e, e
-    the binary exponent of N (c N in [1/2, 1)), so that c sum_n N_n^2 stays
+    Every plan sums at scale s, a power of two: its kernel returns s times
+    S, sum_n N_n^2 and sum_n (e_n - e_1) N_n. solve_rows takes s = 2^-e, e
+    the binary exponent of N (s N in [1/2, 1)), so that s sum_n N_n^2 stays
     finite where sum_n N_n^2, ~N^2, overflows (past N ~ 1.3e154): a level
-    plan sums c N_n, and a split plan takes c into its lattice sum of squares
+    plan sums s N_n, and a split plan takes s into its lattice sum of squares
     before squaring (_lattice). Scaling by a power of two is exact while the
     scaled terms stay normal, as they do up to N = 1e150 at least
-    (tests/test_occupancy.py), so there each sum is c times the unscaled
+    (tests/test_occupancy.py), so there each sum is s times the unscaled
     one, bit for bit.
 
     The rows over SPLIT_FLOOR levels sum them as one integral (_split_sums)
@@ -539,10 +537,10 @@ def _routes(plus, ground, b, levels, scale):
     wide = order[narrow:attempted]
     for group, _ in _groups(np.full(wide.size, max(_SPLIT_TERMS, _FUGACITY_TERMS))) if wide.size else ():
         on = wide[group]
-        yield _split_sums, _split_plan(ground[on], b[on], scale), on
+        yield _split_sums, _split_plan(c[on], b[on], scale), on
     for group, ends in _groups(ordered[:narrow]):
         on = order[group]
-        yield _level_sums, _level_plan(plus[on], b[on], ordered[group], ends, scale), on
+        yield _level_sums, _level_plan(c[on], b[on], ordered[group], ends, scale), on
 
 
 @functools.cache
@@ -553,10 +551,11 @@ def _start_tables():
     (pi/2)/sqrt(u) far out, so log q ascends over the knots, which run
     down in log u = 2 sinh(s) from 34 to -20, s uniform: dense where q turns
     from one form to the other, sparse along both asymptotes, where log(u q)
-    is nearly linear in log q. A knot's key is log q, less _START_SHIFT for
-    MINUS, whose knots come first; its value is log(u q) + i d log q / d log u,
-    the slope running from -1 near u = 0 to about -1/2 far out, from q' =
-    -(the pole's sum of squares)/2, which _pole_sums returns with q. Read by
+    is nearly linear in log q. A knot's key is log q less (1 - 2c)
+    _START_SHIFT, MINUS's knots coming first; its value is log(u q) + i d
+    log q / d log u, the slope running from -1 near u = 0 to about -1/2 far
+    out, from q' = -(the pole's sum of squares)/2, which _pole_sums returns
+    with q. Read by
     linear interpolation, u is off by at most 1.0e-6 relative and the slope
     by 6.3e-7 (against _lattice at 200,001 points). u = e^34 lies past the
     model's root on every row it is used on under MAX_LEVELS (alpha <= 1.12
@@ -569,9 +568,9 @@ def _start_tables():
     """
     log_u = 2.0 * np.sinh(np.linspace(math.asinh(17.0), math.asinh(-10.0), _START_KNOTS))
     u = np.exp(log_u)
-    ground = np.repeat([WellSide.MINUS.ground_energy, WellSide.PLUS.ground_energy], _START_KNOTS)
+    c = np.repeat([WellSide.MINUS.offset, WellSide.PLUS.offset], _START_KNOTS)
     with np.errstate(over="ignore"):  # sinh overflows at large u, where its term in the sum of squares is 0
-        pole, squares = _pole_sums(np.tile(u, 2), np.array(_pole_weights(ground)))
+        pole, squares = _pole_sums(np.tile(u, 2), np.array(_pole_weights(c)))
         pole, squares = pole.reshape(2, -1), squares().reshape(2, -1)  # MINUS, PLUS
     q = 0.5 * pole
     slope = -0.5 * u * squares / q  # u q'/q
@@ -581,28 +580,28 @@ def _start_tables():
     return keys, values
 
 
-def _start(plus, ground, b, target, x0):
-    """Each row's first iterate: the pole model's root (see REMAINDER_LIMIT), clamped at x0.
+def _start(c, b, target, x0):
+    """Each row's first iterate, c its offset: the pole model's root (see REMAINDER_LIMIT), clamped at x0.
 
     A row keeps x0 unless START_T <= t <= (N / START_DEGENERACY)^2. The
     table gives the root u0 = x t of the model at alpha = 0, t q(u) = N -
-    C sqrt(t) (- 1/4 for MINUS), and the slope s = d log q / d log u there;
+    C sqrt(t) - (1 - 2c)/4, and the slope s = d log q / d log u there;
     one Newton step in x adds the model's terms linear in alpha = x - b e_1,
-    K alpha with K = R1 sqrt(t) (- 1/24 for MINUS). Call under np.errstate.
+    K alpha with K = R1 sqrt(t) - (1 - 2c)/24. Call under np.errstate.
     """
     inside = (b <= 1.0 / START_T) & (b >= (START_DEGENERACY / target) ** 2)
     if not np.count_nonzero(inside):
         return x0.repeat(b.size)
     root_b = np.sqrt(b)
-    image = np.where(plus, 0.0, 0.25)  # MINUS: the n = 0 image, -r(alpha)/2 = 1/4 - alpha/24 + O(alpha^3)
+    image = 0.25 - 0.5 * c  # (1 - 2c)/4: n = 0's image (c from spectrum; see REMAINDER_LIMIT)
     pole = target - (REMAINDER_LIMIT / root_b + image)  # t q(u0)
     keys, values = _start_tables()
-    key = np.log(pole * b) - (4.0 * _START_SHIFT) * image  # log q, less _START_SHIFT for MINUS
+    key = np.log(pole * b) - (4.0 * _START_SHIFT) * image  # log q less (1 - 2c) _START_SHIFT
     fit = np.interp(key, keys, values, right=-1j)
     x = np.exp(fit.real) / pole  # x = u0 / t = (u0 q) / (t q)
     # x - K alpha / (t q s / x + K) = x (scaled + b e_1) / (scaled + x), scaled = t q s / K; K > 0 on every row inside
     scaled = pole / (REMAINDER_SLOPE / root_b - image / 6.0) * fit.imag
-    x *= (scaled + b * ground) / (scaled + x)
+    x *= (scaled + b * (1.0 - c) ** 2) / (scaled + x)
     return np.fmax(np.where(inside, x, x0), x0)  # fmax: a nan root (past N ~ 5e307, scaled overflows) keeps x0
 
 
@@ -617,9 +616,9 @@ def total_number(side: WellSide, alpha: float, b: float) -> float:
     x = alpha + b * side.ground_energy
     if not x > 0.0:
         raise ValueError(f"alpha + b*e_1 must be positive, got {x}")
-    plus, ground, row = plus_mask((side,)), np.array([side.ground_energy]), np.array([b])
+    row = np.array([b])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for kernel, plan, _ in _routes(plus, ground, row, _cutoff(row), 1.0):
+        for kernel, plan, _ in _routes(np.array([side.offset]), row, _cutoff(row), 1.0):
             return float(kernel(np.array([x]), plan)[0][0])
     raise ValueError(f"inverse temperature {b} needs more than {MAX_LEVELS} levels")
 
@@ -679,7 +678,7 @@ def solve_rows(
     the clamp never acts (test_every_row_converges_within_six_evaluations).
 
     The groups of _routes are solved one by one, each on a plan built once
-    and summed at _routes' scale c; the sums are unscaled once all groups
+    and summed at _routes' scale s; the sums are unscaled once all groups
     are solved. A stopped row stays in its group's plan, frozen at its x,
     where each kernel keeps its sums its own. An evaluation reads S; sum_n
     N_n^2 only where a step may follow, and the force moment sum_n (e_n -
@@ -688,25 +687,24 @@ def solve_rows(
     writes its results (at max_iter = 0 each row reports its start).
     """
     check_tolerance(tol)
-    plus = plus_mask(sides)
-    ground = 1.0 - 0.75 * plus  # WellSide.ground_energy: 1/4 for PLUS, 1 for MINUS
+    c = offsets(sides)
     target = float(n_particles)
     scale = math.ldexp(1.0, -math.frexp(target)[1])
     scaled_target, x0 = scale * target, math.log1p(1.0 / target)
     # 0-d arrays, read on every evaluation: a ufunc converts a Python float operand on each call
     scale, scaled_target, limit, x0 = map(np.array, (scale, scaled_target, tol * scaled_target, x0))
     # np.empty plus a fill, here and below, is np.full without its Python-level wrapper
-    b, given = np.empty(plus.size), b
+    b, given = np.empty(c.size), b
     b[...] = given
     levels = _cutoff(b)
-    sums = np.empty((2, plus.size))
+    sums = np.empty((2, c.size))
     sums.fill(np.nan)
-    number, weighted = sums[0], sums[1]  # weighted: sum_n (e_n - e_1) N_n; both at scale c until the groups are solved
-    iterations = np.zeros(plus.size, dtype=np.int64)
-    wide = np.zeros(plus.size, dtype=bool)
+    number, weighted = sums[0], sums[1]  # weighted: sum_n (e_n - e_1) N_n; both at scale s until the groups are solved
+    iterations = np.zeros(c.size, dtype=np.int64)
+    wide = np.zeros(c.size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = _start(plus, ground, b, target, x0)
-        for kernel, plan, group in _routes(plus, ground, b, levels, scale):
+        x = _start(c, b, target, x0)
+        for kernel, plan, group in _routes(c, b, levels, scale):
             xs, moving, evaluations = x[group], True, 0
             if kernel is _split_sums:
                 wide[group] = True
@@ -726,6 +724,7 @@ def solve_rows(
     sums /= scale
     residual = np.abs(number - target)
     converged = residual <= tol * target  # false where a row stopped early or was not attempted
+    ground = (1.0 - c) ** 2  # e_1
     force = weighted + ground * number
     return RowSolutions(x - b * ground, x, residual, levels, iterations, force, converged, wide, n_particles)
 
@@ -745,9 +744,9 @@ def force_difference(solved: RowSolutions, b) -> np.ndarray:
     # the wells of a b share its cutoff, so its route; then alpha- > 1 puts both roots on the series (alpha- < alpha+)
     on = solved.wide[:count]
     if np.count_nonzero(on) and np.count_nonzero(on := on & (solved.alpha[count:] > _FUGACITY_ALPHA)):
-        t, plus = 1.0 / np.broadcast_to(b, on.shape)[on], solved.alpha[:count][on]
-        d = solved.alpha[count:][on] - plus
-        powers, image = np.power(np.exp(-plus), _FUGACITY_POWERS), np.expm1(plus + d)
+        t, alpha = 1.0 / np.broadcast_to(b, on.shape)[on], solved.alpha[:count][on]  # PLUS's alpha
+        d = solved.alpha[count:][on] - alpha
+        powers, image = np.power(np.exp(-alpha), _FUGACITY_POWERS), np.expm1(alpha + d)
         series, k = _FUGACITY_SERIES, _FUGACITY_POWERS  # c_k k is the sum of the first two rows
         excess = np.sqrt(t) * np.einsum("k,kr->r", series[0], powers * np.expm1(-k * d))
         slope = np.sqrt(t) * np.einsum("k,kr->r", series[0] + series[1], powers * np.exp(-k * d))

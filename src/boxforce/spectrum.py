@@ -2,9 +2,11 @@
 
 A box is split in the middle by a thin wall. Both outer ends are hard
 (Dirichlet) walls, while the two faces of the partition impose different
-conditions: the right half sees a Neumann face, the left half a Dirichlet
-face. In dimensionless units the right well then carries the levels
-(n - 1/2)^2 and the left well the levels n^2, n = 1, 2, 3, ...
+conditions: the right half (PLUS) sees a Neumann face, the left half (MINUS)
+a Dirichlet face. In dimensionless units a well's levels are e_n = (n - c)^2,
+n = 1, 2, 3, ..., with c = 1/2 for PLUS and c = 0 for MINUS. The offset c
+(WellSide.offset) is the one fact that tells the wells apart: every per-well
+constant, here and in the solver's kernels, is derived from it.
 
 Levels are exact closed forms evaluated on demand; nothing is tabulated.
 """
@@ -29,54 +31,45 @@ class WellSide(Enum):
     MINUS = "minus"
 
     @property
+    def offset(self) -> float:
+        """c in e_n = (n - c)^2: 1/2 for PLUS (Neumann face), 0 for MINUS (Dirichlet face)."""
+        return 0.5 if self is WellSide.PLUS else 0.0
+
+    @property
     def ground_energy(self) -> float:
-        """Lowest level e_1: 1/4 for PLUS, 1 for MINUS."""
-        return 0.25 if self is WellSide.PLUS else 1.0
+        """Lowest level e_1 = (1 - c)^2."""
+        return (1.0 - self.offset) ** 2
 
     @property
-    def sigma(self) -> int:
-        """n = 0 correction entering the two-sided level sum (0 for PLUS, 1 for MINUS)."""
-        return 0 if self is WellSide.PLUS else 1
+    def sigma(self) -> float:
+        """n = 0 correction entering the two-sided level sum, 1 - 2c."""
+        return 1.0 - 2.0 * self.offset
 
     @property
-    def tau(self) -> int:
-        """Sign of the Fourier modes in the resummed level sums (-1 for PLUS, +1 for MINUS)."""
-        return -1 if self is WellSide.PLUS else 1
+    def tau(self) -> float:
+        """Sign of the Fourier modes in the resummed level sums, cos(2 pi c)."""
+        return math.cos(2.0 * math.pi * self.offset)
 
 
 def energy_level(side: WellSide, n: int) -> float:
-    """Dimensionless energy of level n >= 1 of one half well.
-
-    (n - 1/2)^2 for PLUS, n^2 for MINUS; exact in double precision up to
-    n = 10**7.
-    """
+    """Dimensionless energy of level n >= 1 of one half well, exact in double precision up to n = 10**7."""
     if not (1 <= n < math.inf and n % 1 == 0):  # an integral float such as 3.0 passes; nan and inf fail
         raise ValueError(f"level index must be a positive integer, got {n}")
     return energy_level_extended(side, n)
 
 
 def energy_level_extended(side: WellSide, n: int) -> float:
-    """Level formula evaluated at any integer n.
-
-    The two-sided Poisson sums need the spectrum continued to n <= 0; the
-    PLUS levels are symmetric under n -> 1 - n and the MINUS levels under
-    n -> -n.
-    """
-    if side is WellSide.PLUS:
-        return (n - 0.5) ** 2
-    return float(n * n)
+    """Level formula at any integer n, as the two-sided Poisson sums need it; symmetric under n -> 2c - n."""
+    return (n - side.offset) ** 2
 
 
 def level_gap(side: WellSide, n):
-    """e_n - e_1 in a cancellation-free form: n(n-1) for PLUS, (n-1)(n+1) for MINUS.
-
-    Accepts a scalar or a numpy array of level indices.
-    """
-    if side is WellSide.PLUS:
-        return n * (n - 1.0)
-    return (n - 1.0) * (n + 1.0)
+    """e_n - e_1 in a cancellation-free form, (n - 1)(n + 1 - 2c), for a scalar or a numpy array of indices."""
+    return (n - 1.0) * (n + side.sigma)
 
 
-def plus_mask(sides: Sequence[WellSide]) -> np.ndarray:
-    """A bool array, True where sides[i] is WellSide.PLUS, built with no Python-level call per side."""
-    return np.fromiter(map(operator.is_, sides, repeat(WellSide.PLUS)), dtype=bool, count=len(sides))
+def offsets(sides: Sequence[WellSide]) -> np.ndarray:
+    """c of each of sides as a float array, built with no Python-level call per side."""
+    is_plus = np.fromiter(map(operator.is_, sides, repeat(WellSide.PLUS)), dtype=float, count=len(sides))
+    is_plus *= WellSide.PLUS.offset  # MINUS's c is 0
+    return is_plus

@@ -132,21 +132,33 @@ def mp_remainder_integral(derivative: int = 0, alpha=0):
     return mp.quad(lambda v: _bose_remainder(a + v * v, derivative), [0, 1, 10, mp.inf])
 
 
+def _lost_digits(a2, power):
+    """Digits a closed form loses near A = a2 -> 0 by subtracting 1/A^power, about power log10(1/|A|)."""
+    return power * max(0, int(mp.ceil(-mp.log10(abs(mpf(a2))))))
+
+
 def _mp_lattice(a2):
-    """Phi(A) = sum_{n != 0} 1/(A + n^2) at A = a2 > -1, A != 0, in closed form (A < 0 through complex sqrt)."""
-    a = mp.sqrt(mpf(a2) + 0j)
-    return mp.re(mp.pi / (a * mp.tanh(mp.pi * a))) - 1 / mpf(a2)
+    """Phi(A) = sum_{n != 0} 1/(A + n^2) at A = a2 > -1, A != 0, in closed form (A < 0 through complex sqrt).
+
+    Evaluated with the digits its subtraction of 1/A cancels added, so it holds mp.dps digits as A -> 0.
+    """
+    a2 = mpf(a2)
+    with mp.workdps(mp.dps + _lost_digits(a2, 1)):
+        a = mp.sqrt(a2 + 0j)
+        return mp.re(mp.pi / (a * mp.tanh(mp.pi * a))) - 1 / a2
 
 
 def _mp_lattice_squares(a2):
     """-Phi'(A) = sum_{n != 0} 1/(A + n^2)^2 at A = a2 > -1, A != 0.
 
-    The exact derivative of _mp_lattice's closed form, not a numerical one.
+    The exact derivative of _mp_lattice's closed form, not a numerical one,
+    evaluated with the digits its subtraction of 1/A^2 cancels added.
     """
     a2 = mpf(a2)
-    a = mp.sqrt(a2 + 0j)
-    pole = mp.pi**2 / (2 * a2 * mp.sinh(mp.pi * a) ** 2) + mp.pi / (2 * a**3 * mp.tanh(mp.pi * a))
-    return mp.re(pole) - 1 / a2**2
+    with mp.workdps(mp.dps + _lost_digits(a2, 2)):
+        a = mp.sqrt(a2 + 0j)
+        pole = mp.pi**2 / (2 * a2 * mp.sinh(mp.pi * a) ** 2) + mp.pi / (2 * a**3 * mp.tanh(mp.pi * a))
+        return mp.re(pole) - 1 / a2**2
 
 
 def mp_pole_slope(plus: bool, u):

@@ -291,17 +291,15 @@ class TestBranchPerRow:
 
         alpha = self._alphas()
         b = np.geomspace(1e-4, 1e3, alpha.size)
-        plus = np.arange(alpha.size) % 2 == 0
-        e1 = np.where(plus, P.ground_energy, M.ground_energy)
-        e2 = np.where(plus, energy_level(P, 2), energy_level(M, 2))
+        c = np.where(np.arange(alpha.size) % 2 == 0, P.offset, M.offset)
         with np.errstate(all="ignore"):
-            rows = _trapezoid_rows(e1, e2, b)
+            rows = _trapezoid_rows(c, b)
             assert _same_bits(_trapezoid_number(alpha, rows), _two_branch_number(alpha, rows))
             ends = np.stack((alpha, alpha[::-1]))  # 2-D alpha on 1-D row constants, as the solver's first call
             assert _same_bits(_trapezoid_number(ends, rows), _two_branch_number(ends, rows))
             for side in (P, M):
                 for a in self.EDGES:  # scalar alpha and b, every alpha above the pole -b e_1
-                    rows = _trapezoid_rows(side.ground_energy, energy_level(side, 2), 1e3)
+                    rows = _trapezoid_rows(side.offset, 1e3)
                     got, want = _trapezoid_number(a, rows), _two_branch_number(a, rows)
                     assert type(got) is type(want) and _same_bits(got, want)
 

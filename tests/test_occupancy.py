@@ -21,7 +21,7 @@ from boxforce import (
 from boxforce.occupancy import (
     _TILE, DEFAULT_TOL, MAX_LEVELS, MIN_TOL, SPLIT_COST, SPLIT_FLOOR, RowSolutions, solve_rows,
 )
-from boxforce.spectrum import level_gap
+from boxforce.spectrum import level_gap, offsets
 
 from _oracles import (
     _bose_remainder, _mp_lattice, _mp_lattice_squares, bose_integral_quadrature, mp, mp_delta_f, mp_pole_slope,
@@ -321,11 +321,10 @@ class TestSolveRowGroups:
         sweeps = [np.geomspace(0.01, 160, 400), np.geomspace(1.0, 1e4, 300), np.geomspace(1.0, 1e8, 100)]
         for t in (np.concatenate(sweeps), np.array([10.0]), np.array([1e4]), np.array([2.6e4])):
             b = np.repeat(1.0 / t, 2)
-            plus = np.tile([True, False], len(t))
-            ground = np.where(plus, P.ground_energy, M.ground_energy)
+            sides = [P, M] * len(t)
             levels = occupancy._cutoff(b)
             seen = 0
-            for kernel, plan, rows in occupancy._routes(plus, ground, b, levels, 1.0):
+            for kernel, plan, rows in occupancy._routes(offsets(sides), b, levels, 1.0):
                 if kernel is occupancy._split_sums:
                     continue
                 base, gap, counts, starts, _ = plan
@@ -336,7 +335,7 @@ class TestSolveRowGroups:
                 for row, start, count in zip(rows, starts, counts):
                     run = slice(start, start + count)
                     n = np.arange(1.0, count + 1.0)
-                    np.testing.assert_array_equal(gap[run], level_gap(P if plus[row] else M, n))
+                    np.testing.assert_array_equal(gap[run], level_gap(sides[row], n))
                     np.testing.assert_array_equal(base[run], b[row] * gap[run])
                 seen += len(rows)
             # the sweeps' rows over SPLIT_FLOOR levels add up to far more than
@@ -352,10 +351,9 @@ class TestSolveRowGroups:
         t = np.array([1e-3, 2.5e4, 0.02, 0.01, 2.6e4, 1e-2])
         sides = [P, M, M, P, P, M]
         plus = np.array([side is P for side in sides])
-        ground = np.array([side.ground_energy for side in sides])
         levels = occupancy._cutoff(1.0 / t)
         assert sorted(levels.tolist()) == [1, 1, 1, 1, 1000, 1020]
-        (kernel, plan, rows), = occupancy._routes(plus, ground, 1.0 / t, levels, 1.0)
+        (kernel, plan, rows), = occupancy._routes(offsets(sides), 1.0 / t, levels, 1.0)
         assert kernel is occupancy._level_sums and sorted(rows.tolist()) == list(range(len(t)))
         x = np.array([0.01, 0.05, 0.2, 1.0, 0.02, 3.0])
         with np.errstate(over="ignore"):
@@ -499,15 +497,14 @@ class TestSolveRowGroups:
         # Newton's step c S / (c sum_n N_n^2 + c S) is the unscaled one
         t = np.geomspace(1e-3, 1e8, 120)
         b = np.repeat(1.0 / t, 2)
-        plus = np.tile([True, False], len(t))
-        ground = np.where(plus, P.ground_energy, M.ground_energy)
+        offset = offsets([P, M] * len(t))
         levels = occupancy._cutoff(b)
         routes_seen = set()
         for n_particles in (1, 100, 10**4, 10**150):
             scale = math.ldexp(1.0, -math.frexp(n_particles)[1])
             solved = solve_rows([P, M] * len(t), n_particles, b)
             roots = solved.shifted_alpha
-            routes = zip(*(occupancy._routes(plus, ground, b, levels, c) for c in (scale, 1.0)))
+            routes = zip(*(occupancy._routes(offset, b, levels, c) for c in (scale, 1.0)))
             for (kernel, plan, rows), (_, plain, _) in routes:
                 wide = kernel is occupancy._split_sums
                 routes_seen.update(np.where(solved.alpha[rows] > 1.0, "fugacity", "split") if wide else ["levels"])
@@ -540,10 +537,8 @@ class TestSolveRowGroups:
         ]
         for n_particles, sides, t, kernel, iterations in groups:
             b = 1.0 / np.array(t)
-            plus = np.array([side is P for side in sides])
-            ground = np.array([side.ground_energy for side in sides])
             x0 = math.log1p(1.0 / n_particles)
-            (routed_kernel, _, _), = occupancy._routes(plus, ground, b, occupancy._cutoff(b), 1.0)  # one group
+            (routed_kernel, _, _), = occupancy._routes(offsets(sides), b, occupancy._cutoff(b), 1.0)  # one group
             assert routed_kernel is kernel
             modelled = (np.array(t) >= occupancy.START_T) & (n_particles >= occupancy.START_DEGENERACY * np.sqrt(t))
             np.testing.assert_array_equal(solve_rows(sides, n_particles, b, max_iter=0).shifted_alpha > x0, modelled)
@@ -758,7 +753,7 @@ class TestNodePlan:
                 x[3:] += b * side.ground_energy
                 with np.errstate(over="ignore"):
                     sums = kernel_sums(
-                        occupancy._split_sums, x, occupancy._split_plan(np.full(5, side.ground_energy), np.full(5, b), 1.0)
+                        occupancy._split_sums, x, occupancy._split_plan(np.full(5, side.offset), np.full(5, b), 1.0)
                     )
                 expected = direct_sums(side is P, x, b, int(levels[0]))
                 for got, want in zip(sums, expected[[0, 2, 1]]):  # S, sum_n N_n^2, sum_n (e_n - e_1) N_n
@@ -839,7 +834,7 @@ class TestSplitPlan:
                 below_ground += np.count_nonzero(x * t < side.ground_energy)  # alpha < 0
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     number, squares, weighted = kernel_sums(
-                        occupancy._split_sums, x, occupancy._split_plan(np.full(3, side.ground_energy), np.full(3, b), 1.0)
+                        occupancy._split_sums, x, occupancy._split_plan(np.full(3, side.offset), np.full(3, b), 1.0)
                     )
                 expected = direct_sums(side is P, x, b, int(levels[0]))
                 np.testing.assert_allclose(number, expected[0], rtol=1e-14, atol=0.0)
@@ -863,12 +858,13 @@ class TestSplitPlan:
     def test_lattice_matches_mpmath(self):
         # Phi and -Phi' on both branches against the closed form and its exact
         # derivative: a dense grid from p = 1e-14 to 1e8, p = 2 +- 1e-12 (the
-        # seam A = 1) and p = 1 +- 1e-9 (A ~ 0). The worst errors on 40,000
+        # seam A = 1) and p = 1 +- 1e-9 and 1 +- 5e-15 (A ~ 0, where the oracle
+        # adds the digits its closed form cancels). The worst errors on 40,000
         # points over the same range were 5.1e-16 and 1.02e-15, just above the
         # seam, where the closed form cancels; 2.2e-16 and 4.4e-16 below it
         p = np.concatenate((
             np.geomspace(1e-14, 1e8, 1201), np.linspace(0.002, 4.0, 1201),
-            2.0 + np.linspace(-1e-12, 1e-12, 9), 1.0 + np.linspace(-1e-9, 1e-9, 8),
+            2.0 + np.linspace(-1e-12, 1e-12, 9), 1.0 + np.linspace(-1e-9, 1e-9, 8), [1.0 - 5e-15, 1.0 + 5e-15],
         ))
         with np.errstate(over="ignore"):  # sinh overflows at large A, where its term is 0
             phi, squares = occupancy._lattice(p)
@@ -906,7 +902,7 @@ class TestSplitPlan:
             levels = int(occupancy._cutoff(np.array([b]))[0])
             for side in (P, M):
                 x = alphas + b * side.ground_energy
-                plan = occupancy._split_plan(np.full(3, side.ground_energy), np.full(3, b), 1.0)
+                plan = occupancy._split_plan(np.full(3, side.offset), np.full(3, b), 1.0)
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     got = kernel_sums(occupancy._split_sums, x, plan)  # S, squares, moment
                 expected = direct_sums(side is P, x, b, levels)[[0, 2, 1]]
@@ -970,16 +966,16 @@ class TestSplitPlan:
         # for bit, what each branch returns for its own rows alone, gathered
         # out of the plan
         t = np.repeat(np.geomspace(3e4, 1e8, 20), 2)
-        ground = np.tile([P.ground_energy, M.ground_energy], 20)
+        offset = np.tile([P.offset, M.offset], 20)
         split, fugacity = (solve_rows([P, M] * 20, n, 1.0 / t).shifted_alpha for n in (10**4, 1))
-        scale = math.ldexp(1.0, -14)  # solve_rows' c at N = 1e4
+        scale = math.ldexp(1.0, -14)  # solve_rows' scale at N = 1e4
         kinds = []
-        for x, t_rows, ground_rows in ((split, t, ground), (fugacity, t, ground),
-                                       (np.concatenate((split, fugacity)), np.tile(t, 2), np.tile(ground, 2))):
-            plan = occupancy._split_plan(ground_rows, 1.0 / t_rows, scale)
+        for x, t_rows, offset_rows in ((split, t, offset), (fugacity, t, offset),
+                                       (np.concatenate((split, fugacity)), np.tile(t, 2), np.tile(offset, 2))):
+            plan = occupancy._split_plan(offset_rows, 1.0 / t_rows, scale)
             rows = plan[0]
-            xt = x * rows[0]  # t = 1/b, as the plan holds it
-            alpha = (xt - ground_rows) / rows[0]
+            xt = x * rows[0]  # t = 1/b and e_1, as the plan holds them
+            alpha = (xt - rows[1]) / rows[0]
             series = alpha <= occupancy._FUGACITY_ALPHA
             kinds.append(np.count_nonzero(series))
             with np.errstate(over="ignore"):

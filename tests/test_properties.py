@@ -58,6 +58,32 @@ def test_shifted_alpha_decreases_with_n(side, n, extra, log_t):
     assert many <= few * (1.0 + _ROOT_SLACK)
 
 
+@_examples(40)
+@hypothesis.given(
+    log_n=st.floats(min_value=0.0, max_value=8.0),
+    log_t=st.lists(st.floats(min_value=-2.0, max_value=12.0), min_size=1, max_size=8),
+    log_gap=st.floats(min_value=-8.0, max_value=-1.0),
+)
+# a pair astride SPLIT_FLOOR's t = 409.6, the lower on its levels and the upper split (the row at 1e6 sends
+# the call's wide rows to the split kernel)
+@hypothesis.example(log_n=0.0, log_t=[math.log10(409.5), 6.0], log_gap=-3.0)
+def test_each_wells_force_rises_with_t(log_n, log_t, log_gap):
+    # at fixed N a well's energy f = sum_n e_n N_n rises with t (its heat
+    # capacity is positive), on both routes and across the seams between
+    # them. The t are drawn log-uniform, each with a neighbour a relative gap
+    # 10^log_gap above it, and each well solves them all in one call. A root
+    # within tol N particles moves f by at most tol N times the mean energy
+    # of the particles it adds, below e_1 + t
+    n = round(10.0**log_n)
+    t = 10.0 ** np.array(log_t)
+    t = np.sort(np.concatenate((t, t * (1.0 + 10.0**log_gap))))
+    for side in (WellSide.PLUS, WellSide.MINUS):
+        solved = occupancy.solve_rows([side] * len(t), n, 1.0 / t)
+        assert solved.converged.all()
+        slack = DEFAULT_TOL * n * (side.ground_energy + t[1:])
+        assert (solved.force[1:] >= solved.force[:-1] - slack).all()
+
+
 @_examples(15)
 @hypothesis.given(
     n=st.integers(min_value=1, max_value=10_000),
@@ -108,10 +134,10 @@ def test_level_plans_hold_each_rows_own_gaps(count, log_t_min, seed):
     rng = np.random.default_rng(seed)
     plus = rng.random(count) < 0.5
     b = 10.0 ** -rng.uniform(log_t_min, math.log10(409.0), count)
-    ground = np.where(plus, WellSide.PLUS.ground_energy, WellSide.MINUS.ground_energy)
+    c = np.where(plus, WellSide.PLUS.offset, WellSide.MINUS.offset)
     levels = occupancy._cutoff(b)
     seen = []
-    for kernel, plan, on in occupancy._routes(plus, ground, b, levels, 1.0):
+    for kernel, plan, on in occupancy._routes(c, b, levels, 1.0):
         assert kernel is occupancy._level_sums
         base, gap, counts, starts, _ = plan
         assert gap.size <= _TILE or len(on) == 1

@@ -3,12 +3,15 @@ import math
 import pytest
 
 from boxforce import WellSide, energy_level, energy_level_extended, level_gap
+from boxforce.spectrum import offsets
 
 P = WellSide.PLUS
 M = WellSide.MINUS
 
 
 def test_side_constants():
+    assert (P.offset, M.offset) == (0.5, 0.0)
+    assert offsets([P, M, M, P]).tolist() == [0.5, 0.0, 0.0, 0.5]
     assert (P.sigma, P.tau) == (0, -1)
     assert (M.sigma, M.tau) == (1, 1)
     assert P.ground_energy == 0.25

@@ -138,42 +138,56 @@ _ZETA_TAIL = (
 )
 # terms of _lattice's series, which reach rounding for |A| < 1
 _LATTICE_TERMS = 28
-# Newton starts each row (_start) at the root of a pole model of its sum,
-# clamped at the root's exact lower bound x0 = log1p(1/N), inside the model's
-# window, and at x0 outside it. Split as for SPLIT_FLOOR, a row's sum is
-# t q(A), A = alpha t, from the pole, q being half its lattice sum
-# (_pole_sums), plus the remainder's, sqrt(t) R(alpha) less r(alpha)'s image
-# (SPLIT_FLOOR). The model takes the remainder to first order in alpha: t q(A)
-# + sqrt(t) (C + R1 alpha) + (1 - 2c) (1/4 - alpha/24) = N, with C = R(0) =
-# (sqrt(pi)/2) zeta(1/2) (REMAINDER_LIMIT) and R1 = R'(0) = -(sqrt(pi)/2)
-# zeta(-1/2) (REMAINDER_SLOPE), the first two terms of R's series
-# (_HALF_ZETA), and -r(alpha)/2 = 1/4 - alpha/24 + O(alpha^3). Its root in
-# u = A + e_1 = x t is one Newton step from the root of the model at alpha =
-# 0, read from a table of q's inverse (_start_tables) with np.interp. The
-# model drops O(alpha^2) terms, sqrt(t) R''(0) alpha^2/2 with R''(0) =
-# (sqrt(pi)/2) zeta(-3/2) = -0.0225857. The window where it is used keeps the
-# edges derived from the model at alpha = 0, which drops sqrt(t) (R(alpha) -
-# C) ~ R1 alpha sqrt(t), R1 = 0.18423:
-# * near the ground state alpha -> -e_1/t, and the model is off by ~R1 e_1 /
-#   sqrt(t) particles; x0 is off by the population of level 2, ~1/expm1((e_2
-#   - e_1)/t). The model's error is the smaller for t > 0.68 (PLUS) and 1.48
-#   (MINUS), and below START_T, the larger, both wells keep x0. The rows
-#   that stop on their first evaluation, t < ~0.07 at any N, lie there;
-# * far from condensation the model is N = sqrt(t) (pi/(2 sqrt(alpha)) + C),
-#   and its error relative to N, (R(alpha) - C)/(N/sqrt(t)), reaches 1 at
-#   alpha = 1.12, N = START_DEGENERACY sqrt(t). Past that its root carries
-#   no information on N (it tends to alpha = 1.47 as N/sqrt(t) -> 0), and
-#   the row keeps x0.
-# A row started at the model's root converges within 4 evaluations
-# (test_every_row_converges_within_six_evaluations); the mean per row on the
-# large_n grid (N = 1e4, t = 1 to 1e8) is 2.13
+# Newton starts each row (_start) at the root of whichever of three models of
+# its sum is exact in its own regime, each model's window set by the error its
+# derivation leaves, and clamped at the root's exact lower bound x0 =
+# log1p(1/N). Split as for SPLIT_FLOOR, a row's sum is t q(A), A = alpha t,
+# from the pole, q being half its lattice sum (_pole_sums), plus the
+# remainder's, sqrt(t) R(alpha) less r(alpha)'s image.
+# * Pole model: the remainder to first order in alpha, t q(A) + sqrt(t) (C +
+#   R1 alpha) + (1 - 2c) (1/4 - alpha/24) = N, with C = R(0) = (sqrt(pi)/2)
+#   zeta(1/2) (REMAINDER_LIMIT) and R1 = R'(0) = -(sqrt(pi)/2) zeta(-1/2)
+#   (REMAINDER_SLOPE), the first two terms of R's series (_HALF_ZETA), and
+#   -r(alpha)/2 = 1/4 - alpha/24 + O(alpha^3). Its root in u = A + e_1 = x t
+#   is one Newton step from the root of the model at alpha = 0, read from a
+#   table of q's inverse (_start_tables), u off by at most 1.0e-6. It drops
+#   sqrt(t) R''(0) alpha^2/2, R''(0) = (sqrt(pi)/2) zeta(-3/2) = -0.0225857,
+#   which near condensation, N = sqrt(t) ((pi/2)/sqrt(alpha) + C), reaches
+#   the table's 1e-6 of N at alpha = START_POLE_ALPHA, N = 8.26 sqrt(t).
+# * Fugacity model: the wide kernel's integral itself, N = sqrt(t) F(alpha) -
+#   (1 - 2c)/(2 expm1(alpha)), F = (sqrt(pi)/2) Li_{1/2}(e^-alpha), exact up
+#   to the Poisson remainder ~pi sqrt(t/alpha) exp(-2 pi sqrt(A)), 2
+#   exp(-2 pi sqrt(A)) of N near condensation. Its root is read from a table
+#   of F's inverse (_fugacity_table), F off by at most 2.5e-7, which the
+#   remainder passes below A = START_FUGACITY_A.
+# * Low-t model: x0 corrected by the populations P of levels 2 to 4 at x0, x
+#   = log1p(1/(N - P)), P = sum_{k=1..3} 1/expm1(x0 + b k (k + 2 - 2c)). It
+#   drops level 5's population, below 1.4e-6 at t < START_T, and P's fall
+#   from x0 to x, ~P^2/N^3 of N. Where P is below half an ulp of N (t below
+#   ~0.05 to 0.1 as N grows) the root rounds to x0.
+# Rows below START_T take the low-t model. START_T = 1.48 is the pole model's
+# edge near the ground state (alpha -> -e_1/t), where its root at alpha = 0
+# is off by ~R1 e_1/sqrt(t) particles and x0 by level 2's population, the two
+# equal at t = 0.68 for PLUS and 1.48 for MINUS. Above it a row takes the
+# fugacity model where, at leading order, alpha > START_POLE_ALPHA and A >=
+# START_FUGACITY_A (_start), and the pole model elsewhere: near condensation,
+# and at small N and t, where A is too small for the fugacity model. There,
+# at N ~ 1 to 10 and t ~ 1 to 25, rows take up to 4 evaluations; elsewhere a
+# row starts within ~1e-6 of N of its root and stops by its second or third
+# (test_latin_hypercube_rows_converge_within_four_evaluations). On the
+# large_n grid (N = 1e4, t = 1 to 1e8) every row stops by its second
 # (test_start_cuts_evaluations_on_the_benchmark_grids).
 REMAINDER_LIMIT = _HALF_ZETA[1]
 REMAINDER_SLOPE = -_HALF_ZETA[2]
 START_T = 1.48
-START_DEGENERACY = 0.19
+START_POLE_ALPHA = 0.027
+START_FUGACITY_A = 6.42
 _START_KNOTS = 2161
 _START_SHIFT = 1024.0
+_FUGACITY_KNOTS = 2200
+# the window edges as N/sqrt(t) and as N/t at leading order (see _start)
+_POLE_DENSITY = 0.5 * math.pi / math.sqrt(START_POLE_ALPHA) + REMAINDER_LIMIT
+_FUGACITY_REACH = 0.5 * math.pi / math.sqrt(START_FUGACITY_A)
 
 
 def check_domain(n_particles: int = 1, t=1.0) -> None:
@@ -353,6 +367,9 @@ _SPLIT_SERIES = _split_matrix(_SPLIT_TERMS)
 _SPLIT_POWERS = np.array([[float(j)] for j in reversed(range(_SPLIT_TERMS))])
 _SPLIT_ODD = slice(_SPLIT_TERMS % 2, None, 2)
 _FUGACITY_POWERS = np.array([[float(k)] for k in range(_FUGACITY_TERMS, 0, -1)])
+# the low-t model's gaps of levels 2 to 4, k (k + 2 - 2c) = k (k + 2) - 2k c for k = 1 to 3
+_X0_EXACT = 0.5 * math.log(3.0 * 2.0**54)  # see _low_t_start
+_LOW_T_GAPS = np.array([[[3.0], [8.0], [15.0]], [[2.0], [4.0], [6.0]]])
 # the power series in z = e^-alpha of S, sum_n N_n^2 and the force, over sqrt(t) (see SPLIT_FLOOR), from the
 # highest power down to z: (sqrt(pi)/2) k^-1/2 times 1 (Li_{1/2}), k - 1 (Li_{-1/2} - Li_{1/2}) and 1/(2k) (Li_{3/2}/2)
 _FUGACITY_SERIES = np.array([[math.sqrt(math.pi / k) / 2.0 * w(k) for k in range(_FUGACITY_TERMS, 0, -1)]
@@ -558,8 +575,10 @@ def _start_tables():
     with q. Read by
     linear interpolation, u is off by at most 1.0e-6 relative and the slope
     by 6.3e-7 (against _lattice at 200,001 points). u = e^34 lies past the
-    model's root on every row it is used on under MAX_LEVELS (alpha <= 1.12
-    there, so u <= 1.12 t + 1 < 3e14). Below u = e^-20, log(u q) = log(1 +
+    model's root on every row it is used on under MAX_LEVELS: where A >=
+    START_FUGACITY_A its window keeps alpha <= START_POLE_ALPHA at leading
+    order (0.0269 measured), so u <= 0.03 t + 1 < 8e12, and elsewhere u <
+    START_FUGACITY_A + 1. Below u = e^-20, log(u q) = log(1 +
     u (q - 1/u)) < 3e-9 and the slope is -1 to the same order, and -1j
     stands in for the value: past the last PLUS knot as the interpolant's
     right value, and past the last MINUS knot as two more knots, one a unit
@@ -580,18 +599,58 @@ def _start_tables():
     return keys, values
 
 
-def _start(c, b, target, x0):
-    """Each row's first iterate, c its offset: the pole model's root (see REMAINDER_LIMIT), clamped at x0.
+@functools.cache
+def _fugacity_table():
+    """F's inverse (see REMAINDER_LIMIT), built on first use: (keys, values).
 
-    A row keeps x0 unless START_T <= t <= (N / START_DEGENERACY)^2. The
-    table gives the root u0 = x t of the model at alpha = 0, t q(u) = N -
+    F = (sqrt(pi)/2) Li_{1/2}(e^-alpha) falls monotonically in alpha, from
+    (pi/2)/sqrt(alpha) near 0 to (sqrt(pi)/2) e^-alpha far out. The knots
+    run down in log alpha = 2 sinh(s) from 3 to -8, s uniform, dense where F
+    turns from one form to the other. Up to alpha = 1 F is (pi/2)/sqrt(alpha)
+    + R(alpha), past it the Li_{1/2} series, the rows of _SPLIT_SERIES (R,
+    -R') and _FUGACITY_SERIES (row 0) that the wide kernel sums, each summed
+    here by Horner's rule over the knots, a term at a time. A knot's key is
+    log F, ascending; its value is w + i d log F / dw in w = log(expm1(alpha)),
+    in which log F runs from -w/2 near 0 to -w far out, the slope from -1/2
+    to -1. Read by linear interpolation, F is off by at most 2.5e-7 of itself
+    (test_fugacity_table_matches_polylog_between_knots). The fugacity window
+    (alpha > START_POLE_ALPHA at leading order) lies inside the knots up to
+    N = 1, t = MAX_LEVELS^2 / TAIL_EXPONENT (alpha ~ 17 < e^3).
+    """
+    alpha = np.exp(2.0 * np.sinh(np.linspace(math.asinh(1.5), math.asinh(-4.0), _FUGACITY_KNOTS)))
+    f, minus_df = np.zeros((2, alpha.size))  # F and -dF/dalpha, each branch summed into its slice
+    seam = int(np.count_nonzero(alpha > _FUGACITY_ALPHA))  # the knots past the seam come first
+    z = np.exp(-alpha[:seam])
+    series, moment = f[:seam], minus_df[:seam]  # (sqrt(pi)/2) sum_k z^k / sqrt(k) and sum_k sqrt(k) z^k
+    for term, k in zip(_FUGACITY_SERIES[0], _FUGACITY_POWERS[:, 0]):
+        series += term
+        series *= z
+        moment += k * term
+        moment *= z
+    near, remainder, slope = alpha[seam:], f[seam:], minus_df[seam:]  # R and -R'
+    for r, minus_r in _SPLIT_SERIES[:2].T:
+        remainder *= near
+        remainder += r
+        slope *= near
+        slope += minus_r
+    root = np.sqrt(near)
+    remainder += 0.5 * math.pi / root
+    root *= near
+    slope += 0.25 * math.pi / root
+    values = np.empty(alpha.size, dtype=complex)
+    values.imag = minus_df / f * np.expm1(-alpha)  # d log F / dw = (F'/F) (1 - e^-alpha)
+    values.real = np.log(np.expm1(alpha))
+    return np.log(f), values
+
+
+def _pole_start(c, b, shift, target, x0):
+    """The pole model's root (see REMAINDER_LIMIT) on its rows, clamped at x0.
+
+    The table gives the root u0 = x t of the model at alpha = 0, t q(u) = N -
     C sqrt(t) - (1 - 2c)/4, and the slope s = d log q / d log u there;
     one Newton step in x adds the model's terms linear in alpha = x - b e_1,
-    K alpha with K = R1 sqrt(t) - (1 - 2c)/24. Call under np.errstate.
+    K alpha with K = R1 sqrt(t) - (1 - 2c)/24.
     """
-    inside = (b <= 1.0 / START_T) & (b >= (START_DEGENERACY / target) ** 2)
-    if not np.count_nonzero(inside):
-        return x0.repeat(b.size)
     root_b = np.sqrt(b)
     image = 0.25 - 0.5 * c  # (1 - 2c)/4: n = 0's image (c from spectrum; see REMAINDER_LIMIT)
     pole = target - (REMAINDER_LIMIT / root_b + image)  # t q(u0)
@@ -599,10 +658,77 @@ def _start(c, b, target, x0):
     key = np.log(pole * b) - (4.0 * _START_SHIFT) * image  # log q less (1 - 2c) _START_SHIFT
     fit = np.interp(key, keys, values, right=-1j)
     x = np.exp(fit.real) / pole  # x = u0 / t = (u0 q) / (t q)
-    # x - K alpha / (t q s / x + K) = x (scaled + b e_1) / (scaled + x), scaled = t q s / K; K > 0 on every row inside
+    # x - K alpha / (t q s / x + K) = x (scaled + b e_1) / (scaled + x), scaled = t q s / K; K > 0 on every row
     scaled = pole / (REMAINDER_SLOPE / root_b - image / 6.0) * fit.imag
-    x *= (scaled + b * (1.0 - c) ** 2) / (scaled + x)
-    return np.fmax(np.where(inside, x, x0), x0)  # fmax: a nan root (past N ~ 5e307, scaled overflows) keeps x0
+    x *= (scaled + shift) / (scaled + x)
+    return np.fmax(x, x0)  # fmax: a nan root (past N ~ 5e307, scaled overflows) keeps x0
+
+
+def _fugacity_start(c, b, shift, target, x0):
+    """The fugacity model's root (see REMAINDER_LIMIT) on its rows, clamped at x0.
+
+    The model is F - I = N sqrt(b), I = (1 - 2c) sqrt(b)/(2 expm1(alpha))
+    being the image's population over sqrt(t), and the table
+    (_fugacity_table) gives alpha, so I, at any F. Two Newton steps in F from
+    F = N sqrt(b), with dI/dF = -I/(F d log F / dw), then a last reading give
+    alpha: I is nearly linear in F, and after them the root is within the
+    table's error of the model's from A ~ 10, and 1e-6 of N at A = 5 (a
+    fixed-point step for I in place of the first leaves ~6e-5 of N at A =
+    10). At N ~ 1 on the window's edge, where A at leading order overshoots
+    and I is as large as N, F can step to 0 or below; fmax then keeps x0.
+    """
+    keys, values = _fugacity_table()
+    root_b = np.sqrt(b)
+    density = target * root_b  # N sqrt(b), the model's F without its image
+    image = (0.5 - c) * root_b
+    fit = np.interp(np.log(density), keys, values)
+    held = image / np.exp(fit.real)
+    slope = fit.imag * density
+    step = held * slope / (slope + held)
+    f = step + density
+    fit = np.interp(np.log(f), keys, values)
+    held = image / np.exp(fit.real)
+    slope = fit.imag * f
+    f -= (step - held) * slope / (slope + held)
+    fit = np.interp(np.log(f), keys, values)
+    return np.fmax(np.log1p(np.exp(fit.real)) + shift, x0)
+
+
+def _low_t_start(c, b, shift, target, x0):
+    """The low-t model's root (see REMAINDER_LIMIT) on its rows.
+
+    Where levels 2 to 4 hold less than half an ulp of N at x0, N less their
+    population rounds to N, and the row starts at x0 bit for bit. They hold
+    less than 3 e^(-2b) (gaps 3 - 2c >= 2), so where every row has 2b >
+    log(3 2^54 / N) the model is not formed.
+    """
+    if b.min() > _X0_EXACT - 0.5 * math.log(target):
+        return x0.repeat(b.size)
+    held = (1.0 / np.expm1(x0 + b * (_LOW_T_GAPS[0] - _LOW_T_GAPS[1] * c))).sum(0)  # levels 2 to 4 at x0
+    return np.log1p(1.0 / (target - held))
+
+
+def _start(c, b, target, x0, shift):
+    """Each row's first iterate, c its offset and shift b e_1: the root of its model (see REMAINDER_LIMIT).
+
+    Below START_T a row takes the low-t model. Above it, at leading order
+    N/sqrt(t) = (pi/2)/sqrt(alpha) + C and A = alpha t = (pi t/(2 N))^2; so
+    alpha > START_POLE_ALPHA and A >= START_FUGACITY_A, the fugacity model's
+    window, is b below a bound set by N, below 1/START_T at any N >= 1; the
+    other rows take the pole model. A call computes only the models its rows
+    take, on no gathered copy when all take one. Call under np.errstate.
+    """
+    low = b > 1.0 / START_T
+    fugacity = b < min((_POLE_DENSITY / target) ** 2, _FUGACITY_REACH / target)
+    counts = np.count_nonzero(low), np.count_nonzero(fugacity)
+    if b.size in counts or counts == (0, 0):
+        model = _low_t_start if counts[0] else _fugacity_start if counts[1] else _pole_start
+        return model(c, b, shift, target, x0)
+    x = np.empty(b.size)
+    for on, model in ((low, _low_t_start), (fugacity, _fugacity_start), (~(low | fugacity), _pole_start)):
+        if np.count_nonzero(on):
+            x[on] = model(c[on], b[on], shift[on], target, x0)
+    return x
 
 
 def total_number(side: WellSide, alpha: float, b: float) -> float:
@@ -674,8 +800,9 @@ def solve_rows(
     -b e_1, inside the pole split's domain (SPLIT_FLOOR). A row stops once
     |S - N| <= tol * N, or unconverged at max_iter evaluations or a
     non-finite step. Over N = 1 to 1e300 and t = 1e-300 to 2e14 every row
-    stops converged within 6 evaluations, at DEFAULT_TOL and at MIN_TOL, and
-    the clamp never acts (test_every_row_converges_within_six_evaluations).
+    stops converged within 4 evaluations, at DEFAULT_TOL and at MIN_TOL, and
+    the clamp never acts (test_every_row_converges_within_six_evaluations,
+    test_latin_hypercube_rows_converge_within_four_evaluations).
 
     The groups of _routes are solved one by one, each on a plan built once
     and summed at _routes' scale s; the sums are unscaled once all groups
@@ -702,8 +829,10 @@ def solve_rows(
     number, weighted = sums[0], sums[1]  # weighted: sum_n (e_n - e_1) N_n; both at scale s until the groups are solved
     iterations = np.zeros(c.size, dtype=np.int64)
     wide = np.zeros(c.size, dtype=bool)
+    ground = (1.0 - c) ** 2  # e_1
+    shift = b * ground
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = _start(c, b, target, x0)
+        x = _start(c, b, target, x0, shift)
         for kernel, plan, group in _routes(c, b, levels, scale):
             xs, moving, evaluations = x[group], True, 0
             if kernel is _split_sums:
@@ -724,9 +853,8 @@ def solve_rows(
     sums /= scale
     residual = np.abs(number - target)
     converged = residual <= tol * target  # false where a row stopped early or was not attempted
-    ground = (1.0 - c) ** 2  # e_1
     force = weighted + ground * number
-    return RowSolutions(x - b * ground, x, residual, levels, iterations, force, converged, wide, n_particles)
+    return RowSolutions(x - shift, x, residual, levels, iterations, force, converged, wide, n_particles)
 
 
 def force_difference(solved: RowSolutions, b) -> np.ndarray:

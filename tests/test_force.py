@@ -115,10 +115,10 @@ class TestNetForce:
                 fine = net_force(point, tol=tol / 2).delta_f
                 assert abs(coarse - fine) < 10.0 * tol * abs(coarse)
 
-    @pytest.mark.parametrize("t, max_iter", [(1e4, 1), (0.1, 1)])
+    @pytest.mark.parametrize("t, max_iter", [(1e4, 1), (0.3, 1)])
     def test_failed_well_raises_with_bracket(self, monkeypatch, t, max_iter):
-        # N = 100 needs 4 evaluations a well at t = 1e4, and 2 (PLUS) and 1
-        # (MINUS) at t = 0.1: the cap fails both wells, then PLUS alone
+        # N = 100 needs 2 evaluations a well at t = 1e4, and 2 (PLUS) and 1
+        # (MINUS) at t = 0.3: the cap fails both wells, then PLUS alone
         monkeypatch.setattr(force, "solve_rows", functools.partial(solve_rows, max_iter=max_iter))
         with pytest.raises(ConstraintSolverError, match=f"after {max_iter} evaluations") as excinfo:
             net_force(ThermoPoint(100, t))
@@ -310,10 +310,11 @@ class TestBatchedSolve:
         import boxforce.force as force_module
         from boxforce import occupancy
 
-        # at N = 100 the rows near t = 1 also take 3 evaluations, so the grid
-        # starts at t = 4, where a cap of 2 cuts off only its high-t end
-        cap = 2
-        config = SweepConfig(t_min=4.0, t_max=1e4, grid_points=12, output_path=str(tmp_path / "out.csv"))
+        # at N = 100 the rows up to t ~ 0.29 stop on their first evaluation
+        # and those above it on their second, so on t = 0.01 to 1 a cap of 1
+        # cuts off only the grid's high-t end
+        cap = 1
+        config = SweepConfig(t_min=0.01, t_max=1.0, grid_points=12, output_path=str(tmp_path / "out.csv"))
         grid = temperature_grid(config)
         b = 1.0 / np.array(grid)
         full = occupancy.solve_rows((P,) * len(grid) + (M,) * len(grid), 100, np.concatenate((b, b)))

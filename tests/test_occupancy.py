@@ -195,14 +195,14 @@ class TestSolveAlpha:
             assert solve_alpha(P, point).alpha > solve_alpha(M, point).alpha
 
     def test_iteration_cap_raises_with_bracket(self):
-        # N = 100 at t = 1e4 needs 3 evaluations
+        # N = 100 at t = 1e4 needs 2 evaluations
         with pytest.raises(ConstraintSolverError) as excinfo:
-            solve_alpha(P, ThermoPoint(100, 1e4), max_iter=2)
+            solve_alpha(P, ThermoPoint(100, 1e4), max_iter=1)
         assert len(excinfo.value.bracket) == 2
         # no evaluation: the bracket is (x0, the row's start), the start lying
-        # above x0 at t = 1e4 and at x0 in the ground-state row at t = 0.1
+        # above x0 at t = 1e4 and at x0 in the ground-state row at t = 0.03
         x0 = math.log1p(1e-2)
-        for t in (1e4, 0.1):
+        for t in (1e4, 0.03):
             start = float(solve_rows((P,), 100, 1.0 / t, max_iter=0).shifted_alpha[0])
             with pytest.raises(ConstraintSolverError) as excinfo:
                 solve_alpha(P, ThermoPoint(100, t), max_iter=0)
@@ -276,7 +276,7 @@ class TestSolveRowGroups:
         assert all(getattr(empty, field).shape == (0,) for field in RowSolutions._fields[:-1])
         solved = solve_rows((P, M), 100, np.array([1.0, 1e-15]))
         assert solved.levels_used[1] > MAX_LEVELS
-        assert solved.iterations.tolist() == [3, 0]
+        assert solved.iterations.tolist() == [2, 0]
         assert solved.converged.tolist() == [True, False]
 
     def test_two_row_calls_split_past_1024_levels(self):
@@ -366,13 +366,13 @@ class TestSolveRowGroups:
                 assert value == pytest.approx(math.fsum(terms), rel=1e-14, abs=0.0)
 
     def test_iteration_cap_counts_as_a_stop(self):
-        # both wells at N = 100, b = 1e-4 converge on evaluation 3: a cap of 3
-        # lets them, a cap of 2 stops them one evaluation short
-        full = solve_rows((P, M), 100, 1e-4, max_iter=3)
-        assert full.iterations.tolist() == [3, 3]
+        # both wells at N = 100, b = 1e-4 converge on evaluation 2: a cap of 2
+        # lets them, a cap of 1 stops them one evaluation short
+        full = solve_rows((P, M), 100, 1e-4, max_iter=2)
+        assert full.iterations.tolist() == [2, 2]
         assert full.converged.all()
-        capped = solve_rows((P, M), 100, 1e-4, max_iter=2)
-        assert capped.iterations.tolist() == [2, 2]
+        capped = solve_rows((P, M), 100, 1e-4, max_iter=1)
+        assert capped.iterations.tolist() == [1, 1]
         assert not capped.converged.any()
         # a cap of 0 leaves both rows at their starts, above x0 here,
         # unevaluated; a cap of 1 evaluates them there
@@ -434,9 +434,10 @@ class TestSolveRowGroups:
         # the force moment is formed once per group, on its last evaluation; a
         # row stopped earlier is frozen at its x, so every row carries the
         # force at its returned x: rows stopped by the cap (N = 100, t = 1e4,
-        # 633 levels, 3 evaluations to converge) and a row whose step is
-        # non-finite, started at x = 700, where S rounds to nothing against N
-        # and log1p(-1) = -inf, alone and beside a row that goes on stepping
+        # 633 levels, started 1e-3 above their start so that they take 3
+        # evaluations to converge) and a row whose step is non-finite,
+        # started at x = 700, where S rounds to nothing against N and
+        # log1p(-1) = -inf, alone and beside a row that goes on stepping
         def check_forces(solved):
             for side, x, f in zip((P, M), solved.shifted_alpha, solved.force):
                 n = np.arange(1.0, solved.levels_used[0] + 1.0)
@@ -445,11 +446,12 @@ class TestSolveRowGroups:
                     occ = 1.0 / np.expm1(x + 1e-4 * (energy - side.ground_energy))
                 assert f == pytest.approx(math.fsum(energy * occ), rel=1e-14, abs=0.0)
 
+        start = occupancy._start
+        monkeypatch.setattr(occupancy, "_start", lambda *args: start(*args) * (1.0 + 1e-3))
         for max_iter in (1, 2):
             capped = solve_rows((P, M), 100, 1e-4, max_iter=max_iter)
             assert capped.iterations.tolist() == [max_iter] * 2 and not capped.converged.any()
             check_forces(capped)
-        start = occupancy._start
         for far in ([True, True], [True, False]):
             far = np.array(far)
             monkeypatch.setattr(occupancy, "_start", lambda *args, far=far: np.where(far, 700.0, start(*args)))
@@ -520,16 +522,17 @@ class TestSolveRowGroups:
     def test_rows_stopping_apart_match_one_row_solves(self):
         # in each group the rows stop on different evaluations, each staying
         # frozen in the plan until the last stops; a cap one short of the
-        # slowest row stops the slower ones unconverged. Each group holds rows
-        # started at x0 and rows started at the pole model's root (t >= 1.48,
-        # N >= 0.19 sqrt(t)), except the wide groups, all of whose rows start
-        # at x0 (N = 100) or all at the model's root (N = 1e14)
+        # slowest row stops the slower ones unconverged. Every row starts
+        # above x0, at its model's root, but the ground-state row at t = 0.05,
+        # whose levels 2 to 4 hold less than half an ulp of N at x0
+        # (_low_t_start): the first group holds rows of all three models
         groups = [
             # 2 to 448 levels a row, each row's run its own
-            (100, (M, P, P, M, P, M), (0.05, 0.2, 1.0, 3.0, 1e3, 5e3), occupancy._level_sums, [1, 2, 3, 3, 2, 3]),
-            # wide rows started by the pole split (alpha < 1 at x0), whose
-            # roots lie on the fugacity series (alpha > 1)
-            (100, (P, M, P, M, P), (3e4, 3e4, 1e7, 1e11, 1e11), occupancy._split_sums, [4, 4, 5, 4, 4]),
+            (100, (M, P, P, M, P, M), (0.05, 0.2, 1.0, 3.0, 1e3, 5e3), occupancy._level_sums, [1, 1, 2, 3, 2, 2]),
+            # wide rows started at the fugacity model's root, some of whose
+            # roots lie on the pole split (alpha < 1), some on the fugacity
+            # series (alpha > 1)
+            (100, (P, M, P, M, P), (3e4, 3e4, 1e7, 1e11, 1e11), occupancy._split_sums, [2, 2, 2, 2, 2]),
             # wide rows by the pole split alone; at N = 1e4 every such row
             # stops on evaluation 2, while at t ~ 3e-9 N the start already
             # lies within tol of the root
@@ -540,7 +543,7 @@ class TestSolveRowGroups:
             x0 = math.log1p(1.0 / n_particles)
             (routed_kernel, _, _), = occupancy._routes(offsets(sides), b, occupancy._cutoff(b), 1.0)  # one group
             assert routed_kernel is kernel
-            modelled = (np.array(t) >= occupancy.START_T) & (n_particles >= occupancy.START_DEGENERACY * np.sqrt(t))
+            modelled = np.array(t) > 0.05
             np.testing.assert_array_equal(solve_rows(sides, n_particles, b, max_iter=0).shifted_alpha > x0, modelled)
             batch = solve_rows(sides, n_particles, b)
             assert batch.converged.all()
@@ -570,13 +573,13 @@ class TestSolveRowGroups:
             return level_plan(plus, b, levels, ends, scale)
 
         monkeypatch.setattr(occupancy, "_level_plan", counted)
-        assert solve_rows((P, M), 100, 1e-4).iterations.tolist() == [3, 3]
+        assert solve_rows((P, M), 100, 1e-4).iterations.tolist() == [2, 2]
         calls.clear()
         net_force(ThermoPoint(100, 1e4))
         full = len(calls)
         calls.clear()
-        short = solve_rows((P, M), 100, 1e-4, max_iter=2)
-        assert short.iterations.tolist() == [2, 2]
+        short = solve_rows((P, M), 100, 1e-4, max_iter=1)
+        assert short.iterations.tolist() == [1, 1]
         assert not short.converged.any()
         assert len(calls) == full > 0
         assert calls == [2]  # one group of both rows, one build
@@ -607,13 +610,15 @@ class TestSolveRowGroups:
 
     def test_every_row_converges_within_six_evaluations(self, monkeypatch):
         # the step bound over the accepted domain: N from 1 to 1e300, t from
-        # 1e-300 to 2e14 (under MAX_LEVELS), both wells, both routes and both
+        # 1e-300 to 2e14 (under MAX_LEVELS), every row within 3 evaluations
+        # on this grid (test_latin_hypercube_rows_converge_within_four_evaluations
+        # finds the worst, 4), both wells, both routes and both
         # branches of the wide one. At every evaluation x >= x0, which keeps a
         # wide row's alpha above -b e_1, so that alpha <= 1 is |alpha| <= 1,
         # the domain where the pole split's series reach rounding
         # (SPLIT_FLOOR). The first evaluation sits at
-        # each row's start, the x a cap of 0 reports: the pole model's root,
-        # or x0 outside the model's window. A stopped row stays frozen in its
+        # each row's start, the x a cap of 0 reports: its model's root, x0
+        # where the low-t model's root rounds to it. A stopped row stays frozen in its
         # group's plan; so the clamp at x0 never acts when, from a group's
         # second evaluation on, its rows at x0 are exactly those that started
         # there and stopped on the first. The bounds hold at the default
@@ -659,21 +664,42 @@ class TestSolveRowGroups:
                 solved = solve_rows([P, M] * 400, n_particles, b, tol)
                 assert (solved.levels_used <= MAX_LEVELS).all()
                 assert solved.converged.all()
-                assert solved.iterations.max() <= 6
-                assert solved.iterations[start > x0].max(initial=0) <= 4  # the rows started at the model's root
+                assert solved.iterations.max() <= 3
                 for rows, at_x0 in seen["later"]:
                     np.testing.assert_array_equal(at_x0, (start[rows] == x0) & (solved.iterations[rows] == 1))
                     frozen_at_x0 += np.count_nonzero(at_x0)
             modelled += np.count_nonzero(start > x0)
         assert frozen_at_x0 and modelled and seen["series"] and seen["fugacity"]
 
+    def test_latin_hypercube_rows_converge_within_four_evaluations(self):
+        # a seeded Latin hypercube in (log N, log t) over N = 1 to 1e4 and t =
+        # 1e-3 to 1e4, one two-row call a point as net_force makes it: every
+        # row converges within 4 evaluations at DEFAULT_TOL and at MIN_TOL,
+        # 1.68 a row on average at DEFAULT_TOL (2.17, and at most 6, when rows
+        # outside the pole model's window started at x0). The rows that take 4 lie at N ~ 1 to
+        # 10 and t ~ 1 to 25, where A is too small for the fugacity model and
+        # alpha too large for the pole model
+        rng = np.random.default_rng(2003)
+        size = 1000
+        log_n, log_t = ((rng.permutation(size) + rng.random(size)) / size for _ in range(2))
+        points = list(zip(np.floor(10.0 ** (4.0 * log_n)).astype(int).tolist(), 10.0 ** (7.0 * log_t - 3.0)))
+        for tol, mean_bound in ((DEFAULT_TOL, 1.7), (MIN_TOL, 1.85)):
+            solved = [solve_rows((P, M), n_particles, 1.0 / t, tol) for n_particles, t in points]
+            iterations = np.concatenate([rows.iterations for rows in solved])
+            assert all(rows.converged.all() for rows in solved)
+            assert iterations.max() == 4
+            assert iterations.mean() <= mean_bound
+
     def test_ground_state_rows_keep_x0_and_stop_on_the_first_evaluation(self):
         # up to t ~ 0.07 at any N >= 1 the excited levels hold less than
         # tol N at x0, so a row started there stops on its first evaluation;
         # the pole model, off by ~0.1 particle near the ground state, would
-        # not. Below START_T every row starts at x0: t <= 0.03 at N = 1 to
-        # 1e4 (the scalar_random workload's ground-state rows) and the whole
-        # README low sweep (N = 100), which stops on evaluation 1 up to t = 0.05
+        # not. Below START_T every row starts at the low-t model's root, which
+        # is x0 bit for bit where levels 2 to 4 hold less than half an ulp of
+        # N: t <= 0.03 at N = 1 to 1e4 (the scalar_random workload's
+        # ground-state rows) and the README low sweep (N = 100) up to t =
+        # 0.06. That sweep stops on evaluation 1 up to t = 0.29 and on
+        # evaluation 2 above it
         for n_particles in (1, 10, 100, 1000, 10**4):
             b = 1.0 / np.repeat(np.geomspace(1e-3, 0.03, 50), 2)
             np.testing.assert_array_equal(solve_rows([P, M] * 50, n_particles, b, max_iter=0).shifted_alpha,
@@ -682,8 +708,10 @@ class TestSolveRowGroups:
         t = np.repeat(temperature_grid(SweepConfig(t_min=0.01, t_max=1.0, grid_points=200)), 2)
         assert t.max() < occupancy.START_T
         starts = solve_rows([P, M] * 200, 100, 1.0 / t, max_iter=0).shifted_alpha
-        np.testing.assert_array_equal(starts, math.log1p(1e-2))
-        assert (solve_rows([P, M] * 200, 100, 1.0 / t).iterations[t <= 0.05] == 1).all()
+        np.testing.assert_array_equal(starts[t <= 0.06], math.log1p(1e-2))
+        assert (starts >= math.log1p(1e-2)).all()
+        iterations = solve_rows([P, M] * 200, 100, 1.0 / t).iterations
+        assert (iterations[t <= 0.29] == 1).all() and iterations.max() == 2
 
     @pytest.mark.parametrize("n_particles", [int(5e307), int(1.7e308), 2**1023], ids=["5e307", "1.7e308", "2^1023"])
     def test_overflowing_model_root_starts_at_x0(self, n_particles):
@@ -700,20 +728,24 @@ class TestSolveRowGroups:
         assert net_force(ThermoPoint(n_particles, 2.0)).delta_f == pytest.approx(0.75 * n_particles, rel=1e-12)
 
     def test_start_cuts_evaluations_on_the_benchmark_grids(self, monkeypatch):
-        # mean evaluations per row and kernel calls per solve, both wells in
-        # one call as sweep() solves them; from x0 they were 4.25 and 21 on
-        # the large_n grid (N = 1e4, t = 1 to 1e8) and 4.49 and 34 on the
-        # README high sweep (N = 100, t = 1 to 1e4), and from the root of the
-        # model without its terms linear in alpha 2.53 and 11, and 3.26 and 23
+        # evaluations per row and kernel calls per solve, both wells in one
+        # call as sweep() solves them; from x0 the means were 4.25 and 4.49
+        # and the calls 21 and 34 on the large_n grid (N = 1e4, t = 1 to 1e8)
+        # and the README high sweep (N = 100, t = 1 to 1e4). With the pole
+        # model alone (x0 outside its window) the large_n grid's 26 widest
+        # rows took 3 evaluations, and its solve 5 kernel calls; with the
+        # fugacity model every row stops by its second evaluation
         calls = []
         for name in ("_level_sums", "_split_sums"):
             kernel = getattr(occupancy, name)
             monkeypatch.setattr(occupancy, name, lambda x, plan, kernel=kernel: calls.append(x.size) or kernel(x, plan))
-        for n_particles, t_max, points, mean_bound, calls_bound in ((10**4, 1e8, 100, 2.15, 9), (100, 1e4, 300, 2.4, 18)):
+        for n_particles, t_max, points, most, mean_bound, calls_bound in ((10**4, 1e8, 100, 2, 2.0, 4),
+                                                                          (100, 1e4, 300, 3, 2.05, 5)):
             t = np.array(temperature_grid(SweepConfig(t_min=1.0, t_max=t_max, grid_points=points)))
             calls.clear()
             solved = solve_rows([P] * points + [M] * points, n_particles, 1.0 / np.concatenate((t, t)))
             assert solved.converged.all()
+            assert solved.iterations.max() <= most
             assert solved.iterations.mean() <= mean_bound
             assert len(calls) <= calls_bound
 
@@ -1029,7 +1061,8 @@ class TestSplitPlan:
                     kinds.add(tuple(sorted(formed)))
                     for squares, moments in formed.values():
                         assert (squares, moments) == ((0, 1) if i == count - 1 else (1, 0))
-        assert kinds == {("_series_sums",), ("_fugacity_sums",), ("_fugacity_sums", "_series_sums")}
+        # N = 1's rows start and stay on the fugacity series, the others' take both branches
+        assert kinds == {("_fugacity_sums",), ("_fugacity_sums", "_series_sums")}
 
 
 class TestStartModel:
@@ -1069,3 +1102,43 @@ class TestStartModel:
                 exact_q, exact_slope = mp_pole_slope(plus, u[i])
                 assert q[i] == pytest.approx(float(exact_q), rel=1e-14)
                 assert slope[i] == pytest.approx(float(exact_slope), rel=1e-13)
+
+    def test_fugacity_table_matches_polylog_between_knots(self):
+        # over the whole key range, at knots and at the midpoints in log alpha
+        # between them, where linear interpolation errs most, against F =
+        # (sqrt(pi)/2) Li_{1/2}(e^-alpha) by mpmath: a knot's key is log F and
+        # its slope d log F / dw = -(Li_{-1/2} / Li_{1/2}) (1 - e^-alpha), w =
+        # log(expm1(alpha)); read at a midpoint's log F, the table's w is off
+        # by at most 2.5e-7 of F (_fugacity_table), times the slope
+        keys, values = occupancy._fugacity_table()
+        knots = occupancy._FUGACITY_KNOTS
+        log_alpha = 2.0 * np.sinh(np.linspace(math.asinh(1.5), math.asinh(-4.0), 2 * knots - 1))
+        for i in range(0, 2 * knots - 1, 21):  # knots and midpoints in turn
+            alpha = mp.mpf(math.exp(log_alpha[i]))
+            z = mp.exp(-alpha)
+            li = mp.polylog(0.5, z)
+            f, slope = mp.sqrt(mp.pi) / 2 * li, -mp.polylog(-0.5, z) / li * -mp.expm1(-alpha)
+            w = float(mp.log(mp.expm1(alpha)))
+            if i % 2:
+                fit = np.interp(float(mp.log(f)), keys, values)
+                assert abs((fit.real - w) * fit.imag) <= 2.5e-7
+            else:
+                assert keys[i // 2] == pytest.approx(float(mp.log(f)), rel=1e-14, abs=1e-15)
+                assert values[i // 2].real == pytest.approx(w, rel=1e-14, abs=1e-15)
+                assert values[i // 2].imag == pytest.approx(float(slope), rel=1e-13)
+
+    def test_fugacity_root_meets_the_fugacity_expansion(self):
+        # at small N sqrt(b), inside the fugacity model's window, its root z =
+        # e^-alpha is the paper's high-t expansion (approx.fugacity_expansion,
+        # q_leading + q_subleading, to order b) to that expansion's next
+        # order: within (N sqrt(b))^2 of it relative (~0.54 (N sqrt(b))^2 measured)
+        for n_particles in (1, 10, 100):
+            for density in (1e-3, 3e-3, 1e-2, 3e-2):
+                b = np.full(2, (density / n_particles) ** 2)
+                c = offsets((P, M))
+                shift, x0 = b * (1.0 - c) ** 2, np.array(math.log1p(1.0 / n_particles))
+                x = occupancy._fugacity_start(c, b, shift, float(n_particles), x0)
+                np.testing.assert_array_equal(occupancy._start(c, b, float(n_particles), x0, shift), x)
+                for side, z in zip((P, M), np.exp(shift - x)):
+                    expansion = fugacity_expansion(side, n_particles, b[0])
+                    assert abs(z / expansion.total - 1.0) <= density**2

@@ -148,35 +148,35 @@ _LATTICE_TERMS = 28
 #   R1 alpha) + (1 - 2c) (1/4 - alpha/24) = N, with C = R(0) = (sqrt(pi)/2)
 #   zeta(1/2) (REMAINDER_LIMIT) and R1 = R'(0) = -(sqrt(pi)/2) zeta(-1/2)
 #   (REMAINDER_SLOPE), the first two terms of R's series (_HALF_ZETA), and
-#   -r(alpha)/2 = 1/4 - alpha/24 + O(alpha^3). Its root in u = A + e_1 = x t
-#   is one Newton step from the root of the model at alpha = 0, read from a
-#   table of q's inverse (_start_tables), u off by at most 1.0e-6. It drops
-#   sqrt(t) R''(0) alpha^2/2, R''(0) = (sqrt(pi)/2) zeta(-3/2) = -0.0225857,
-#   which near condensation, N = sqrt(t) ((pi/2)/sqrt(alpha) + C), reaches
-#   the table's 1e-6 of N at alpha = START_POLE_ALPHA, N = 8.26 sqrt(t).
+#   -r(alpha)/2 = 1/4 - alpha/24 + O(alpha^3). Its root comes from a table
+#   of q's inverse (_start_tables), u = x t off by at most 1.0e-6 relative
+#   and the slope d log q / d log u by 6.3e-7 (against _lattice at 200,001
+#   points). It drops sqrt(t) R''(0) alpha^2/2, R''(0) = (sqrt(pi)/2)
+#   zeta(-3/2) = -0.0225857, which near condensation, N = sqrt(t) ((pi/2) /
+#   sqrt(alpha) + C), reaches the table's 1e-6 of N at alpha =
+#   START_POLE_ALPHA, N = 8.26 sqrt(t).
 # * Fugacity model: the wide kernel's integral itself, N = sqrt(t) F(alpha) -
 #   (1 - 2c)/(2 expm1(alpha)), F = (sqrt(pi)/2) Li_{1/2}(e^-alpha), exact up
 #   to the Poisson remainder ~pi sqrt(t/alpha) exp(-2 pi sqrt(A)), 2
 #   exp(-2 pi sqrt(A)) of N near condensation. Its root is read from a table
-#   of F's inverse (_fugacity_table), F off by at most 2.5e-7, which the
-#   remainder passes below A = START_FUGACITY_A.
+#   of F's inverse (_fugacity_table), F off by at most 2.5e-7 of itself
+#   (test_fugacity_table_matches_polylog_between_knots), which the remainder
+#   passes below A = START_FUGACITY_A.
 # * Low-t model: x0 corrected by the populations P of levels 2 to 4 at x0, x
 #   = log1p(1/(N - P)), P = sum_{k=1..3} 1/expm1(x0 + b k (k + 2 - 2c)). It
 #   drops level 5's population, below 1.4e-6 at t < START_T, and P's fall
-#   from x0 to x, ~P^2/N^3 of N. Where P is below half an ulp of N (t below
-#   ~0.05 to 0.1 as N grows) the root rounds to x0.
+#   from x0 to x, ~P^2/N^3 of N.
 # Rows below START_T take the low-t model. START_T = 1.48 is the pole model's
 # edge near the ground state (alpha -> -e_1/t), where its root at alpha = 0
 # is off by ~R1 e_1/sqrt(t) particles and x0 by level 2's population, the two
 # equal at t = 0.68 for PLUS and 1.48 for MINUS. Above it a row takes the
 # fugacity model where, at leading order, alpha > START_POLE_ALPHA and A >=
-# START_FUGACITY_A (_start), and the pole model elsewhere: near condensation,
-# and at small N and t, where A is too small for the fugacity model. There,
-# at N ~ 1 to 10 and t ~ 1 to 25, rows take up to 4 evaluations; elsewhere a
-# row starts within ~1e-6 of N of its root and stops by its second or third
-# (test_latin_hypercube_rows_converge_within_four_evaluations). On the
-# large_n grid (N = 1e4, t = 1 to 1e8) every row stops by its second
-# (test_start_cuts_evaluations_on_the_benchmark_grids).
+# START_FUGACITY_A, and the pole model elsewhere: near condensation, and at
+# small N and t, where A is too small for the fugacity model. There, at N ~ 1
+# to 10 and t ~ 1 to 25, rows take the most evaluations of solve_rows' bound;
+# elsewhere a row starts within ~1e-6 of N of its root and stops by its
+# second or third. On the large_n grid (N = 1e4, t = 1 to 1e8) every row
+# stops by its second (test_start_cuts_evaluations_on_the_benchmark_grids).
 REMAINDER_LIMIT = _HALF_ZETA[1]
 REMAINDER_SLOPE = -_HALF_ZETA[2]
 START_T = 1.48
@@ -386,19 +386,26 @@ def _powers(base, exponents, odd):
     return powers
 
 
-def _on_branches(on, branches, arrays, *shared):
-    """(value, *thunks) of branches[0] where on holds, of branches[1] elsewhere, each on its arrays' elements.
+def _on_branches(ons, branches, arrays, *shared):
+    """(value, *thunks) of branches[i] on the rows where ons[i] holds, of branches[-1] on the rows no mask holds.
 
-    All on one branch, it runs with no gather or scatter; else a thunk scatters both branches' thunks.
+    The masks are disjoint; a row is an element of the arrays' last axis. All
+    rows on one branch (zero rows on the last), it runs on the arrays
+    themselves, with no gather or scatter; else each branch with rows runs on
+    its gathered rows, and the value and each thunk scatter them back in row
+    order.
     """
-    count = np.count_nonzero(on)
-    if count == on.size or not count:
-        return branches[0 if count else 1](*arrays, *shared)
-    parts = [(where, branch(*(array[..., where] for array in arrays), *shared))
-             for where, branch in ((on, branches[0]), (~on, branches[1]))]
+    counts = [*map(np.count_nonzero, ons)]
+    if not any(counts):
+        return branches[-1](*arrays, *shared)
+    if ons[0].size in counts:
+        return branches[counts.index(ons[0].size)](*arrays, *shared)
+    rest = ~functools.reduce(np.logical_or, ons)
+    parts = [(where, branch(*(array.compress(where, -1) for array in arrays), *shared))
+             for where, count, branch in zip((*ons, rest), (*counts, ons[0].size - sum(counts)), branches) if count]
 
     def merged(k):
-        out = np.empty(on.shape)
+        out = np.empty(rest.shape)
         for where, sums in parts:
             out[where] = sums[k]() if k else sums[k]
         return out
@@ -443,7 +450,7 @@ def _lattice(p, scale=1.0):
     overflows below p ~ 1e-154; the power of two s = scale enters before
     squaring.
     """
-    return _on_branches(p >= 2.0, (_coth_lattice, _zeta_lattice), (p,), scale)
+    return _on_branches((p >= 2.0,), (_coth_lattice, _zeta_lattice), (p,), scale)
 
 
 def _pole_weights(c):
@@ -522,7 +529,7 @@ def _split_sums(x, plan):
     t, ground = rows[0], rows[1]
     xt = x * t
     alpha = (xt - ground) / t
-    return _on_branches(alpha <= _FUGACITY_ALPHA, (_series_sums, _fugacity_sums), (x, alpha, xt, rows), scale)
+    return _on_branches((alpha <= _FUGACITY_ALPHA,), (_series_sums, _fugacity_sums), (x, alpha, xt, rows), scale)
 
 
 def _routes(c, b, levels, scale):
@@ -542,8 +549,9 @@ def _routes(c, b, levels, scale):
     if together they would sum more than SPLIT_COST levels; otherwise they
     sum their levels, as every row at or below the floor does. A row past
     MAX_LEVELS is in no group. Each plan is built when its group is taken
-    and holds at most _TILE levels or series terms, a row wider than that
-    being a group alone.
+    and holds at most _TILE levels or series terms: split rows are cut into
+    slices of a fixed row count, as _zeta_lattice cuts its points, and level
+    rows by _groups, a row wider than _TILE being a group alone.
     """
     order = levels.argsort(kind="stable")
     ordered = levels[order]
@@ -552,8 +560,9 @@ def _routes(c, b, levels, scale):
     if narrow < attempted and sum(ordered[narrow:attempted].tolist()) <= SPLIT_COST:
         narrow = attempted
     wide = order[narrow:attempted]
-    for group, _ in _groups(np.full(wide.size, max(_SPLIT_TERMS, _FUGACITY_TERMS))) if wide.size else ():
-        on = wide[group]
+    step = _TILE // max(_SPLIT_TERMS, _FUGACITY_TERMS)  # rows per split plan of at most _TILE series terms
+    for start in range(0, wide.size, step):
+        on = wide[start:start + step]
         yield _split_sums, _split_plan(c[on], b[on], scale), on
     for group, ends in _groups(ordered[:narrow]):
         on = order[group]
@@ -572,14 +581,12 @@ def _start_tables():
     _START_SHIFT, MINUS's knots coming first; its value is log(u q) + i d
     log q / d log u, the slope running from -1 near u = 0 to about -1/2 far
     out, from q' = -(the pole's sum of squares)/2, which _pole_sums returns
-    with q. Read by
-    linear interpolation, u is off by at most 1.0e-6 relative and the slope
-    by 6.3e-7 (against _lattice at 200,001 points). u = e^34 lies past the
-    model's root on every row it is used on under MAX_LEVELS: where A >=
-    START_FUGACITY_A its window keeps alpha <= START_POLE_ALPHA at leading
-    order (0.0269 measured), so u <= 0.03 t + 1 < 8e12, and elsewhere u <
-    START_FUGACITY_A + 1. Below u = e^-20, log(u q) = log(1 +
-    u (q - 1/u)) < 3e-9 and the slope is -1 to the same order, and -1j
+    with q. Read by linear interpolation (its error: see REMAINDER_LIMIT).
+    u = e^34 lies past the model's root on every row it is used on under
+    MAX_LEVELS: where A >= START_FUGACITY_A its window keeps alpha <=
+    START_POLE_ALPHA at leading order (0.0269 measured), so u <= 0.03 t + 1
+    < 8e12, and elsewhere u < START_FUGACITY_A + 1. Below u = e^-20, log(u q)
+    = log(1 + u (q - 1/u)) < 3e-9 and the slope is -1 to the same order, and -1j
     stands in for the value: past the last PLUS knot as the interpolant's
     right value, and past the last MINUS knot as two more knots, one a unit
     further and one a unit before the first PLUS key. On a row it is used on
@@ -603,40 +610,29 @@ def _start_tables():
 def _fugacity_table():
     """F's inverse (see REMAINDER_LIMIT), built on first use: (keys, values).
 
-    F = (sqrt(pi)/2) Li_{1/2}(e^-alpha) falls monotonically in alpha, from
-    (pi/2)/sqrt(alpha) near 0 to (sqrt(pi)/2) e^-alpha far out. The knots
-    run down in log alpha = 2 sinh(s) from 3 to -8, s uniform, dense where F
-    turns from one form to the other. Up to alpha = 1 F is (pi/2)/sqrt(alpha)
-    + R(alpha), past it the Li_{1/2} series, the rows of _SPLIT_SERIES (R,
-    -R') and _FUGACITY_SERIES (row 0) that the wide kernel sums, each summed
-    here by Horner's rule over the knots, a term at a time. A knot's key is
-    log F, ascending; its value is w + i d log F / dw in w = log(expm1(alpha)),
-    in which log F runs from -w/2 near 0 to -w far out, the slope from -1/2
-    to -1. Read by linear interpolation, F is off by at most 2.5e-7 of itself
-    (test_fugacity_table_matches_polylog_between_knots). The fugacity window
-    (alpha > START_POLE_ALPHA at leading order) lies inside the knots up to
-    N = 1, t = MAX_LEVELS^2 / TAIL_EXPONENT (alpha ~ 17 < e^3).
+    F falls monotonically in alpha, from (pi/2)/sqrt(alpha) near 0 to
+    (sqrt(pi)/2) e^-alpha far out. The knots run down in log alpha = 2
+    sinh(s) from 3 to -8, s uniform, dense where F turns from one form to
+    the other. F and -dF/dalpha are the series rows the wide kernel sums,
+    each summed over the knots by np.polyval, from the highest power down:
+    past alpha = 1 the Li_{1/2} series (_FUGACITY_SERIES row 0, and for
+    -F' its coefficients times their powers), up to it (pi/2)/sqrt(alpha) +
+    R(alpha) and its derivative (_SPLIT_SERIES, R and -R'). A knot's key is
+    log F, ascending; its value is w + i d log F / dw in w =
+    log(expm1(alpha)), in which log F runs from -w/2 near 0 to -w far out,
+    the slope from -1/2 to -1. Read by linear interpolation (its error: see
+    REMAINDER_LIMIT). The fugacity window (alpha > START_POLE_ALPHA at
+    leading order) lies inside the knots up to N = 1, t = MAX_LEVELS^2 /
+    TAIL_EXPONENT (alpha ~ 17 < e^3).
     """
     alpha = np.exp(2.0 * np.sinh(np.linspace(math.asinh(1.5), math.asinh(-4.0), _FUGACITY_KNOTS)))
-    f, minus_df = np.zeros((2, alpha.size))  # F and -dF/dalpha, each branch summed into its slice
     seam = int(np.count_nonzero(alpha > _FUGACITY_ALPHA))  # the knots past the seam come first
-    z = np.exp(-alpha[:seam])
-    series, moment = f[:seam], minus_df[:seam]  # (sqrt(pi)/2) sum_k z^k / sqrt(k) and sum_k sqrt(k) z^k
-    for term, k in zip(_FUGACITY_SERIES[0], _FUGACITY_POWERS[:, 0]):
-        series += term
-        series *= z
-        moment += k * term
-        moment *= z
-    near, remainder, slope = alpha[seam:], f[seam:], minus_df[seam:]  # R and -R'
-    for r, minus_r in _SPLIT_SERIES[:2].T:
-        remainder *= near
-        remainder += r
-        slope *= near
-        slope += minus_r
+    z, near = np.exp(-alpha[:seam]), alpha[seam:]
     root = np.sqrt(near)
-    remainder += 0.5 * math.pi / root
-    root *= near
-    slope += 0.25 * math.pi / root
+    f = np.concatenate((np.polyval(_FUGACITY_SERIES[0], z) * z,
+                        np.polyval(_SPLIT_SERIES[0], near) + 0.5 * math.pi / root))
+    minus_df = np.concatenate((np.polyval(_FUGACITY_SERIES[0] * _FUGACITY_POWERS[:, 0], z) * z,
+                               np.polyval(_SPLIT_SERIES[1], near) + 0.25 * math.pi / (root * near)))
     values = np.empty(alpha.size, dtype=complex)
     values.imag = minus_df / f * np.expm1(-alpha)  # d log F / dw = (F'/F) (1 - e^-alpha)
     values.real = np.log(np.expm1(alpha))
@@ -646,10 +642,10 @@ def _fugacity_table():
 def _pole_start(c, b, shift, target, x0):
     """The pole model's root (see REMAINDER_LIMIT) on its rows, clamped at x0.
 
-    The table gives the root u0 = x t of the model at alpha = 0, t q(u) = N -
-    C sqrt(t) - (1 - 2c)/4, and the slope s = d log q / d log u there;
-    one Newton step in x adds the model's terms linear in alpha = x - b e_1,
-    K alpha with K = R1 sqrt(t) - (1 - 2c)/24.
+    The table gives the root u0 = x t of the model at alpha = 0 and the
+    slope s = d log q / d log u there; one Newton step in x adds the model's
+    terms linear in alpha = x - b e_1, K alpha with K = R1 sqrt(t) - (1 -
+    2c)/24.
     """
     root_b = np.sqrt(b)
     image = 0.25 - 0.5 * c  # (1 - 2c)/4: n = 0's image (c from spectrum; see REMAINDER_LIMIT)
@@ -661,21 +657,21 @@ def _pole_start(c, b, shift, target, x0):
     # x - K alpha / (t q s / x + K) = x (scaled + b e_1) / (scaled + x), scaled = t q s / K; K > 0 on every row
     scaled = pole / (REMAINDER_SLOPE / root_b - image / 6.0) * fit.imag
     x *= (scaled + shift) / (scaled + x)
-    return np.fmax(x, x0)  # fmax: a nan root (past N ~ 5e307, scaled overflows) keeps x0
+    return np.fmax(x, x0),  # fmax: a nan root (past N ~ 5e307, scaled overflows) keeps x0
 
 
 def _fugacity_start(c, b, shift, target, x0):
     """The fugacity model's root (see REMAINDER_LIMIT) on its rows, clamped at x0.
 
-    The model is F - I = N sqrt(b), I = (1 - 2c) sqrt(b)/(2 expm1(alpha))
-    being the image's population over sqrt(t), and the table
-    (_fugacity_table) gives alpha, so I, at any F. Two Newton steps in F from
-    F = N sqrt(b), with dI/dF = -I/(F d log F / dw), then a last reading give
-    alpha: I is nearly linear in F, and after them the root is within the
-    table's error of the model's from A ~ 10, and 1e-6 of N at A = 5 (a
-    fixed-point step for I in place of the first leaves ~6e-5 of N at A =
-    10). At N ~ 1 on the window's edge, where A at leading order overshoots
-    and I is as large as N, F can step to 0 or below; fmax then keeps x0.
+    Over sqrt(t) the model is F - I = N sqrt(b), I being its image term over
+    sqrt(t), and the table (_fugacity_table) gives alpha, so I, at any F. Two
+    Newton steps in F from F = N sqrt(b), with dI/dF = -I/(F d log F / dw),
+    then a last reading give alpha: I is nearly linear in F, and after them
+    the root is within the table's error of the model's from A ~ 10, and
+    1e-6 of N at A = 5 (a fixed-point step for I in place of the first
+    leaves ~6e-5 of N at A = 10). At N ~ 1 on the window's edge, where A at
+    leading order overshoots and I is as large as N, F can step to 0 or
+    below; fmax then keeps x0.
     """
     keys, values = _fugacity_table()
     root_b = np.sqrt(b)
@@ -691,44 +687,37 @@ def _fugacity_start(c, b, shift, target, x0):
     slope = fit.imag * f
     f -= (step - held) * slope / (slope + held)
     fit = np.interp(np.log(f), keys, values)
-    return np.fmax(np.log1p(np.exp(fit.real)) + shift, x0)
+    return np.fmax(np.log1p(np.exp(fit.real)) + shift, x0),
 
 
 def _low_t_start(c, b, shift, target, x0):
     """The low-t model's root (see REMAINDER_LIMIT) on its rows.
 
-    Where levels 2 to 4 hold less than half an ulp of N at x0, N less their
-    population rounds to N, and the row starts at x0 bit for bit. They hold
-    less than 3 e^(-2b) (gaps 3 - 2c >= 2), so where every row has 2b >
-    log(3 2^54 / N) the model is not formed.
+    Where levels 2 to 4 hold less than half an ulp of N at x0 (t below ~0.05
+    to 0.1 as N grows), N less their population rounds to N, and the row
+    starts at x0 bit for bit. They hold less than 3 e^(-2b) (gaps 3 - 2c >=
+    2), so where every row has 2b > log(3 2^54 / N) the model is not formed.
     """
     if b.min() > _X0_EXACT - 0.5 * math.log(target):
-        return x0.repeat(b.size)
+        return x0.repeat(b.size),
     held = (1.0 / np.expm1(x0 + b * (_LOW_T_GAPS[0] - _LOW_T_GAPS[1] * c))).sum(0)  # levels 2 to 4 at x0
-    return np.log1p(1.0 / (target - held))
+    return np.log1p(1.0 / (target - held)),
 
 
 def _start(c, b, target, x0, shift):
     """Each row's first iterate, c its offset and shift b e_1: the root of its model (see REMAINDER_LIMIT).
 
-    Below START_T a row takes the low-t model. Above it, at leading order
-    N/sqrt(t) = (pi/2)/sqrt(alpha) + C and A = alpha t = (pi t/(2 N))^2; so
-    alpha > START_POLE_ALPHA and A >= START_FUGACITY_A, the fugacity model's
-    window, is b below a bound set by N, below 1/START_T at any N >= 1; the
-    other rows take the pole model. A call computes only the models its rows
-    take, on no gathered copy when all take one. Call under np.errstate.
+    Each model's window is a bound on b: at leading order N/sqrt(t) =
+    (pi/2)/sqrt(alpha) + C and A = alpha t = (pi t/(2 N))^2, so the fugacity
+    window is b below a bound set by N, below 1/START_T at any N >= 1, and
+    disjoint from the low-t rows. The rows dispatch through _on_branches: a
+    call computes only the models its rows take, on no gathered copy when all
+    take one, as a net_force call's two wells, of one b, always do. Call
+    under np.errstate.
     """
     low = b > 1.0 / START_T
     fugacity = b < min((_POLE_DENSITY / target) ** 2, _FUGACITY_REACH / target)
-    counts = np.count_nonzero(low), np.count_nonzero(fugacity)
-    if b.size in counts or counts == (0, 0):
-        model = _low_t_start if counts[0] else _fugacity_start if counts[1] else _pole_start
-        return model(c, b, shift, target, x0)
-    x = np.empty(b.size)
-    for on, model in ((low, _low_t_start), (fugacity, _fugacity_start), (~(low | fugacity), _pole_start)):
-        if np.count_nonzero(on):
-            x[on] = model(c[on], b[on], shift[on], target, x0)
-    return x
+    return _on_branches((low, fugacity), (_low_t_start, _fugacity_start, _pole_start), (c, b, shift), target, x0)[0]
 
 
 def total_number(side: WellSide, alpha: float, b: float) -> float:

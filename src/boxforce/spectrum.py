@@ -59,7 +59,7 @@ def energy_level(side: WellSide, n: int) -> float:
 
 
 def energy_level_extended(side: WellSide, n: int) -> float:
-    """Level formula at any integer n, as the two-sided Poisson sums need it; symmetric under n -> 2c - n."""
+    """Level formula (n - c)^2 at any integer n, unchecked (energy_level checks n); symmetric under n -> 2c - n."""
     return (n - side.offset) ** 2
 
 

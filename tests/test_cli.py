@@ -17,6 +17,7 @@ from boxforce import (
     sweep,
     write_csv,
 )
+from boxforce.cli import main
 
 
 # the three sweeps of the README, at the default N = 100
@@ -26,6 +27,55 @@ README_SWEEPS = [
     "--t-min 1 --t-max 10000 --points 300 --methods numeric,high-t",
 ]
 
+
+# The CLI smoke cases, each a boxforce argument list and its reason on the comment above it. Every case must exit 0
+# and write no error row; filterwarnings = ["error"] (pyproject.toml) fails a case where a numpy RuntimeWarning
+# escapes a kernel's errstate
+SMOKE_CASES = [
+    # split rows (every row is over occupancy.SPLIT_FLOOR levels, together far more than occupancy.SPLIT_COST)
+    # near condensation: the wide kernel's pole split
+    pytest.param("--n-particles 1000000 --t-min 3e4 --t-max 1e8 --points 50", id="wide"),
+    # rows on both sides of occupancy.SPLIT_FLOOR, those over it split: degenerate rows, alpha < 0, whose pole split
+    # raises |alpha| to its powers and sums the lattice by its zeta series (occupancy._powers, occupancy._lattice)
+    pytest.param("--n-particles 1000000 --t-min 300 --t-max 3e4 --points 100", id="floor"),
+    # the t range of test_every_row_converges_within_six_evaluations (tests/test_occupancy.py), all of the accepted
+    # range under occupancy.MAX_LEVELS, at the smallest N: level rows and wide rows on the fugacity series, whose net
+    # force takes occupancy.force_difference's difference route, all converge
+    pytest.param("--n-particles 1 --t-min 1e-300 --t-max 2e14 --points 200", id="range_1"),
+    # the same range at N = 1e9
+    pytest.param("--n-particles 1000000000 --t-min 1e-300 --t-max 2e14 --points 200", id="range_1e9"),
+    # N = 1e307: wide rows near condensation, whose lattice sum of squares takes the scale before squaring
+    # (occupancy._lattice)
+    pytest.param(f"--n-particles {10**307} --t-min 1e5 --t-max 1e6 --points 3", id="huge_n"),
+    # N = 1e200, past the N where an unscaled sum of squares overflows (occupancy._routes): level rows only, summed at
+    # scale. Every row starts within tol and stops on its first evaluation, so this checks the scaled sums for
+    # warnings only; the test_*_rows_past_the_square_overflow_converge tests of tests/test_occupancy.py cover the step
+    # on level and wide rows
+    pytest.param(f"--n-particles {10**200} --t-min 1e-3 --t-max 2e4 --points 100", id="huge_n_levels"),
+    # N = 1.7e308, past the N where the start's pole model overflows: those rows start at x0, as
+    # test_overflowing_model_root_starts_at_x0 (tests/test_occupancy.py) checks
+    pytest.param(f"--n-particles {int(1.7e308)} --t-min 1e-3 --t-max 2e4 --points 100", id="top_n"),
+    # README low sweep (N = 100)
+    pytest.param(README_SWEEPS[0], id="low"),
+    # README mid sweep: the widest spread of run lengths in one level plan (test_level_plans_hold_each_rows_own_levels)
+    pytest.param(README_SWEEPS[1], id="mid"),
+    # README high sweep
+    pytest.param(README_SWEEPS[2], id="high"),
+    # 4,000 rows under occupancy.SPLIT_FLOOR, 232,986 levels laid out in 15 level plans (occupancy._level_plan):
+    # gaps formed from each run's index across plan seams (test_level_plans_hold_each_rows_own_gaps,
+    # tests/test_properties.py)
+    pytest.param("--t-min 10 --t-max 400 --points 2000", id="many_plans"),
+    # the large_n grid (bench/workloads.py): rows start at the pole and fugacity models' roots on both routes
+    # (test_start_cuts_evaluations_on_the_benchmark_grids)
+    pytest.param("--n-particles 10000 --t-min 1 --t-max 1e8 --points 100", id="large_n"),
+    # across the seams of the three start models (occupancy.START_T, the pole model's window and the fugacity model's,
+    # see occupancy.REMAINDER_LIMIT): low-t, pole and fugacity rows in one sweep
+    pytest.param("--n-particles 1000 --t-min 0.05 --t-max 1e9 --points 400", id="start_seams"),
+    # the semi-analytic constraint at large N and t, where |alpha| falls to ~1e-7 and its tail takes arctan or arctanh
+    # of a small argument (test_large_n_roots_meet_the_oracle_constraint)
+    pytest.param("--n-particles 1000000 --t-min 1e4 --t-max 1e7 --points 200 --methods semi-analytic,high-t",
+                 id="semi_large_n"),
+]
 
 class TestParseConfig:
     def test_defaults(self):
@@ -339,3 +389,13 @@ assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
         assert result.returncode == 0
         body = result.stdout.decode().splitlines()[1:]
         assert all(line.split(",")[2:6] == ["", "", "", ""] for line in body)
+
+
+
+@pytest.mark.parametrize("args", SMOKE_CASES)
+def test_smoke_case_exits_zero_with_no_error_rows(args, tmp_path):
+    output = tmp_path / "out.csv"
+    assert main([*args.split(), "--output", str(output)]) == 0
+    header, *rows = output.read_text().splitlines()
+    assert header == CSV_HEADER and rows
+    assert not [row for row in rows if row.endswith(",error")]

@@ -1065,6 +1065,52 @@ class TestSplitPlan:
         assert kinds == {("_fugacity_sums",), ("_fugacity_sums", "_series_sums")}
 
 
+class TestOnBranches:
+    # each branch i returns, on the rows it is given, (x + i, thunk of 10 x + i, thunk of the 2-D rows' sum) and
+    # records the arrays it got; rows are the arrays' last axis, so a 2-D array is gathered by column
+    @staticmethod
+    def branches(calls):
+        def branch(i):
+            def run(x, table, shift):
+                calls.append((i, x, table))
+                return x + (i + shift), lambda: 10.0 * x + i, lambda: table.sum(0)
+            return run
+        return tuple(map(branch, range(3)))
+
+    def test_zero_rows_take_the_last_branch(self):
+        calls = []
+        empty = np.zeros(0, dtype=bool)
+        arrays = np.zeros(0), np.zeros((2, 0))
+        value, tens, sums = occupancy._on_branches((empty, empty), self.branches(calls), arrays, 0.0)
+        assert [i for i, _, _ in calls] == [2]
+        assert value.shape == tens().shape == sums().shape == (0,)
+
+    @pytest.mark.parametrize("branch", [0, 1, 2])
+    def test_all_rows_on_one_branch_get_the_callers_arrays(self, branch):
+        x, table = np.arange(4.0), np.arange(8.0).reshape(2, 4)
+        ons = tuple(np.full(4, branch == i) for i in range(2))
+        calls = []
+        value, tens, sums = occupancy._on_branches(ons, self.branches(calls), (x, table), 0.5)
+        (i, got_x, got_table), = calls
+        assert i == branch and got_x is x and got_table is table  # no gather
+        np.testing.assert_array_equal(value, x + branch + 0.5)
+        np.testing.assert_array_equal(tens(), 10.0 * x + branch)
+        np.testing.assert_array_equal(sums(), table.sum(0))
+
+    def test_mixed_rows_merge_in_row_order(self):
+        # rows 1 and 3 on branch 0, none on branch 1, the rest on the last: branch 1 is not called
+        x, table = np.arange(5.0), np.arange(10.0).reshape(2, 5)
+        first, second = np.array([False, True, False, True, False]), np.zeros(5, dtype=bool)
+        calls = []
+        value, tens, sums = occupancy._on_branches((first, second), self.branches(calls), (x, table), 0.0)
+        assert [(i, got_x.tolist()) for i, got_x, _ in calls] == [(0, [1.0, 3.0]), (2, [0.0, 2.0, 4.0])]
+        np.testing.assert_array_equal(calls[0][2], table[:, first])
+        branch = np.where(first, 0.0, 2.0)
+        np.testing.assert_array_equal(value, x + branch)
+        np.testing.assert_array_equal(tens(), 10.0 * x + branch)
+        np.testing.assert_array_equal(sums(), table.sum(0))
+
+
 class TestStartModel:
     def test_remainder_constants_match_mp_integrals(self):
         # the pole model's C = R(0) = (sqrt(pi)/2) zeta(1/2) and R1 = R'(0), the
@@ -1137,8 +1183,28 @@ class TestStartModel:
                 b = np.full(2, (density / n_particles) ** 2)
                 c = offsets((P, M))
                 shift, x0 = b * (1.0 - c) ** 2, np.array(math.log1p(1.0 / n_particles))
-                x = occupancy._fugacity_start(c, b, shift, float(n_particles), x0)
+                x = occupancy._fugacity_start(c, b, shift, float(n_particles), x0)[0]
                 np.testing.assert_array_equal(occupancy._start(c, b, float(n_particles), x0, shift), x)
                 for side, z in zip((P, M), np.exp(shift - x)):
                     expansion = fugacity_expansion(side, n_particles, b[0])
                     assert abs(z / expansion.total - 1.0) <= density**2
+
+    def test_two_row_call_runs_only_its_rows_model(self, monkeypatch):
+        # a net_force call's two wells share N and b, so they take one model; computing the others too
+        # costs every two-row call their numpy calls (see _start)
+        models = ("_low_t_start", "_fugacity_start", "_pole_start")
+        calls = []
+
+        def recorded(name, model):
+            return lambda *args: calls.append(name) or model(*args)
+
+        for name in models:
+            monkeypatch.setattr(occupancy, name, recorded(name, getattr(occupancy, name)))
+        cases = {"_pole_start": 50.0, "_fugacity_start": 1e6, "_low_t_start": 1.0, "x0": 0.02}
+        for model, t in cases.items():
+            calls.clear()
+            solved = solve_rows((P, M), 100, np.full(2, 1.0 / t), max_iter=0)
+            # the x0 rows take the low-t model, which returns x0 unformed
+            assert calls == [model if model in models else "_low_t_start"], t
+            if model == "x0":
+                assert solved.shifted_alpha.tolist() == [math.log1p(1.0 / 100)] * 2

@@ -23,7 +23,9 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import approx
-from .occupancy import DEFAULT_TOL, ThermoPoint, check_domain, force_difference, solve_alpha, solve_rows
+# solve_alpha is not called here, but bench/spans.py wraps force.solve_alpha by name, and the name must stay
+# importable for that
+from .occupancy import DEFAULT_TOL, ThermoPoint, check_domain, force_difference, solve_alpha, solve_rows  # noqa: F401
 from .spectrum import WellSide
 
 if TYPE_CHECKING:
@@ -34,7 +36,6 @@ __all__ = [
     "Method",
     "GridScale",
     "SweepRow",
-    "half_force",
     "net_force",
     "net_force_zero_t",
     "temperature_grid",
@@ -87,11 +88,6 @@ class SweepRow(NamedTuple):
     status: str
 
 
-def half_force(side: WellSide, point: ThermoPoint, tol: float = DEFAULT_TOL) -> float:
-    """Exact force sum_n e_n N_n from one half well, at the solved multiplier."""
-    return solve_alpha(side, point, tol).force
-
-
 def net_force(point: ThermoPoint, tol: float = DEFAULT_TOL) -> ForcePair:
     """Exact net force on the partition, both wells solved together at the same tolerance."""
     solved = solve_rows((WellSide.PLUS, WellSide.MINUS), point.n_particles, point.b, tol)
@@ -137,15 +133,17 @@ def _column(method: Method, n_particles: int, grid: np.ndarray, tol: float):
             return None, None, closed_form(n_particles, grid), np.full(len(grid), "ok")
     except (ValueError, ArithmeticError):
         return None, None, np.full(len(grid), None), np.full(len(grid), "error")
-    wells, t_rows = (WellSide.PLUS,) * len(grid) + (WellSide.MINUS,) * len(grid), np.concatenate((grid, grid))
+    wells = (WellSide.PLUS,) * len(grid) + (WellSide.MINUS,) * len(grid)
     if method is Method.NUMERIC:
-        solved = solve_rows(wells, n_particles, 1.0 / t_rows, tol)
+        b = 1.0 / grid
+        solved = solve_rows(wells, n_particles, np.concatenate((b, b)), tol)
         alpha, force, ok = solved.alpha.reshape(2, -1), solved.force.reshape(2, -1), solved.converged
-        delta_f = force_difference(solved, 1.0 / grid)
+        delta_f = force_difference(solved, b)
     else:
-        alpha = approx.semi_analytic_rows(wells, n_particles, t_rows)[0]
+        alpha = approx.semi_analytic_rows(wells, n_particles, np.concatenate((grid, grid)))[0]
         alpha, ok = alpha.reshape(2, -1), np.isfinite(alpha)
-        force = np.array([approx.semi_analytic_force(side, a, grid, n_particles) for side, a in zip(WellSide, alpha)])
+        force = np.array([approx.semi_analytic_force(side, a, grid, n_particles)
+                          for side, a in zip((WellSide.PLUS, WellSide.MINUS), alpha)])  # wells' row order
         delta_f = force[1] - force[0]
     return alpha, force, delta_f, np.where(ok.reshape(2, -1).all(axis=0), "ok", "error")
 

@@ -367,9 +367,9 @@ _SPLIT_SERIES = _split_matrix(_SPLIT_TERMS)
 _SPLIT_POWERS = np.array([[float(j)] for j in reversed(range(_SPLIT_TERMS))])
 _SPLIT_ODD = slice(_SPLIT_TERMS % 2, None, 2)
 _FUGACITY_POWERS = np.array([[float(k)] for k in range(_FUGACITY_TERMS, 0, -1)])
-# the low-t model's gaps of levels 2 to 4, k (k + 2 - 2c) = k (k + 2) - 2k c for k = 1 to 3
 _X0_EXACT = 0.5 * math.log(3.0 * 2.0**54)  # see _low_t_start
-_LOW_T_GAPS = np.array([[[3.0], [8.0], [15.0]], [[2.0], [4.0], [6.0]]])
+# the low-t model's gaps of levels 2 to 4, k (k + 2 - 2c) = k (k + 2) - 2k c for k = 1 to 3 (_level_plan's form)
+_LOW_T_GAPS = np.array([[[k * (k + 2.0)] for k in (1.0, 2.0, 3.0)], [[2.0 * k] for k in (1.0, 2.0, 3.0)]])
 # the power series in z = e^-alpha of S, sum_n N_n^2 and the force, over sqrt(t) (see SPLIT_FLOOR), from the
 # highest power down to z: (sqrt(pi)/2) k^-1/2 times 1 (Li_{1/2}), k - 1 (Li_{-1/2} - Li_{1/2}) and 1/(2k) (Li_{3/2}/2)
 _FUGACITY_SERIES = np.array([[math.sqrt(math.pi / k) / 2.0 * w(k) for k in range(_FUGACITY_TERMS, 0, -1)]
@@ -790,7 +790,7 @@ def solve_rows(
     |S - N| <= tol * N, or unconverged at max_iter evaluations or a
     non-finite step. Over N = 1 to 1e300 and t = 1e-300 to 2e14 every row
     stops converged within 4 evaluations, at DEFAULT_TOL and at MIN_TOL, and
-    the clamp never acts (test_every_row_converges_within_six_evaluations,
+    the clamp never acts (test_every_row_converges_within_three_evaluations,
     test_latin_hypercube_rows_converge_within_four_evaluations).
 
     The groups of _routes are solved one by one, each on a plan built once

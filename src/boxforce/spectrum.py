@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["WellSide", "energy_level", "energy_level_extended", "level_gap"]
+__all__ = ["WellSide", "energy_level", "level_gap"]
 
 
 class WellSide(Enum):
@@ -55,16 +55,14 @@ def energy_level(side: WellSide, n: int) -> float:
     """Dimensionless energy of level n >= 1 of one half well, exact in double precision up to n = 10**7."""
     if not (1 <= n < math.inf and n % 1 == 0):  # an integral float such as 3.0 passes; nan and inf fail
         raise ValueError(f"level index must be a positive integer, got {n}")
-    return energy_level_extended(side, n)
-
-
-def energy_level_extended(side: WellSide, n: int) -> float:
-    """Level formula (n - c)^2 at any integer n, unchecked (energy_level checks n); symmetric under n -> 2c - n."""
     return (n - side.offset) ** 2
 
 
 def level_gap(side: WellSide, n):
-    """e_n - e_1 in a cancellation-free form, (n - 1)(n + 1 - 2c), for a scalar or a numpy array of indices."""
+    """e_n - e_1 in a cancellation-free form, (n - 1)(n + 1 - 2c), for a scalar or a numpy array of any integers n.
+
+    Symmetric under n -> 2c - n, the reflection the Poisson split's two-sided level sums rest on.
+    """
     return (n - 1.0) * (n + side.sigma)
 
 

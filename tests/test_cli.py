@@ -38,7 +38,7 @@ SMOKE_CASES = [
     # rows on both sides of occupancy.SPLIT_FLOOR, those over it split: degenerate rows, alpha < 0, whose pole split
     # raises |alpha| to its powers and sums the lattice by its zeta series (occupancy._powers, occupancy._lattice)
     pytest.param("--n-particles 1000000 --t-min 300 --t-max 3e4 --points 100", id="floor"),
-    # the t range of test_every_row_converges_within_six_evaluations (tests/test_occupancy.py), all of the accepted
+    # the t range of test_every_row_converges_within_three_evaluations (tests/test_occupancy.py), all of the accepted
     # range under occupancy.MAX_LEVELS, at the smallest N: level rows and wide rows on the fugacity series, whose net
     # force takes occupancy.force_difference's difference route, all converge
     pytest.param("--n-particles 1 --t-min 1e-300 --t-max 2e14 --points 200", id="range_1"),

@@ -17,10 +17,10 @@ from boxforce import (
     ThermoPoint,
     WellSide,
     force,
-    half_force,
     net_force,
     net_force_zero_t,
     run,
+    solve_alpha,
     sweep,
     temperature_grid,
 )
@@ -43,13 +43,15 @@ def test_frozen_constants_match_oracle():
 
 
 class TestHalfForce:
+    """One well's force sum_n e_n N_n at its solved multiplier."""
+
     def test_zero_t_limits(self):
         point = ThermoPoint(100, 1e-3)
-        assert half_force(P, point) == pytest.approx(25.0, abs=1e-9)
-        assert half_force(M, point) == pytest.approx(100.0, abs=1e-9)
+        assert solve_alpha(P, point).force == pytest.approx(25.0, abs=1e-9)
+        assert solve_alpha(M, point).force == pytest.approx(100.0, abs=1e-9)
 
     def test_against_brute_force_oracle(self):
-        assert half_force(P, ThermoPoint(100, 1.0)) == pytest.approx(F_PLUS_100_T1, rel=1e-10)
+        assert solve_alpha(P, ThermoPoint(100, 1.0)).force == pytest.approx(F_PLUS_100_T1, rel=1e-10)
 
 
 class TestNetForce:

@@ -608,7 +608,7 @@ class TestSolveRowGroups:
             number = direct_sums(side is P, x, 1.0 / t, int(solved.levels_used[0]))[0]
             assert abs(number[0] - 1e6) <= DEFAULT_TOL * 1e6
 
-    def test_every_row_converges_within_six_evaluations(self, monkeypatch):
+    def test_every_row_converges_within_three_evaluations(self, monkeypatch):
         # the step bound over the accepted domain: N from 1 to 1e300, t from
         # 1e-300 to 2e14 (under MAX_LEVELS), every row within 3 evaluations
         # on this grid (test_latin_hypercube_rows_converge_within_four_evaluations
@@ -763,11 +763,11 @@ class TestSolveRowGroups:
         assert peak < 4 * 2**20
 
 
-class TestNodePlan:
+class TestSplitRoute:
     """Rows wider than SPLIT_FLOOR, summed as one integral by _split_sums."""
 
     @pytest.mark.parametrize("n_particles", [1, 100, 10_000, 1_000_000])
-    def test_node_sums_match_direct_sums(self, n_particles):
+    def test_wide_sums_match_direct_sums_on_both_branches(self, n_particles):
         # the wide-row kernel's error budget (SPLIT_FLOOR): Poisson remainder,
         # series tails and discarded level tail all lie below rounding on both
         # branches and at the seam between them, alpha = 1 +- 1e-12, from x0 t
@@ -831,7 +831,7 @@ class TestNodePlan:
         assert calls
         assert pair.delta_f == pytest.approx(float(mp_delta_f(1, t)), rel=1e-9)
 
-    def test_routed_point_at_node_levels_matches_mp_oracle(self):
+    def test_smallest_routed_point_matches_mp_oracle(self):
         # the smallest routed point at N = 1 with the real threshold: 1,026
         # levels, both wells' roots on the fugacity series
         t = 26_300.0

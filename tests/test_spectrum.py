@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from boxforce import WellSide, energy_level, energy_level_extended, level_gap
+from boxforce import WellSide, energy_level, level_gap
 from boxforce.spectrum import offsets
 
 P = WellSide.PLUS
@@ -49,23 +50,12 @@ def test_energy_level_exact_at_large_index():
     assert energy_level(M, 10_000_000) == 1.0e14
 
 
-@pytest.mark.parametrize(
-    "side, n, expected",
-    [
-        (P, 0, 0.25),
-        (M, -2, 4.0),
-        (P, -1, 2.25),
-    ],
-)
-def test_energy_level_extended_values(side, n, expected):
-    assert energy_level_extended(side, n) == expected
-
-
 def test_extended_spectrum_symmetry():
-    # PLUS levels are symmetric under n -> 1 - n, MINUS levels under n -> -n
-    for n in range(-1000, 1001):
-        assert energy_level_extended(P, n) == energy_level_extended(P, 1 - n)
-        assert energy_level_extended(M, n) == energy_level_extended(M, -n)
+    # the level formula at every integer n, the Poisson split's premise: PLUS levels are symmetric under
+    # n -> 1 - n, MINUS levels under n -> -n
+    n = np.arange(-1000, 1001, dtype=np.float64)
+    assert np.array_equal(level_gap(P, n), level_gap(P, 1 - n))
+    assert np.array_equal(level_gap(M, n), level_gap(M, -n))
 
 
 def test_level_spacing_strictly_increasing():
@@ -78,8 +68,6 @@ def test_level_spacing_strictly_increasing():
 
 
 def test_level_gap_matches_energy_difference():
-    import numpy as np
-
     n = np.arange(1, 2000, dtype=np.float64)
     for side in (P, M):
         expected = np.array([energy_level(side, int(k)) - side.ground_energy for k in n])
